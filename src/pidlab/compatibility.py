@@ -414,6 +414,24 @@ def verify_roi_certificate(
         assert cert.simplicity is not None
         out["simple_matching"] = cert.simplicity.matching_defect
         out["simple_tp"] = cert.simplicity.tp_defect
+        # The noise must be a device: checked on r * noise = (1+r) simple_mix - J,
+        # since dividing by r would magnify the solver's error by 1/r.
+        scaled_noise = (1.0 + cert.r) * cert.simple_mix.blocks - p.blocks
+        out["noise_psd"] = max(
+            0.0,
+            max(
+                -min_eig(scaled_noise[x0, x1])
+                for x0 in range(p.n_programs)
+                for x1 in range(p.n_outcomes)
+            ),
+        )
+        out["noise_tp"] = max(
+            max_abs(
+                partial_trace(scaled_noise[x0].sum(axis=0), (p.din, p.dout), keep=(0,))
+                - cert.r * np.eye(p.din)
+            )
+            for x0 in range(p.n_programs)
+        )
     if cert.alpha is not None:
         out["alpha_psd"] = max(
             0.0,

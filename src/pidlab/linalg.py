@@ -28,7 +28,6 @@ __all__ = [
     "choi_of_prepare",
     "choi_tensor",
     "choi_trace_map",
-    "choi_transpose_map",
     "eig_hermitian",
     "hermitize",
     "hermiticity_defect",
@@ -55,19 +54,24 @@ def hermiticity_defect(a: np.ndarray) -> float:
 def hermitize(a: np.ndarray, tol: float = HERMITIZE_TOL) -> np.ndarray:
     """Symmetrize ``(a + a^dag)/2`` after checking the drift is below ``tol``.
 
-    Raises ``ValueError`` for drift beyond ``tol`` scaled by the matrix size;
-    numerical routines downstream require exact Hermiticity.
+    ``a`` is one square matrix or a stack ``(..., n, n)`` of them.  Raises
+    ``ValueError`` when any matrix drifts beyond ``tol`` scaled by its own
+    largest entry; numerical routines downstream require exact Hermiticity.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, max_abs(a))
-    if hermiticity_defect(a) > tol * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: defect {hermiticity_defect(a):.3e} "
-            f"exceeds {tol:.1e} (relative)"
-        )
-    return (a + a.conj().T) / 2
+    ah = a.conj().swapaxes(-1, -2)
+    if a.size:
+        flat = a.shape[:-2] + (-1,)
+        defect = np.abs(a - ah).reshape(flat).max(axis=-1)
+        bad = defect > tol * np.maximum(1.0, np.abs(a).reshape(flat).max(axis=-1))
+        if bad.any():
+            raise ValueError(
+                f"matrix is not Hermitian: defect {float(np.max(defect[bad])):.3e} "
+                f"exceeds {tol:.1e} (relative)"
+            )
+    return (a + ah) / 2
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -256,15 +260,6 @@ def choi_of_prepare(state: np.ndarray) -> ChoiMatrix:
     """Choi of the preparation map ``1 -> d`` emitting ``state`` (possibly subnormalized)."""
     state = np.asarray(state, dtype=complex)
     return ChoiMatrix(1, state.shape[0], state)
-
-
-def choi_transpose_map(d: int) -> ChoiMatrix:
-    """Choi of entrywise transposition on a d-dimensional system (not CP for d > 1)."""
-    j = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for k in range(d):
-            j[i * d + k, k * d + i] = 1.0
-    return ChoiMatrix(d, d, j)
 
 
 def choi_from_kraus(kraus: list[np.ndarray] | tuple[np.ndarray, ...]) -> ChoiMatrix:

@@ -6,10 +6,21 @@ Solves standard-form problems over real symmetric PSD blocks,
     subject to  sum_b <A_{i,b}, X_b> = b_i   (i = 1..m),   X_b >= 0,
 
 with a Mehrotra-style predictor-corrector path-following method using
-Nesterov-Todd scaling.  Problem sizes here are at most a few hundred real
-dimensions, so the Schur complement is assembled densely and factored with
-Cholesky.  Everything is deterministic: fixed initialization, no randomized
-pivoting, so identical inputs produce identical iterates.
+Nesterov-Todd scaling.
+
+The blocks are grouped by their size and by the number of constraint rows
+they appear in (their support), and each group is held as ``(n, d, d)``
+stacks.  The Cholesky factorizations, SVDs, inverses and step-length
+eigenvalues of a group run as one batched numpy call, and a block's
+constraint matrices are stored only on its support rows.  The Schur
+complement ``H[i, j] = sum_b <A_{i,b}, W_b A_{j,b} W_b>`` is assembled per
+group on those rows and added into the rows and columns of ``H`` that they
+occupy, so a block costs in proportion to the rows it appears in, not to
+all ``m`` (the sparsity argument of Fujisawa, Kojima and Nakata, Math.
+Prog. 79, 1997).  Problem sizes here are at most a few hundred constraints,
+so ``H`` itself is dense and factored with Cholesky.  Everything is
+deterministic: fixed initialization, no randomized pivoting, so identical
+inputs produce identical iterates.
 
 Complex Hermitian problems are handled by :class:`ComplexSdpBuilder`, which
 embeds every Hermitian matrix ``H = P + iQ`` as the real symmetric matrix
@@ -19,8 +30,9 @@ undoes the doubling when reporting values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,34 +70,49 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Block SDP data.  ``constraints`` holds ``(per-block matrices, rhs)`` rows."""
+    """Block SDP data.  ``constraints`` holds ``(per-block matrices, rhs)`` rows.
+
+    Construction checks shapes and symmetry one block column at a time and
+    records in ``supports``, per block, the constraint rows whose matrix for
+    that block is nonzero; the solver reads only those rows.
+    """
 
     blocks: tuple[tuple[str, int], ...]
     objective: tuple[np.ndarray, ...]
     constraints: tuple[tuple[tuple[np.ndarray, ...], float], ...]
+    supports: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = [d for _, d in self.blocks]
         if len(self.objective) != len(dims):
             raise ValueError("objective must provide one matrix per block")
-        for c, (_, d) in zip(self.objective, self.blocks):
-            _check_sym(c, d, "objective")
-        for row, _ in self.constraints:
-            if len(row) != len(dims):
-                raise ValueError("constraint row must cover every block")
-            for a, (_, d) in zip(row, self.blocks):
-                _check_sym(a, d, "constraint")
+        if any(len(row) != len(dims) for row, _ in self.constraints):
+            raise ValueError("constraint row must cover every block")
+        supports = []
+        for k, d in enumerate(dims):
+            _stack_column([self.objective[k]], d, "objective")
+            col = _stack_column([row[k] for row, _ in self.constraints], d, "constraint")
+            supports.append(np.flatnonzero(col.reshape(len(col), d * d).any(axis=1)))
+        object.__setattr__(self, "supports", tuple(supports))
 
     @property
     def n_constraints(self) -> int:
         return len(self.constraints)
 
 
-def _check_sym(a: np.ndarray, dim: int, what: str) -> None:
-    if a.shape != (dim, dim):
-        raise ValueError(f"{what} matrix shape {a.shape} does not match block dim {dim}")
-    if max_abs(a - a.T) > 1e-12 * max(1.0, max_abs(a)):
+def _stack_column(mats: list, dim: int, what: str) -> np.ndarray:
+    """Stack one block's matrices ``(len(mats), dim, dim)``, checking each is symmetric."""
+    shapes = {np.shape(a) for a in mats}
+    if shapes - {(dim, dim)}:
+        bad = next(iter(shapes - {(dim, dim)}))
+        raise ValueError(f"{what} matrix shape {bad} does not match block dim {dim}")
+    if not mats:
+        return np.zeros((0, dim, dim))
+    stack = np.asarray(np.stack(mats), dtype=float)
+    asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+    if np.any(asym > 1e-12 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))):
         raise ValueError(f"{what} matrix has an antisymmetric part")
+    return stack
 
 
 @dataclass
@@ -105,12 +132,15 @@ class SdpSolution:
 def embed_complex(h: np.ndarray) -> np.ndarray:
     """Real symmetric embedding ``[[Re, -Im], [Im, Re]]`` of a Hermitian matrix.
 
+    ``h`` is one matrix or a stack ``(..., n, n)``, embedded matrix by matrix.
     The embedding is PSD iff the input is, its eigenvalues are the doubled
     multiset of the input's, and traces double.
     """
     h = hermitize(h)
     re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
+    return np.concatenate(
+        [np.concatenate([re, -im], axis=-1), np.concatenate([im, re], axis=-1)], axis=-2
+    )
 
 
 def unembed_complex(x: np.ndarray) -> np.ndarray:
@@ -151,77 +181,134 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2
+    return (a + a.swapaxes(-1, -2)) / 2
 
 
-def _max_step(chol_l: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha with X + alpha*Delta >= 0, given X = L L^T."""
-    t = np.linalg.solve(chol_l, delta)
-    t = np.linalg.solve(chol_l, t.T).T
-    lam = float(np.linalg.eigvalsh(_sym(t))[0])
+class _BlockGroup:
+    """Blocks of one size ``d`` that each appear in ``r`` constraint rows.
+
+    ``rows`` ``(n, r)`` holds each block's support rows and ``a``
+    ``(n, r, d, d)`` its constraint matrices on them; ``members`` are the
+    blocks' positions in the problem.
+    """
+
+    def __init__(self, problem: SdpProblem, members: list[int]):
+        self.members = members
+        self.dim = d = problem.blocks[members[0]][1]
+        self.rows = np.stack([problem.supports[k] for k in members])
+        n, r = self.rows.shape
+        self.a = np.array(
+            [[problem.constraints[i][0][k] for i in rows] for k, rows in zip(members, self.rows)],
+            dtype=float,
+        ).reshape(n, r, d, d)
+        self.c = np.stack([np.asarray(problem.objective[k], dtype=float) for k in members])
+        self.a_flat = self.a.reshape(n, r, d * d)
+
+    def apply_a(self, x: np.ndarray, m: int) -> np.ndarray:
+        """``out[i] = sum_b <A_{i,b}, X_b>`` over this group, as an m-vector."""
+        n = len(self.members)
+        vals = self.a_flat @ x.reshape(n, -1, 1)
+        return np.bincount(self.rows.ravel(), vals.ravel(), minlength=m)
+
+    def apply_at(self, y: np.ndarray) -> np.ndarray:
+        """``sum_i y_i A_{i,b}`` for each block of the group."""
+        return (y[self.rows][:, None, :] @ self.a_flat).reshape(self.c.shape)
+
+    def add_schur(self, w: np.ndarray, h: np.ndarray) -> None:
+        """``H[i, j] += <A_{i,b}, W_b A_{j,b} W_b>`` on each block's support rows."""
+        n, r = self.rows.shape
+        m = len(h)
+        waw = (w[:, None] @ self.a @ w[:, None]).reshape(n, r, -1)
+        flat_h = h.reshape(-1)
+        for rows, hb in zip(self.rows, self.a_flat @ waw.swapaxes(1, 2)):
+            flat_h[(rows[:, None] * m + rows).ravel()] += hb.ravel()
+
+
+class _NtScaling(NamedTuple):
+    """Nesterov-Todd scaling of a group: ``W = G G^T``, ``G^-1 X G^-T = G^T S G = diag(d)``."""
+
+    g: np.ndarray
+    ginv: np.ndarray
+    d: np.ndarray
+    w: np.ndarray
+    lx_inv: np.ndarray
+    ls_inv: np.ndarray
+
+
+def _nt_scaling(x: np.ndarray, s: np.ndarray) -> _NtScaling:
+    lx = np.linalg.cholesky(x)
+    ls = np.linalg.cholesky(s)
+    _, sv, vt = np.linalg.svd(ls.swapaxes(1, 2) @ lx)
+    sv = np.maximum(sv, 1e-300)
+    lx_inv = np.linalg.inv(lx)
+    g = lx @ vt.swapaxes(1, 2) * (sv**-0.5)[:, None, :]
+    ginv = (sv**0.5)[:, :, None] * (vt @ lx_inv)
+    return _NtScaling(g, ginv, sv, g @ g.swapaxes(1, 2), lx_inv, np.linalg.inv(ls))
+
+
+def _max_step(l_inv: np.ndarray, delta: np.ndarray) -> float:
+    """Largest alpha with X + alpha*Delta >= 0 on every block, given X = L L^T."""
+    t = l_inv @ delta @ l_inv.swapaxes(1, 2)
+    lam = float(np.min(np.linalg.eigvalsh(_sym(t))[:, 0]))
     if lam >= -1e-13:
         return np.inf
     return 1.0 / (-lam)
 
 
-def _initial_point(dims, a_stack, b, c_list):
+def _initial_point(groups, b, m):
     # primal blocks: identity scaled to roughly satisfy trace-like constraints
-    cands = []
-    for i in range(len(b)):
-        tr = sum(float(np.trace(a_stack[k][i])) for k in range(len(dims)))
-        if abs(tr) > 1e-9:
-            cands.append(abs(b[i]) / abs(tr))
-    xi = float(np.clip(max(cands) if cands else 1.0, 1.0, 1e4))
-    eta = float(np.clip(max(max_abs(c) for c in c_list) if c_list else 1.0, 1.0, 1e4))
-    x = [xi * np.eye(d) for d in dims]
-    s = [eta * np.eye(d) for d in dims]
-    y = np.zeros(len(b))
-    return x, s, y
+    tr = sum(
+        np.bincount(grp.rows.ravel(), np.trace(grp.a, axis1=2, axis2=3).ravel(), minlength=m)
+        for grp in groups
+    )
+    big = np.abs(tr) > 1e-9
+    cands = np.abs(b[big]) / np.abs(tr[big])
+    xi = float(np.clip(cands.max() if cands.size else 1.0, 1.0, 1e4))
+    eta = float(np.clip(max(max_abs(grp.c) for grp in groups), 1.0, 1e4))
+    x = [xi * np.broadcast_to(np.eye(grp.dim), grp.c.shape) for grp in groups]
+    s = [eta * np.broadcast_to(np.eye(grp.dim), grp.c.shape) for grp in groups]
+    return x, s, np.zeros(m)
+
+
+def _group_blocks(problem: SdpProblem) -> list[list[int]]:
+    """Block positions grouped by (size, support size), in order of first appearance."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, ((_, d), rows) in enumerate(zip(problem.blocks, problem.supports)):
+        groups.setdefault((d, len(rows)), []).append(k)
+    return list(groups.values())
 
 
 def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     """Run the interior-point iteration and return a primal-dual certificate."""
     opts = opts or SolveOptions()
-    dims = [d for _, d in problem.blocks]
-    nblk = len(dims)
     m = problem.n_constraints
-    ntot = sum(dims)
-    b = np.array([rhs for _, rhs in problem.constraints], dtype=float)
-    c_list = [np.asarray(c, dtype=float) for c in problem.objective]
-    # stack constraint matrices per block: a_stack[k] has shape (m, d_k, d_k)
-    a_stack = []
-    for k in range(nblk):
-        mats = [np.asarray(row[k], dtype=float) for row, _ in problem.constraints]
-        a_stack.append(np.stack(mats) if mats else np.zeros((0, dims[k], dims[k])))
-
     if m == 0:
         raise ValueError("problems without equality constraints are not supported")
+    ntot = sum(d for _, d in problem.blocks)
+    b = np.array([rhs for _, rhs in problem.constraints], dtype=float)
+    groups = [_BlockGroup(problem, members) for members in _group_blocks(problem)]
 
     def apply_a(xs):
-        out = np.zeros(m)
-        for k in range(nblk):
-            out += np.einsum("ipq,pq->i", a_stack[k], xs[k])
-        return out
+        return sum(grp.apply_a(xg, m) for grp, xg in zip(groups, xs))
 
-    def apply_at(y):
-        return [np.einsum("ipq,i->pq", a_stack[k], y) for k in range(nblk)]
+    def inner(us, vs):
+        return sum(float(np.sum(u * v)) for u, v in zip(us, vs))
 
-    x, s, y = _initial_point(dims, a_stack, b, c_list)
+    x, s, y = _initial_point(groups, b, m)
     b_scale = 1.0 + float(np.max(np.abs(b)))
-    c_scale = 1.0 + max(max_abs(c) for c in c_list)
+    c_scale = 1.0 + max(max_abs(grp.c) for grp in groups)
 
     status = SdpStatus.NUMERICAL_FAILURE
     it = 0
     pres = dres = np.inf
     for it in range(1, opts.max_iter + 1):
         rp = b - apply_a(x)
-        aty = apply_at(y)
-        rd = [c_list[k] - aty[k] - s[k] for k in range(nblk)]
-        mu = sum(float(np.sum(x[k] * s[k])) for k in range(nblk)) / ntot
-        pobj = sum(float(np.sum(c_list[k] * x[k])) for k in range(nblk))
+        rd = [grp.c - grp.apply_at(y) - sg for grp, sg in zip(groups, s)]
+        mu = inner(x, s) / ntot
+        pobj = inner((grp.c for grp in groups), x)
         dobj = float(b @ y)
         pres = float(np.max(np.abs(rp))) / b_scale
-        dres = max(max_abs(rd[k]) for k in range(nblk)) / c_scale
+        dres = max(max_abs(r) for r in rd) / c_scale
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
 
         if pres <= opts.feas_tol and dres <= opts.feas_tol and (
@@ -236,31 +323,15 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             status = SdpStatus.UNBOUNDED
             break
 
-        # Nesterov-Todd scaling per block: W = G G^T, scaled variable D = diag(sv)
         try:
-            g_list, ginv_list, d_list, lx_list, ls_list = [], [], [], [], []
-            for k in range(nblk):
-                lx = np.linalg.cholesky(x[k])
-                ls = np.linalg.cholesky(s[k])
-                u, sv, vt = np.linalg.svd(ls.T @ lx)
-                sv = np.maximum(sv, 1e-300)
-                g = lx @ vt.T * (sv ** -0.5)[None, :]
-                ginv = (sv ** 0.5)[:, None] * (vt @ np.linalg.inv(lx))
-                g_list.append(g)
-                ginv_list.append(ginv)
-                d_list.append(sv)
-                lx_list.append(lx)
-                ls_list.append(ls)
-            w_list = [g @ g.T for g in g_list]
+            nt = [_nt_scaling(xg, sg) for xg, sg in zip(x, s)]
         except np.linalg.LinAlgError:
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
-        # Schur complement H[i,j] = sum_b <A_i, W A_j W>
         h = np.zeros((m, m))
-        for k in range(nblk):
-            t = np.einsum("pq,iqr,rs->ips", w_list[k], a_stack[k], w_list[k], optimize=True)
-            h += np.einsum("ipq,jpq->ij", a_stack[k], t, optimize=True)
+        for grp, sc in zip(groups, nt):
+            grp.add_schur(sc.w, h)
 
         h_chol = None
         h_scale = max(np.trace(h) / m, 1e-300)
@@ -279,61 +350,55 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             return np.linalg.solve(h_chol.T, z)
 
         def newton_step(rc_scaled):
-            """Given scaled complementarity RHS per block, return (dx, dy, ds)."""
-            grcg = [g_list[k] @ rc_scaled[k] @ g_list[k].T for k in range(nblk)]
-            rhs = rp.copy()
-            for k in range(nblk):
-                rhs -= np.einsum("ipq,pq->i", a_stack[k], grcg[k])
-                wrdw = w_list[k] @ rd[k] @ w_list[k]
-                rhs += np.einsum("ipq,pq->i", a_stack[k], wrdw)
-            dy = solve_h(rhs)
-            ds = [rd[k] - np.einsum("ipq,i->pq", a_stack[k], dy) for k in range(nblk)]
-            dx = [
-                _sym(grcg[k] - w_list[k] @ ds[k] @ w_list[k]) for k in range(nblk)
-            ]
+            """Given scaled complementarity RHS per group, return (dx, dy, ds)."""
+            grcg = [sc.g @ rc @ sc.g.swapaxes(1, 2) for sc, rc in zip(nt, rc_scaled)]
+            wrdw = [sc.w @ r @ sc.w for sc, r in zip(nt, rd)]
+            dy = solve_h(rp - apply_a([gr - t for gr, t in zip(grcg, wrdw)]))
+            ds = [r - grp.apply_at(dy) for grp, r in zip(groups, rd)]
+            dx = [_sym(gr - sc.w @ dsg @ sc.w) for gr, sc, dsg in zip(grcg, nt, ds)]
             return dx, dy, ds
 
         # predictor (affine scaling): Rc = -D in scaled space, divided by L_D
-        rc_aff = [np.diag(-d_list[k]) for k in range(nblk)]
+        rc_aff = [-sc.d[:, None, :] * np.eye(grp.dim) for grp, sc in zip(groups, nt)]
         dx_a, dy_a, ds_a = newton_step(rc_aff)
-        ap = min([_max_step(lx_list[k], dx_a[k]) for k in range(nblk)] + [1.0])
-        ad = min([_max_step(ls_list[k], ds_a[k]) for k in range(nblk)] + [1.0])
-        mu_aff = sum(
-            float(np.sum((x[k] + ap * dx_a[k]) * (s[k] + ad * ds_a[k])))
-            for k in range(nblk)
+        ap = min([_max_step(sc.lx_inv, d) for sc, d in zip(nt, dx_a)] + [1.0])
+        ad = min([_max_step(sc.ls_inv, d) for sc, d in zip(nt, ds_a)] + [1.0])
+        mu_aff = inner(
+            [xg + ap * d for xg, d in zip(x, dx_a)], [sg + ad * d for sg, d in zip(s, ds_a)]
         ) / ntot
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0))
 
         # corrector: Rc = L_D^{-1}(sigma*mu*I - D^2 - H(dXhat dShat))
         rc = []
-        for k in range(nblk):
-            d = d_list[k]
-            dxh = ginv_list[k] @ dx_a[k] @ ginv_list[k].T
-            dsh = g_list[k].T @ ds_a[k] @ g_list[k]
-            cross = _sym(dxh @ dsh)
-            rhs_mat = sigma * mu * np.eye(dims[k]) - np.diag(d * d) - cross
-            denom = (d[:, None] + d[None, :]) / 2
-            rc.append(rhs_mat / denom)
+        for grp, sc, dxg, dsg in zip(groups, nt, dx_a, ds_a):
+            d = sc.d
+            dxh = sc.ginv @ dxg @ sc.ginv.swapaxes(1, 2)
+            dsh = sc.g.swapaxes(1, 2) @ dsg @ sc.g
+            rhs_mat = sigma * mu * np.eye(grp.dim) - (d * d)[:, None, :] * np.eye(grp.dim)
+            rc.append((rhs_mat - _sym(dxh @ dsh)) / ((d[:, :, None] + d[:, None, :]) / 2))
         dx, dy, ds = newton_step(rc)
-        ap = min([_max_step(lx_list[k], dx[k]) for k in range(nblk)])
-        ad = min([_max_step(ls_list[k], ds[k]) for k in range(nblk)])
+        ap = min(_max_step(sc.lx_inv, d) for sc, d in zip(nt, dx))
+        ad = min(_max_step(sc.ls_inv, d) for sc, d in zip(nt, ds))
         ap = min(1.0, opts.step_frac * ap)
         ad = min(1.0, opts.step_frac * ad)
-        for k in range(nblk):
-            x[k] = _sym(x[k] + ap * dx[k])
-            s[k] = _sym(s[k] + ad * ds[k])
+        x = [_sym(xg + ap * d) for xg, d in zip(x, dx)]
+        s = [_sym(sg + ad * d) for sg, d in zip(s, ds)]
         y = y + ad * dy
 
-    pobj = sum(float(np.sum(c_list[k] * x[k])) for k in range(nblk))
+    pobj = inner((grp.c for grp in groups), x)
     dobj = float(b @ y)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj))
-    aty = apply_at(y)
-    slacks = [c_list[k] - aty[k] for k in range(nblk)]
+    primal_blocks: list[np.ndarray] = [None] * len(problem.blocks)
+    slacks: list[np.ndarray] = [None] * len(problem.blocks)
+    for grp, xg in zip(groups, x):
+        for k, xb, zb in zip(grp.members, xg, grp.c - grp.apply_at(y)):
+            primal_blocks[k] = xb
+            slacks[k] = zb
     return SdpSolution(
         status=status,
         primal_value=pobj,
         dual_value=dobj,
-        primal_blocks=x,
+        primal_blocks=primal_blocks,
         dual_multipliers=y,
         dual_slacks=slacks,
         gap=gap,
@@ -387,12 +452,18 @@ class ComplexSdpBuilder:
             self._sense * embed_complex(self._obj[n]) if n in self._obj else zero[n]
             for n in self._names
         )
-        rows = []
-        for coeffs, rhs in self._rows:
-            row = tuple(
-                embed_complex(coeffs[n]) if n in coeffs else zero[n] for n in self._names
-            )
-            rows.append((row, 2.0 * rhs))
+        # each block is embedded in one call over the rows it appears in;
+        # the rows it is absent from share one zero matrix
+        columns = []
+        for n in self._names:
+            col = [zero[n]] * len(self._rows)
+            present = [i for i, (coeffs, _) in enumerate(self._rows) if n in coeffs]
+            if present:
+                embedded = embed_complex(np.stack([self._rows[i][0][n] for i in present]))
+                for i, a in zip(present, embedded):
+                    col[i] = a
+            columns.append(col)
+        rows = [(row, 2.0 * rhs) for row, (_, rhs) in zip(zip(*columns), self._rows)]
         problem = SdpProblem(blocks=blocks, objective=obj, constraints=tuple(rows))
         sol = solve(problem, opts)
         value = self._sense * sol.primal_value / 2.0 + self._constant
@@ -416,9 +487,6 @@ class ComplexSdpBuilder:
             primal_residual=sol.primal_residual,
             dual_residual=sol.dual_residual,
         )
-
-    def constraint_count(self) -> int:
-        return len(self._rows)
 
 
 @dataclass

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pidlab.compatibility import (
+    CERT_TOL,
     build_incoherent_extension,
     enumerate_strategies,
     is_compatible_pmd,
@@ -182,6 +185,28 @@ class TestRoi:
         cert = roi(p)
         res = verify_roi_certificate(p, cert)
         assert max(res.values()) <= 1e-6
+
+    def test_certificate_checks_noise_side(self):
+        # r = 9.2e-4: the noise itself carries CP and TP defects of ~5e-7,
+        # which are the solver's error divided by r.
+        p = random_pid(2, 2, 2, 2, seed=1003)
+        cert = roi_primal(p)
+        res = verify_roi_certificate(p, cert)
+        assert res["noise_psd"] <= CERT_TOL
+        assert res["noise_tp"] <= CERT_TOL
+        # give r * noise an eigenvalue of -1e-5, keeping the mixing identity exact
+        scaled = cert.r * cert.noise.blocks
+        vals, vecs = np.linalg.eigh(scaled[0, 0])
+        vals[0] = -1e-5
+        scaled[0, 0] = (vecs * vals) @ vecs.conj().T
+        bad = dataclasses.replace(
+            cert,
+            noise=Pid(2, 2, scaled / cert.r),
+            simple_mix=Pid(2, 2, (p.blocks + scaled) / (1.0 + cert.r)),
+        )
+        res = verify_roi_certificate(p, bad)
+        assert res["mixing_identity"] <= CERT_TOL
+        assert abs(res["noise_psd"] - 1e-5) <= 1e-9
 
     def test_optimal_noise_mixture_is_simple(self):
         p = random_pid(2, 2, 2, 2, seed=139)  # strongly non-simple draw

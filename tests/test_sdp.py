@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from pidlab import sdp
+from pidlab.compatibility import roi_dual
+from pidlab.devices import Pid, pid_from_pmd, random_pid
 from pidlab.sdp import (
     ComplexSdpBuilder,
     SdpProblem,
@@ -11,6 +14,7 @@ from pidlab.sdp import (
     solve,
     unembed_complex,
 )
+from pidlab.sem import sem
 
 
 def rand_sym(rng, n):
@@ -59,6 +63,21 @@ class TestEmbedComplex:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             embed_complex(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_stack_embeds_matrix_by_matrix(self):
+        rng = np.random.default_rng(np.random.Philox(36))
+        a = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+        h = a + a.conj().swapaxes(-1, -2)
+        stacked = embed_complex(h)
+        assert stacked.shape == (2, 3, 8, 8)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(stacked[i, j], embed_complex(h[i, j]))
+
+    def test_stack_rejects_one_non_hermitian_member(self):
+        h = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+        with pytest.raises(ValueError):
+            embed_complex(h)
 
 
 def _single_block_problem(c, a_rows, rhs):
@@ -174,6 +193,145 @@ class TestRandomFeasibleSuite:
             # feasible blocks
             for xb in sol.primal_blocks:
                 assert np.linalg.eigvalsh(xb)[0] >= -opts.feas_tol
+
+
+def _sparse_feasible_problem(rng, dims, supports, m):
+    """Random strictly feasible SDP in which block k appears only in rows ``supports[k]``."""
+    a_rows = [[np.zeros((d, d)) for d in dims] for _ in range(m)]
+    for k, rows in enumerate(supports):
+        for i in rows:
+            a_rows[i][k] = rand_sym(rng, dims[k])
+    x0 = [rand_spd(rng, d) for d in dims]
+    s0 = [rand_spd(rng, d) for d in dims]
+    y0 = rng.standard_normal(m)
+    b = [sum(float(np.sum(a * x)) for a, x in zip(row, x0)) for row in a_rows]
+    c = tuple(
+        sum(y0[i] * a_rows[i][k] for i in range(m)) + s0[k] for k in range(len(dims))
+    )
+    return SdpProblem(
+        blocks=tuple((f"b{k}", d) for k, d in enumerate(dims)),
+        objective=c,
+        constraints=tuple((tuple(row), bi) for row, bi in zip(a_rows, b)),
+    )
+
+
+def _reversed(p):
+    return SdpProblem(
+        blocks=p.blocks[::-1],
+        objective=p.objective[::-1],
+        constraints=tuple((row[::-1], rhs) for row, rhs in p.constraints),
+    )
+
+
+def _kkt_residuals(p, sol):
+    """Primal, dual-cone and gap residuals recomputed from the returned blocks."""
+    b = np.array([rhs for _, rhs in p.constraints])
+    ax = np.array(
+        [sum(float(np.sum(a * x)) for a, x in zip(row, sol.primal_blocks)) for row, _ in p.constraints]
+    )
+    y = sol.dual_multipliers
+    slacks = [
+        c - sum(y[i] * row[k] for i, (row, _) in enumerate(p.constraints))
+        for k, c in enumerate(p.objective)
+    ]
+    c_scale = 1.0 + max(float(np.max(np.abs(c))) for c in p.objective)
+    pobj = sum(float(np.sum(c * x)) for c, x in zip(p.objective, sol.primal_blocks))
+    return {
+        "primal": float(np.max(np.abs(b - ax))) / (1.0 + float(np.max(np.abs(b)))),
+        "slack_match": max(float(np.max(np.abs(z - zs))) for z, zs in zip(slacks, sol.dual_slacks)),
+        "slack_psd": max(0.0, -min(np.linalg.eigvalsh(z)[0] for z in slacks)) / c_scale,
+        "x_psd": max(0.0, -min(np.linalg.eigvalsh(x)[0] for x in sol.primal_blocks)),
+        "gap": abs(pobj - float(b @ y)) / (1.0 + abs(pobj)),
+    }
+
+
+# Sizes 2 and 3 interleaved; groups (2, 3 rows) = {b0, b2}, (3, 3 rows) = {b1, b5},
+# (3, 2 rows) = {b3} and (2, 1 row) = {b4}, which appears in row 5 alone.
+GROUPED_DIMS = (2, 3, 2, 3, 2, 3)
+GROUPED_SUPPORTS = ((0, 1, 2), (1, 2, 3), (3, 4, 5), (0, 4), (5,), (2, 3, 5))
+
+
+class TestGroupedLayout:
+    def problem(self, seed):
+        rng = np.random.default_rng(np.random.Philox(seed))
+        return _sparse_feasible_problem(rng, GROUPED_DIMS, GROUPED_SUPPORTS, 6)
+
+    def test_supports_are_the_rows_each_block_appears_in(self):
+        p = self.problem(37)
+        assert [tuple(s) for s in p.supports] == list(GROUPED_SUPPORTS)
+        assert sdp._group_blocks(p) == [[0, 2], [1, 5], [3], [4]]
+
+    def test_kkt_residuals(self):
+        opts = SolveOptions()
+        for seed in range(37, 42):
+            p = self.problem(seed)
+            sol = solve(p, opts)
+            assert sol.status is SdpStatus.OPTIMAL
+            assert [x.shape[0] for x in sol.primal_blocks] == list(GROUPED_DIMS)
+            res = _kkt_residuals(p, sol)
+            assert res["primal"] <= opts.feas_tol
+            assert res["slack_match"] <= 1e-12
+            assert res["slack_psd"] <= opts.feas_tol
+            assert res["x_psd"] <= opts.feas_tol
+            assert res["gap"] <= 1e-6
+
+    def test_block_order_does_not_matter(self):
+        for seed in range(37, 42):
+            p = self.problem(seed)
+            fwd = solve(p)
+            rev = solve(_reversed(p))
+            assert rev.status is SdpStatus.OPTIMAL
+            assert abs(fwd.primal_value - rev.primal_value) <= 1e-8
+            assert abs(fwd.iterations - rev.iterations) <= 1
+
+    def test_assembly_matches_dense_reference(self):
+        # The per-block loop over dense (m, d, d) stacks the grouped layout replaced.
+        rng = np.random.default_rng(np.random.Philox(43))
+        p = self.problem(43)
+        m = p.n_constraints
+        ws = [rand_spd(rng, d) for _, d in p.blocks]
+        xs = [rand_sym(rng, d) for _, d in p.blocks]
+        y = rng.standard_normal(m)
+        h_ref = np.zeros((m, m))
+        ax_ref = np.zeros(m)
+        aty_ref = []
+        for k, w in enumerate(ws):
+            a = np.stack([row[k] for row, _ in p.constraints])
+            h_ref += np.einsum("ipq,jpq->ij", a, np.einsum("pq,iqr,rs->ips", w, a, w))
+            ax_ref += np.einsum("ipq,pq->i", a, xs[k])
+            aty_ref.append(np.einsum("ipq,i->pq", a, y))
+        h = np.zeros((m, m))
+        ax = np.zeros(m)
+        for members in sdp._group_blocks(p):
+            grp = sdp._BlockGroup(p, members)
+            grp.add_schur(np.stack([ws[k] for k in members]), h)
+            ax += grp.apply_a(np.stack([xs[k] for k in members]), m)
+            for k, aty in zip(members, grp.apply_at(y)):
+                assert np.allclose(aty, aty_ref[k], rtol=0, atol=1e-12)
+        assert np.allclose(h, h_ref, rtol=0, atol=1e-12 * np.max(np.abs(h_ref)))
+        assert np.allclose(ax, ax_ref, rtol=0, atol=1e-12)
+
+
+def _haar(rng, d):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestSchurPrecision:
+    # Local-unitary rotations of random_pid(2, 2, 2, 2, seed=1), compressed to
+    # their measurement family: the dual robustness program on these stops
+    # with NumericalFailure when the Schur system is solved through
+    # H^-1 = inv(L)^T inv(L) formed explicitly, instead of by two solves with
+    # its Cholesky factor L.
+    @pytest.mark.parametrize("s,i", [(43, 5), (43, 42), (41, 3), (41, 13), (41, 30)])
+    def test_sem_dual_reaches_optimality(self, s, i):
+        base = random_pid(2, 2, 2, 2, seed=1)
+        rng = np.random.default_rng((s * 1_000_003 + i) * 16)
+        w = np.kron(_haar(rng, base.din).T, _haar(rng, base.dout))
+        p = Pid(base.din, base.dout, w @ base.blocks @ w.conj().T)
+        cert = roi_dual(pid_from_pmd(sem(p).pmd))  # raises unless Optimal
+        assert cert.r > 0.0
 
 
 class TestComplexBuilder:
