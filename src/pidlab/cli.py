@@ -200,7 +200,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_game_value(args) -> int:
     game = _load(args.game)
     pid = _load(args.pid, Pid)
-    _emit({"value": game_value(game, pid)}, args.json)
+    _emit({"value": game_value(game, pad_pid_outcomes(pid, game.n_n))}, args.json)
     return 0
 
 

@@ -28,6 +28,7 @@ two values agree and either side certifies the other.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -114,52 +115,11 @@ class RoiCertificate:
     dout: int = 0
 
 
-def _traceless_basis(n: int) -> list[np.ndarray]:
-    """Orthogonal Hermitian functionals vanishing on multiples of the identity."""
-    out = []
-    for k in range(1, n):
-        e = np.zeros((n, n), dtype=complex)
-        e[0, 0] = 1.0
-        e[k, k] = -1.0
-        out.append(e / np.sqrt(2.0))
-    s = 1.0 / np.sqrt(2.0)
-    for k in range(n):
-        for l in range(k + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[k, l] = s
-            e[l, k] = s
-            out.append(e)
-            f = np.zeros((n, n), dtype=complex)
-            f[k, l] = -1j * s
-            f[l, k] = 1j * s
-            out.append(f)
-    return out
-
-
-def _unit_first_diag_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal Hermitian basis whose first element is the normalized identity."""
-    basis = [np.eye(n, dtype=complex) / np.sqrt(n)]
-    # Gram-Schmidt over diagonal units, deterministic order
-    for k in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[k, k] = 1.0
-        for b in basis:
-            e = e - np.sum(b.conj() * e) * b
-        nrm = np.sqrt(np.sum(e.conj() * e).real)
-        if nrm > 1e-12:
-            basis.append(e / nrm)
-    s = 1.0 / np.sqrt(2.0)
-    for k in range(n):
-        for l in range(k + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[k, l] = s
-            e[l, k] = s
-            basis.append(e)
-            f = np.zeros((n, n), dtype=complex)
-            f[k, l] = -1j * s
-            f[l, k] = 1j * s
-            basis.append(f)
-    return basis
+def _traceless_basis(n: int) -> np.ndarray:
+    """Hermitian basis ``(n*n - 1, n, n)`` of the traceless matrices: ``(E_00 - E_kk)/sqrt 2``
+    and the off-diagonal elements of :func:`hermitian_basis`."""
+    h = np.stack(hermitian_basis(n))
+    return np.concatenate([(h[:1] - h[1:n]) / np.sqrt(2.0), h[n:]])
 
 
 def roi_primal(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
@@ -177,21 +137,23 @@ def roi_primal(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
         {f"eta{f.index}": np.eye(d, dtype=complex) / din for f in strategies},
         constant=-1.0,
     )
-    basis_d = hermitian_basis(d)
+    # one statement per (x0, x1): the covering response blocks minus the
+    # slack equal J_{x1|x0}, over the whole Hermitian basis
+    basis = np.stack(hermitian_basis(d))
+    neg_basis = -basis
     for x0 in range(p.n_programs):
         for x1 in range(p.n_outcomes):
-            covering = [f for f in strategies if f.mapping[x0] == x1]
-            for h in basis_d:
-                row = {f"eta{f.index}": h for f in covering}
-                row[f"slack{x0}_{x1}"] = -h
-                builder.add_constraint(
-                    row, float(np.real(np.sum(h.conj() * p.blocks[x0, x1])))
-                )
+            row = {f"eta{f.index}": basis for f in strategies if f.mapping[x0] == x1}
+            row[f"slack{x0}_{x1}"] = neg_basis
+            builder.add_constraint(
+                row, np.einsum("kpq,pq->k", basis.conj(), p.blocks[x0, x1]).real
+            )
     if din > 1:
         eye_out = np.eye(p.dout, dtype=complex)
-        for h in _traceless_basis(din):
-            hi = np.kron(h, eye_out)
-            builder.add_constraint({f"eta{f.index}": hi for f in strategies}, 0.0)
+        traceless = np.stack([np.kron(h, eye_out) for h in _traceless_basis(din)])
+        builder.add_constraint(
+            {f"eta{f.index}": traceless for f in strategies}, np.zeros(len(traceless))
+        )
     res = builder.solve(opts or ROI_OPTS).require_optimal("robustness primal")
 
     eta = np.stack([res.blocks[f"eta{f.index}"] for f in strategies])
@@ -265,46 +227,30 @@ def roi_dual(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
         constant=-1.0,
         sense="max",
     )
-    basis_d = hermitian_basis(d)
     f0 = strategies[0]
 
-    def _alpha_counts(f: DeterministicStrategy) -> dict[tuple[int, int], int]:
-        counts: dict[tuple[int, int], int] = {}
-        for x0, x1 in enumerate(f.mapping):
-            counts[(x0, x1)] = counts.get((x0, x1), 0) + 1
-        return counts
+    def _alpha_counts(f: DeterministicStrategy) -> Counter:
+        return Counter(f"alpha{x0}_{x1}" for x0, x1 in enumerate(f.mapping))
 
+    # each multiple of the basis is one object, shared by every statement using it
+    basis = np.stack(hermitian_basis(d))
+    multiples = {c: c * basis for c in range(-p.n_programs, p.n_programs + 1)}
     counts0 = _alpha_counts(f0)
     for f in strategies[1:]:
-        counts = _alpha_counts(f)
-        for h in basis_d:
-            row: dict[str, np.ndarray] = {f"w{f.index}": h, f"w{f0.index}": -h}
-            for (x0, x1), c in counts.items():
-                key = f"alpha{x0}_{x1}"
-                row[key] = row.get(key, 0) + c * h
-            for (x0, x1), c in counts0.items():
-                key = f"alpha{x0}_{x1}"
-                row[key] = row.get(key, 0) - c * h
-            row = {k: v for k, v in row.items() if max_abs(np.asarray(v, dtype=complex)) > 0}
-            if row:
-                builder.add_constraint(row, 0.0)
+        diff = _alpha_counts(f)
+        diff.subtract(counts0)
+        row = {f"w{f.index}": basis, f"w{f0.index}": multiples[-1]}
+        row.update({key: multiples[c] for key, c in diff.items() if c})
+        builder.add_constraint(row, np.zeros(len(basis)))
     # T := W_f0 + sum_x0 alpha_{f0(x0)|x0} must equal (something) (x) identity
-    f_basis = hermitian_basis(din)
-    g_basis = _unit_first_diag_basis(dout)
-    for fj in f_basis:
-        for gk in g_basis[1:]:
-            h = np.kron(fj, gk)
-            row = {f"w{f0.index}": h}
-            for (x0, x1), c in counts0.items():
-                key = f"alpha{x0}_{x1}"
-                row[key] = row.get(key, 0) + c * h
-            builder.add_constraint(row, 0.0)
-    eye_d = np.eye(d, dtype=complex)
-    row = {f"w{f0.index}": eye_d}
-    for (x0, x1), c in counts0.items():
-        key = f"alpha{x0}_{x1}"
-        row[key] = row.get(key, 0) + c * eye_d
-    builder.add_constraint(row, float(din * p.n_programs * dout))
+    t_basis = np.array(
+        [np.kron(fj, gk) for fj in hermitian_basis(din) for gk in _traceless_basis(dout)]
+    ).reshape(-1, d, d)
+    eye_d = np.eye(d, dtype=complex)[None]
+    for mats, rhs in ((t_basis, 0.0), (eye_d, float(din * p.n_programs * dout))):
+        row = {f"w{f0.index}": mats}
+        row.update({key: c * mats for key, c in counts0.items()})
+        builder.add_constraint(row, np.full(len(mats), rhs))
 
     res = builder.solve(opts or ROI_OPTS).require_optimal("robustness dual")
     alpha = np.stack(

@@ -166,12 +166,9 @@ def pguess_simple(
         },
         sense="max",
     )
-    eye_out = np.eye(g.dout, dtype=complex)
-    for h in hermitian_basis(g.d_ref):
-        builder.add_constraint(
-            {f"j{f.index}": np.kron(h, eye_out) for f in strategies},
-            float(np.real(np.trace(h))),
-        )
+    basis = hermitian_basis(g.d_ref)
+    tp = np.stack([np.kron(h, np.eye(g.dout)) for h in basis])
+    builder.add_constraint({f"j{f.index}": tp for f in strategies}, [h.trace().real for h in basis])
     res = builder.solve(opts or GAME_OPTS).require_optimal("simple-device benchmark")
     blocks = np.zeros((n_m, g.n_n, d, d), dtype=complex)
     for f in strategies:
@@ -366,12 +363,9 @@ def pi_pguess_simple(
         },
         sense="max",
     )
-    eye_out = np.eye(g.dout, dtype=complex)
-    for h in hermitian_basis(g.din):
-        builder.add_constraint(
-            {f"j{f.index}": np.kron(h, eye_out) for f in strategies},
-            float(np.real(np.trace(h))),
-        )
+    basis = hermitian_basis(g.din)
+    tp = np.stack([np.kron(h, np.eye(g.dout)) for h in basis])
+    builder.add_constraint({f"j{f.index}": tp for f in strategies}, [h.trace().real for h in basis])
     res = builder.solve(opts or GAME_OPTS).require_optimal("post-information benchmark")
     blocks = np.zeros((g.n_m, g.n_n, d, d), dtype=complex)
     for f in strategies:

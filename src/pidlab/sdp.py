@@ -8,19 +8,21 @@ Solves standard-form problems over real symmetric PSD blocks,
 with a Mehrotra-style predictor-corrector path-following method using
 Nesterov-Todd scaling.
 
-The blocks are grouped by their size and by the number of constraint rows
-they appear in (their support), and each group is held as ``(n, d, d)``
-stacks.  The Cholesky factorizations, SVDs, inverses and step-length
-eigenvalues of a group run as one batched numpy call, and a block's
-constraint matrices are stored only on its support rows.  The Schur
-complement ``H[i, j] = sum_b <A_{i,b}, W_b A_{j,b} W_b>`` is assembled per
-group on those rows and added into the rows and columns of ``H`` that they
-occupy, so a block costs in proportion to the rows it appears in, not to
-all ``m`` (the sparsity argument of Fujisawa, Kojima and Nakata, Math.
-Prog. 79, 1997).  Problem sizes here are at most a few hundred constraints,
-so ``H`` itself is dense and factored with Cholesky.  Everything is
-deterministic: fixed initialization, no randomized pivoting, so identical
-inputs produce identical iterates.
+Constraints are stored by block column: a block keeps the rows it appears
+in (its support), its distinct matrices, and per row an index into them, so
+a matrix equality stated once over a Hermitian basis shares that basis with
+every block it covers.  Blocks are grouped by size, support size and
+distinct-matrix count and held as ``(n, d, d)`` stacks, so Cholesky, SVD,
+inverse and step-length eigenvalues run once per group.  The Schur
+complement ``H[i, j] = sum_b <A_{i,b}, W_b A_{j,b} W_b>`` is built per block
+from its ``u`` distinct matrices (``U (W U W)^T``, ``u x u``) and scattered
+into the rows of its support (the sparsity argument of Fujisawa, Kojima and
+Nakata, Math. Prog. 79, 1997).  ``H`` is dense (a few hundred rows): a
+Cholesky factorization tests it for positive definiteness and each Newton
+system is solved with one factorization of it.  The corrector also gets one
+Newton correction for the primal residual that forming its direction leaves
+behind, which keeps problems near the boundary of the cone primal feasible.
+Everything is deterministic, so identical inputs produce identical iterates.
 
 Complex Hermitian problems are handled by :class:`ComplexSdpBuilder`, which
 embeds every Hermitian matrix ``H = P + iQ`` as the real symmetric matrix
@@ -30,7 +32,7 @@ undoes the doubling when reporting values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -39,6 +41,7 @@ import numpy as np
 from .linalg import hermitize, max_abs
 
 __all__ = [
+    "BlockColumn",
     "ComplexSdpBuilder",
     "SdpProblem",
     "SdpSolution",
@@ -68,51 +71,81 @@ class SolveOptions:
     step_frac: float = 0.98
 
 
-@dataclass(frozen=True)
-class SdpProblem:
-    """Block SDP data.  ``constraints`` holds ``(per-block matrices, rhs)`` rows.
+class BlockColumn(NamedTuple):
+    """One block's constraint data: row ``rows[j]`` carries ``mats[index[j]]``.
 
-    Construction checks shapes and symmetry one block column at a time and
-    records in ``supports``, per block, the constraint rows whose matrix for
-    that block is nonzero; the solver reads only those rows.
+    ``mats`` ``(u, d, d)`` holds the block's distinct matrices; rows the
+    block does not appear in are absent.
     """
 
-    blocks: tuple[tuple[str, int], ...]
-    objective: tuple[np.ndarray, ...]
-    constraints: tuple[tuple[tuple[np.ndarray, ...], float], ...]
-    supports: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    rows: np.ndarray
+    index: np.ndarray
+    mats: np.ndarray
 
-    def __post_init__(self):
+
+class SdpProblem:
+    """Block SDP data, held one block column at a time.
+
+    ``columns[k]`` is block ``k``'s :class:`BlockColumn` and ``rhs`` the
+    ``m`` right-hand sides.  Pass either ``columns`` and ``rhs``, or
+    ``constraints`` as rows of ``(per-block matrices, rhs)``, in which case
+    each nonzero matrix of a block becomes its own entry of that block's
+    column.  Shapes, indices and symmetry are checked once per distinct
+    matrix.
+    """
+
+    def __init__(self, blocks, objective, constraints=None, *, columns=None, rhs=None):
+        self.blocks = tuple(blocks)
+        self.objective = tuple(objective)
         dims = [d for _, d in self.blocks]
         if len(self.objective) != len(dims):
             raise ValueError("objective must provide one matrix per block")
-        if any(len(row) != len(dims) for row, _ in self.constraints):
-            raise ValueError("constraint row must cover every block")
-        supports = []
-        for k, d in enumerate(dims):
-            _stack_column([self.objective[k]], d, "objective")
-            col = _stack_column([row[k] for row, _ in self.constraints], d, "constraint")
-            supports.append(np.flatnonzero(col.reshape(len(col), d * d).any(axis=1)))
-        object.__setattr__(self, "supports", tuple(supports))
+        if (constraints is None) == (columns is None):
+            raise ValueError("pass either constraints or columns and rhs")
+        if constraints is not None:
+            columns, rhs = _row_form_columns(constraints, dims)
+        self.rhs = np.asarray(rhs, dtype=float).reshape(-1)
+        self.columns = tuple(
+            BlockColumn(np.asarray(r, np.intp), np.asarray(i, np.intp), np.asarray(a, float))
+            for r, i, a in columns
+        )
+        if len(self.columns) != len(dims):
+            raise ValueError("columns must provide one entry per block")
+        for d, c, (rows, index, mats) in zip(dims, self.objective, self.columns):
+            _check_mats(np.asarray(c, dtype=float)[None], d, "objective")
+            _check_mats(mats, d, "constraint")
+            if rows.ndim != 1 or rows.shape != index.shape or not np.all(
+                (0 <= rows) & (rows < len(self.rhs)) & (0 <= index) & (index < len(mats))
+            ):
+                raise ValueError("block column rows and index must be matching in-range vectors")
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.rhs)
 
 
-def _stack_column(mats: list, dim: int, what: str) -> np.ndarray:
-    """Stack one block's matrices ``(len(mats), dim, dim)``, checking each is symmetric."""
-    shapes = {np.shape(a) for a in mats}
-    if shapes - {(dim, dim)}:
-        bad = next(iter(shapes - {(dim, dim)}))
-        raise ValueError(f"{what} matrix shape {bad} does not match block dim {dim}")
-    if not mats:
-        return np.zeros((0, dim, dim))
-    stack = np.asarray(np.stack(mats), dtype=float)
+def _row_form_columns(constraints, dims: list[int]):
+    """Block columns and right-hand sides of ``(per-block matrices, rhs)`` rows."""
+    if any(len(row) != len(dims) for row, _ in constraints):
+        raise ValueError("constraint row must cover every block")
+    columns = []
+    for k, d in enumerate(dims):
+        bad = {np.shape(row[k]) for row, _ in constraints} - {(d, d)}
+        if bad:
+            raise ValueError(f"constraint matrix shape {bad.pop()} does not match block dim {d}")
+        col = np.array([row[k] for row, _ in constraints], dtype=float).reshape(-1, d, d)
+        rows = np.flatnonzero(col.reshape(len(col), -1).any(axis=1))
+        columns.append((rows, np.arange(len(rows)), col[rows]))
+    return columns, [rhs for _, rhs in constraints]
+
+
+def _check_mats(stack: np.ndarray, dim: int, what: str) -> None:
+    """Check a ``(u, dim, dim)`` stack: shape, then symmetry of each matrix."""
+    if stack.ndim != 3 or stack.shape[1:] != (dim, dim):
+        raise ValueError(f"{what} matrix shape {stack.shape[1:]} does not match block dim {dim}")
     asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
     if np.any(asym > 1e-12 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))):
         raise ValueError(f"{what} matrix has an antisymmetric part")
-    return stack
 
 
 @dataclass
@@ -185,43 +218,47 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 
 class _BlockGroup:
-    """Blocks of one size ``d`` that each appear in ``r`` constraint rows.
+    """Blocks of one size ``d`` with ``r`` support rows and ``u`` distinct matrices.
 
-    ``rows`` ``(n, r)`` holds each block's support rows and ``a``
-    ``(n, r, d, d)`` its constraint matrices on them; ``members`` are the
-    blocks' positions in the problem.
+    ``rows`` ``(n, r)`` holds each block's support rows and ``mats``
+    ``(n, u, d, d)`` its distinct matrices; ``members`` are the blocks'
+    positions in the problem.  Flat positions computed once per solve map
+    each row to its matrix (``mat_pos``), each pair of rows to its entry of
+    ``U (W U W)^T`` (``pair_pos``) and to its entry of H (``h_pos``).
     """
 
     def __init__(self, problem: SdpProblem, members: list[int]):
+        cols = [problem.columns[k] for k in members]
         self.members = members
         self.dim = d = problem.blocks[members[0]][1]
-        self.rows = np.stack([problem.supports[k] for k in members])
-        n, r = self.rows.shape
-        self.a = np.array(
-            [[problem.constraints[i][0][k] for i in rows] for k, rows in zip(members, self.rows)],
-            dtype=float,
-        ).reshape(n, r, d, d)
+        self.rows = np.stack([col.rows for col in cols])
+        self.mats = np.stack([col.mats for col in cols])
+        n, u = self.mats.shape[:2]
+        self.mats_flat = self.mats.reshape(n, u, d * d)
         self.c = np.stack([np.asarray(problem.objective[k], dtype=float) for k in members])
-        self.a_flat = self.a.reshape(n, r, d * d)
+        index = np.stack([col.index for col in cols])
+        self.mat_pos = (index + u * np.arange(n)[:, None]).ravel()
+        pair = index[:, :, None] * u + index[:, None, :]
+        self.pair_pos = (pair + u * u * np.arange(n)[:, None, None]).ravel()
+        self.h_pos = (self.rows[:, :, None] * problem.n_constraints + self.rows[:, None, :]).ravel()
 
     def apply_a(self, x: np.ndarray, m: int) -> np.ndarray:
         """``out[i] = sum_b <A_{i,b}, X_b>`` over this group, as an m-vector."""
-        n = len(self.members)
-        vals = self.a_flat @ x.reshape(n, -1, 1)
-        return np.bincount(self.rows.ravel(), vals.ravel(), minlength=m)
+        per_mat = (self.mats_flat @ x.reshape(len(self.members), -1, 1)).ravel()
+        return np.bincount(self.rows.ravel(), per_mat[self.mat_pos], minlength=m)
 
     def apply_at(self, y: np.ndarray) -> np.ndarray:
         """``sum_i y_i A_{i,b}`` for each block of the group."""
-        return (y[self.rows][:, None, :] @ self.a_flat).reshape(self.c.shape)
+        n, u = self.mats.shape[:2]
+        coef = np.bincount(self.mat_pos, y[self.rows].ravel(), minlength=n * u)
+        return (coef.reshape(n, 1, u) @ self.mats_flat).reshape(self.c.shape)
 
     def add_schur(self, w: np.ndarray, h: np.ndarray) -> None:
-        """``H[i, j] += <A_{i,b}, W_b A_{j,b} W_b>`` on each block's support rows."""
-        n, r = self.rows.shape
-        m = len(h)
-        waw = (w[:, None] @ self.a @ w[:, None]).reshape(n, r, -1)
-        flat_h = h.reshape(-1)
-        for rows, hb in zip(self.rows, self.a_flat @ waw.swapaxes(1, 2)):
-            flat_h[(rows[:, None] * m + rows).ravel()] += hb.ravel()
+        """``H[i, j] += <A_{i,b}, W_b A_{j,b} W_b>``, from each block's distinct matrices."""
+        n, u = self.mats.shape[:2]
+        wuw = (w[:, None] @ self.mats @ w[:, None]).reshape(n, u, -1)
+        per_pair = (self.mats_flat @ wuw.swapaxes(1, 2)).ravel()[self.pair_pos]
+        h += np.bincount(self.h_pos, per_pair, minlength=h.size).reshape(h.shape)
 
 
 class _NtScaling(NamedTuple):
@@ -257,10 +294,7 @@ def _max_step(l_inv: np.ndarray, delta: np.ndarray) -> float:
 
 def _initial_point(groups, b, m):
     # primal blocks: identity scaled to roughly satisfy trace-like constraints
-    tr = sum(
-        np.bincount(grp.rows.ravel(), np.trace(grp.a, axis1=2, axis2=3).ravel(), minlength=m)
-        for grp in groups
-    )
+    tr = sum(grp.apply_a(np.broadcast_to(np.eye(grp.dim), grp.c.shape), m) for grp in groups)
     big = np.abs(tr) > 1e-9
     cands = np.abs(b[big]) / np.abs(tr[big])
     xi = float(np.clip(cands.max() if cands.size else 1.0, 1.0, 1e4))
@@ -271,10 +305,10 @@ def _initial_point(groups, b, m):
 
 
 def _group_blocks(problem: SdpProblem) -> list[list[int]]:
-    """Block positions grouped by (size, support size), in order of first appearance."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, ((_, d), rows) in enumerate(zip(problem.blocks, problem.supports)):
-        groups.setdefault((d, len(rows)), []).append(k)
+    """Block positions grouped by (size, support size, distinct-matrix count), in order."""
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for k, ((_, d), col) in enumerate(zip(problem.blocks, problem.columns)):
+        groups.setdefault((d, len(col.rows), len(col.mats)), []).append(k)
     return list(groups.values())
 
 
@@ -285,7 +319,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     if m == 0:
         raise ValueError("problems without equality constraints are not supported")
     ntot = sum(d for _, d in problem.blocks)
-    b = np.array([rhs for _, rhs in problem.constraints], dtype=float)
+    b = problem.rhs
     groups = [_BlockGroup(problem, members) for members in _group_blocks(problem)]
 
     def apply_a(xs):
@@ -333,27 +367,27 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         for grp, sc in zip(groups, nt):
             grp.add_schur(sc.w, h)
 
-        h_chol = None
+        # Cholesky only tests H for positive definiteness; every solve below is
+        # one np.linalg.solve with the matrix that passed
+        h_reg = None
         h_scale = max(np.trace(h) / m, 1e-300)
         for ridge in (1e-14, 1e-12, 1e-10, 1e-8):
+            h_try = h + ridge * h_scale * np.eye(m)
             try:
-                h_chol = np.linalg.cholesky(h + ridge * h_scale * np.eye(m))
-                break
+                np.linalg.cholesky(h_try)
             except np.linalg.LinAlgError:
                 continue
-        if h_chol is None:
+            h_reg = h_try
+            break
+        if h_reg is None:
             status = SdpStatus.NUMERICAL_FAILURE
             break
-
-        def solve_h(rhs_vec):
-            z = np.linalg.solve(h_chol, rhs_vec)
-            return np.linalg.solve(h_chol.T, z)
 
         def newton_step(rc_scaled):
             """Given scaled complementarity RHS per group, return (dx, dy, ds)."""
             grcg = [sc.g @ rc @ sc.g.swapaxes(1, 2) for sc, rc in zip(nt, rc_scaled)]
             wrdw = [sc.w @ r @ sc.w for sc, r in zip(nt, rd)]
-            dy = solve_h(rp - apply_a([gr - t for gr, t in zip(grcg, wrdw)]))
+            dy = np.linalg.solve(h_reg, rp - apply_a([gr - t for gr, t in zip(grcg, wrdw)]))
             ds = [r - grp.apply_at(dy) for grp, r in zip(groups, rd)]
             dx = [_sym(gr - sc.w @ dsg @ sc.w) for gr, sc, dsg in zip(grcg, nt, ds)]
             return dx, dy, ds
@@ -377,6 +411,14 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             rhs_mat = sigma * mu * np.eye(grp.dim) - (d * d)[:, None, :] * np.eye(grp.dim)
             rc.append((rhs_mat - _sym(dxh @ dsh)) / ((d[:, :, None] + d[:, None, :]) / 2))
         dx, dy, ds = newton_step(rc)
+        # forming dx cancels terms of size |W|^2 |dy|, which leaves A dx off rp
+        # by far more than the solve's own error once W is large; one Newton
+        # correction for that residual keeps the iterates primal feasible
+        dy_c = np.linalg.solve(h_reg, rp - apply_a(dx))
+        aty_c = [grp.apply_at(dy_c) for grp in groups]
+        dx = [_sym(d + sc.w @ a @ sc.w) for d, sc, a in zip(dx, nt, aty_c)]
+        ds = [d - a for d, a in zip(ds, aty_c)]
+        dy = dy + dy_c
         ap = min(_max_step(sc.lx_inv, d) for sc, d in zip(nt, dx))
         ad = min(_max_step(sc.ls_inv, d) for sc, d in zip(nt, ds))
         ap = min(1.0, opts.step_frac * ap)
@@ -419,62 +461,82 @@ class ComplexSdpBuilder:
     Matrices are embedded into real symmetric blocks; right-hand sides and
     the reported optimum are rescaled so values refer to the complex problem.
     ``minimize`` is the default sense; pass ``sense="max"`` to flip.
+
+    A constraint statement states ``k`` rows at once: each block's
+    coefficient is a ``(k, d, d)`` stack, row ``i`` reading
+    ``sum_b <A_b[i], X_b> = rhs[i]``.  Each distinct coefficient object is
+    checked and embedded once, however many blocks and statements share it,
+    so a coefficient must not be changed after it is passed.
     """
 
     def __init__(self):
-        self._names: list[str] = []
         self._dims: dict[str, int] = {}
         self._obj: dict[str, np.ndarray] = {}
-        self._rows: list[tuple[dict[str, np.ndarray], float]] = []
+        # keyed by id(); the caller's object is kept so that its id stays unique
+        self._mats: dict[int, tuple[object, np.ndarray]] = {}
+        self._terms: dict[str, list[tuple[int, int]]] = {}
+        self._rhs: list[np.ndarray] = []
+        self._m = 0
         self._constant = 0.0
         self._sense = 1.0
 
     def add_block(self, name: str, cdim: int) -> None:
         if name in self._dims:
             raise ValueError(f"duplicate block {name!r}")
-        self._names.append(name)
         self._dims[name] = cdim
+        self._terms[name] = []
+
+    def _block(self, name: str) -> str:
+        if name not in self._dims:
+            raise ValueError(f"unknown block {name!r}")
+        return name
 
     def set_objective(
         self, coeffs: dict[str, np.ndarray], constant: float = 0.0, sense: str = "min"
     ) -> None:
-        self._obj = {k: hermitize(v) for k, v in coeffs.items()}
+        self._obj = {self._block(k): embed_complex(v) for k, v in coeffs.items()}
         self._constant = constant
         self._sense = -1.0 if sense == "max" else 1.0
 
-    def add_constraint(self, coeffs: dict[str, np.ndarray], rhs: float) -> None:
-        self._rows.append(({k: hermitize(v) for k, v in coeffs.items()}, float(rhs)))
+    def add_constraint(self, coeffs: dict[str, np.ndarray], rhs) -> None:
+        """State one row per entry of ``rhs``; a ``(d, d)`` coefficient goes with a scalar."""
+        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+        k = len(rhs)
+        for name, a in coeffs.items():
+            d = self._dims[self._block(name)]
+            if id(a) not in self._mats:
+                self._mats[id(a)] = (a, embed_complex(np.reshape(a, (-1, *np.shape(a)[-2:]))))
+            if self._mats[id(a)][1].shape != (k, 2 * d, 2 * d):
+                raise ValueError(f"block {name!r} needs a ({k}, {d}, {d}) coefficient")
+            self._terms[name].append((self._m, id(a)))
+        self._rhs.append(rhs)
+        self._m += k
+
+    def _column(self, name: str) -> BlockColumn:
+        """The block's support rows and distinct embedded matrices, in statement order."""
+        d2 = 2 * self._dims[name]
+        rows, index = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        mats, offset = [np.zeros((0, d2, d2))], {}
+        for first, key in self._terms[name]:
+            stack = self._mats[key][1]
+            if key not in offset:
+                offset[key] = sum(map(len, mats))
+                mats.append(stack)
+            rows.append(np.arange(first, first + len(stack)))
+            index.append(np.arange(offset[key], offset[key] + len(stack)))
+        return BlockColumn(np.concatenate(rows), np.concatenate(index), np.concatenate(mats))
 
     def solve(self, opts: SolveOptions | None = None) -> "ComplexSdpResult":
-        blocks = tuple((n, 2 * self._dims[n]) for n in self._names)
-        zero = {n: np.zeros((2 * d, 2 * d)) for n, d in self._dims.items()}
-        obj = tuple(
-            self._sense * embed_complex(self._obj[n]) if n in self._obj else zero[n]
-            for n in self._names
-        )
-        # each block is embedded in one call over the rows it appears in;
-        # the rows it is absent from share one zero matrix
-        columns = []
-        for n in self._names:
-            col = [zero[n]] * len(self._rows)
-            present = [i for i, (coeffs, _) in enumerate(self._rows) if n in coeffs]
-            if present:
-                embedded = embed_complex(np.stack([self._rows[i][0][n] for i in present]))
-                for i, a in zip(present, embedded):
-                    col[i] = a
-            columns.append(col)
-        rows = [(row, 2.0 * rhs) for row, (_, rhs) in zip(zip(*columns), self._rows)]
-        problem = SdpProblem(blocks=blocks, objective=obj, constraints=tuple(rows))
-        sol = solve(problem, opts)
+        names = list(self._dims)
+        blocks = tuple((n, 2 * d) for n, d in self._dims.items())
+        obj = [self._sense * self._obj.get(n, np.zeros((d, d))) for n, d in blocks]
+        columns = [self._column(n) for n in names]
+        rhs = 2.0 * np.concatenate([np.zeros(0), *self._rhs])
+        sol = solve(SdpProblem(blocks, obj, columns=columns, rhs=rhs), opts)
         value = self._sense * sol.primal_value / 2.0 + self._constant
         dual_value = self._sense * sol.dual_value / 2.0 + self._constant
-        prim = {
-            n: unembed_complex(x) for n, x in zip(self._names, sol.primal_blocks)
-        }
-        slack = {
-            n: unembed_complex(self._sense * z)
-            for n, z in zip(self._names, sol.dual_slacks)
-        }
+        prim = {n: unembed_complex(x) for n, x in zip(names, sol.primal_blocks)}
+        slack = {n: unembed_complex(self._sense * z) for n, z in zip(names, sol.dual_slacks)}
         return ComplexSdpResult(
             status=sol.status,
             value=value,

@@ -466,9 +466,9 @@ def _channel_sdp(z: np.ndarray, din: int, dout: int, opts: SolveOptions) -> np.n
     d = din * dout
     builder.add_block("j", d)
     builder.set_objective({"j": z}, sense="max")
-    eye_out = np.eye(dout, dtype=complex)
-    for h in hermitian_basis(din):
-        builder.add_constraint({"j": np.kron(h, eye_out)}, float(np.real(np.trace(h))))
+    basis = hermitian_basis(din)
+    tp = np.stack([np.kron(h, np.eye(dout)) for h in basis])
+    builder.add_constraint({"j": tp}, [h.trace().real for h in basis])
     res = builder.solve(opts).require_optimal("channel step")
     return res.blocks["j"]
 
@@ -482,12 +482,9 @@ def _instrument_sdp(
     for k in range(len(zs)):
         builder.add_block(f"j{k}", d)
     builder.set_objective({f"j{k}": z for k, z in enumerate(zs)}, sense="max")
-    eye_out = np.eye(dout, dtype=complex)
-    for h in hermitian_basis(din):
-        builder.add_constraint(
-            {f"j{k}": np.kron(h, eye_out) for k in range(len(zs))},
-            float(np.real(np.trace(h))),
-        )
+    basis = hermitian_basis(din)
+    tp = np.stack([np.kron(h, np.eye(dout)) for h in basis])
+    builder.add_constraint({f"j{k}": tp for k in range(len(zs))}, [h.trace().real for h in basis])
     res = builder.solve(opts).require_optimal("instrument step")
     return [res.blocks[f"j{k}"] for k in range(len(zs))]
 

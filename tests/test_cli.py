@@ -10,6 +10,7 @@ from pidlab.devices import (
     Instrument,
     Pid,
     SimulationShape,
+    pad_pid_outcomes,
     random_free_simulation,
     random_pid,
     random_simple_pid,
@@ -155,12 +156,23 @@ class TestCommands:
         assert main(["simulate", files["sim"], steered]) == 0
         capsys.readouterr()
 
-    def test_game_commands(self, files, capsys):
-        assert main(["--json", "game-value", files["game"], files["xz_assemblage"]]) == 2
-        capsys.readouterr()  # outcome mismatch: usage error
+    def test_game_commands(self, files, capsys, tmp_path):
+        wide = str(tmp_path / "wide.json")
+        n_n = io.read_device(files["game"]).n_n
+        io.write_device(wide, pad_pid_outcomes(io.read_device(files["xz_assemblage"]), n_n + 1))
+        assert main(["--json", "game-value", files["game"], wide]) == 2
+        capsys.readouterr()  # more outcomes than the game: usage error
         assert main(["--json", "pguess-simple", files["game"]]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert 0.0 < payload["value"] <= 1.0
+
+    def test_game_value_scores_witness_game(self, capsys, tmp_path):
+        device = os.path.join(os.path.dirname(__file__), "fixtures", "entangled_xz_assemblage.json")
+        game = str(tmp_path / "g.json")
+        assert main(["--json", "witness", device, "--out", game]) == 0
+        score = json.loads(capsys.readouterr().out)["device_score"]
+        assert main(["--json", "game-value", game, device]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["value"] - score) <= 1e-9
 
     def test_witness_and_verify_bound_csv(self, files, capsys, tmp_path):
         assert main(["--json", "witness", files["xz_assemblage"], "--dummy", "16"]) == 0

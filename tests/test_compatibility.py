@@ -180,6 +180,12 @@ class TestRoi:
             assert abs(prim.r - dual.r) <= 1e-6
             assert dual.r <= prim.r + 1e-6  # weak duality
 
+    def test_near_boundary_device_reaches_optimality(self):
+        # roi_dual puts this device's robustness at 2.4e-5, close to the
+        # simple boundary; roi_primal raises unless the solve is Optimal
+        p = random_pid(2, 2, 2, 2, seed=384001152)
+        assert abs(roi_primal(p).r - roi_dual(p).r) <= 1e-6
+
     def test_certificates_verify(self):
         p = maximally_entangled_assemblage(xz_pmd())
         cert = roi(p)

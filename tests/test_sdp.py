@@ -107,6 +107,16 @@ class TestSolveBasics:
         with pytest.raises(ValueError):
             _single_block_problem(bad, [np.eye(2)], [1.0])
 
+    def test_rejects_malformed_columns(self):
+        eye = np.eye(2)
+        for rows, index in (([0, 2], [0, 0]), ([0], [1]), ([0, 1], [0]), ([-1], [0])):
+            with pytest.raises(ValueError, match="in-range"):
+                SdpProblem((("x", 2),), (eye,), columns=[(rows, index, [eye])], rhs=[1.0, 2.0])
+        with pytest.raises(ValueError, match="block dim"):
+            SdpProblem((("x", 2),), (eye,), columns=[([0], [0], [np.eye(3)])], rhs=[1.0])
+        with pytest.raises(ValueError, match="either"):
+            SdpProblem((("x", 2),), (eye,), [((eye,), 1.0)], columns=[([0], [0], [eye])], rhs=[1.0])
+
     def test_deterministic(self):
         rng = np.random.default_rng(np.random.Philox(33))
         c = rand_sym(rng, 3)
@@ -216,24 +226,25 @@ def _sparse_feasible_problem(rng, dims, supports, m):
 
 
 def _reversed(p):
-    return SdpProblem(
-        blocks=p.blocks[::-1],
-        objective=p.objective[::-1],
-        constraints=tuple((row[::-1], rhs) for row, rhs in p.constraints),
-    )
+    return SdpProblem(p.blocks[::-1], p.objective[::-1], columns=p.columns[::-1], rhs=p.rhs)
+
+
+def _dense_column(p, k):
+    """Block ``k``'s matrix on every one of the m rows, zero where it is absent."""
+    col = p.columns[k]
+    d = p.blocks[k][1]
+    a = np.zeros((p.n_constraints, d, d))
+    np.add.at(a, col.rows, col.mats[col.index])
+    return a
 
 
 def _kkt_residuals(p, sol):
     """Primal, dual-cone and gap residuals recomputed from the returned blocks."""
-    b = np.array([rhs for _, rhs in p.constraints])
-    ax = np.array(
-        [sum(float(np.sum(a * x)) for a, x in zip(row, sol.primal_blocks)) for row, _ in p.constraints]
-    )
+    b = p.rhs
+    cols = [_dense_column(p, k) for k in range(len(p.blocks))]
+    ax = sum(np.einsum("ipq,pq->i", a, x) for a, x in zip(cols, sol.primal_blocks))
     y = sol.dual_multipliers
-    slacks = [
-        c - sum(y[i] * row[k] for i, (row, _) in enumerate(p.constraints))
-        for k, c in enumerate(p.objective)
-    ]
+    slacks = [c - np.einsum("i,ipq->pq", y, a) for c, a in zip(p.objective, cols)]
     c_scale = 1.0 + max(float(np.max(np.abs(c))) for c in p.objective)
     pobj = sum(float(np.sum(c * x)) for c, x in zip(p.objective, sol.primal_blocks))
     return {
@@ -258,7 +269,7 @@ class TestGroupedLayout:
 
     def test_supports_are_the_rows_each_block_appears_in(self):
         p = self.problem(37)
-        assert [tuple(s) for s in p.supports] == list(GROUPED_SUPPORTS)
+        assert [tuple(col.rows) for col in p.columns] == list(GROUPED_SUPPORTS)
         assert sdp._group_blocks(p) == [[0, 2], [1, 5], [3], [4]]
 
     def test_kkt_residuals(self):
@@ -285,31 +296,62 @@ class TestGroupedLayout:
             assert abs(fwd.iterations - rev.iterations) <= 1
 
     def test_assembly_matches_dense_reference(self):
-        # The per-block loop over dense (m, d, d) stacks the grouped layout replaced.
-        rng = np.random.default_rng(np.random.Philox(43))
-        p = self.problem(43)
-        m = p.n_constraints
-        ws = [rand_spd(rng, d) for _, d in p.blocks]
-        xs = [rand_sym(rng, d) for _, d in p.blocks]
-        y = rng.standard_normal(m)
-        h_ref = np.zeros((m, m))
-        ax_ref = np.zeros(m)
-        aty_ref = []
-        for k, w in enumerate(ws):
-            a = np.stack([row[k] for row, _ in p.constraints])
-            h_ref += np.einsum("ipq,jpq->ij", a, np.einsum("pq,iqr,rs->ips", w, a, w))
-            ax_ref += np.einsum("ipq,pq->i", a, xs[k])
-            aty_ref.append(np.einsum("ipq,i->pq", a, y))
-        h = np.zeros((m, m))
-        ax = np.zeros(m)
-        for members in sdp._group_blocks(p):
-            grp = sdp._BlockGroup(p, members)
-            grp.add_schur(np.stack([ws[k] for k in members]), h)
-            ax += grp.apply_a(np.stack([xs[k] for k in members]), m)
-            for k, aty in zip(members, grp.apply_at(y)):
-                assert np.allclose(aty, aty_ref[k], rtol=0, atol=1e-12)
-        assert np.allclose(h, h_ref, rtol=0, atol=1e-12 * np.max(np.abs(h_ref)))
-        assert np.allclose(ax, ax_ref, rtol=0, atol=1e-12)
+        _check_assembly(self.problem(43), np.random.default_rng(np.random.Philox(43)))
+
+    def test_shared_matrix_assembly_matches_dense_reference(self):
+        rng = np.random.default_rng(np.random.Philox(44))
+        p = _shared_matrix_problem(rng)
+        assert [len(col.mats) for col in p.columns] == [3, 2, 2, 1]
+        assert sdp._group_blocks(p) == [[0], [1, 2], [3]]
+        _check_assembly(p, rng)
+
+
+def _shared_matrix_problem(rng):
+    """Column-form problem whose blocks reuse their matrices across rows.
+
+    Block 0 carries ``U0`` on rows 0 and 2 and ``-U0`` on rows 4 and 5, as
+    distinct matrices; blocks 1 and 2 form one group (3 x 3, four rows, two
+    matrices) with different supports; block 3 has one matrix on every row.
+    """
+    u0, u1, u2 = (rand_sym(rng, 3) for _ in range(3))
+    columns = [
+        ([0, 1, 2, 3, 4, 5], [0, 1, 0, 1, 2, 2], [u0, u1, -u0]),
+        ([1, 2, 4, 5], [0, 0, 1, 1], [u0, u1]),
+        ([0, 3, 4, 5], [1, 0, 1, 0], [u1, u2]),
+        ([0, 1, 2, 3, 4, 5], [0] * 6, [rand_sym(rng, 2)]),
+    ]
+    return SdpProblem(
+        blocks=(("b0", 3), ("b1", 3), ("b2", 3), ("b3", 2)),
+        objective=(rand_sym(rng, 3), rand_sym(rng, 3), rand_sym(rng, 3), rand_sym(rng, 2)),
+        columns=columns,
+        rhs=rng.standard_normal(6),
+    )
+
+
+def _check_assembly(p, rng):
+    """Grouped H, A and A^T against the per-block loop over dense (m, d, d) stacks."""
+    m = p.n_constraints
+    ws = [rand_spd(rng, d) for _, d in p.blocks]
+    xs = [rand_sym(rng, d) for _, d in p.blocks]
+    y = rng.standard_normal(m)
+    h_ref = np.zeros((m, m))
+    ax_ref = np.zeros(m)
+    aty_ref = []
+    for k, w in enumerate(ws):
+        a = _dense_column(p, k)
+        h_ref += np.einsum("ipq,jpq->ij", a, np.einsum("pq,iqr,rs->ips", w, a, w))
+        ax_ref += np.einsum("ipq,pq->i", a, xs[k])
+        aty_ref.append(np.einsum("ipq,i->pq", a, y))
+    h = np.zeros((m, m))
+    ax = np.zeros(m)
+    for members in sdp._group_blocks(p):
+        grp = sdp._BlockGroup(p, members)
+        grp.add_schur(np.stack([ws[k] for k in members]), h)
+        ax += grp.apply_a(np.stack([xs[k] for k in members]), m)
+        for k, aty in zip(members, grp.apply_at(y)):
+            assert np.allclose(aty, aty_ref[k], rtol=0, atol=1e-12)
+    assert np.allclose(h, h_ref, rtol=0, atol=1e-12 * np.max(np.abs(h_ref)))
+    assert np.allclose(ax, ax_ref, rtol=0, atol=1e-12)
 
 
 def _haar(rng, d):
@@ -322,8 +364,8 @@ class TestSchurPrecision:
     # Local-unitary rotations of random_pid(2, 2, 2, 2, seed=1), compressed to
     # their measurement family: the dual robustness program on these stops
     # with NumericalFailure when the Schur system is solved through
-    # H^-1 = inv(L)^T inv(L) formed explicitly, instead of by two solves with
-    # its Cholesky factor L.
+    # H^-1 = inv(L)^T inv(L) formed explicitly from its Cholesky factor L,
+    # instead of by a linear solve.
     @pytest.mark.parametrize("s,i", [(43, 5), (43, 42), (41, 3), (41, 13), (41, 30)])
     def test_sem_dual_reaches_optimality(self, s, i):
         base = random_pid(2, 2, 2, 2, seed=1)
@@ -334,7 +376,104 @@ class TestSchurPrecision:
         assert cert.r > 0.0
 
 
+def _instrument_value(zs, din, dout, stacked):
+    """Maximize sum_k Tr[Z_k J_k] over instruments; the TP rows in one statement or row by row."""
+    b = ComplexSdpBuilder()
+    for k in range(len(zs)):
+        b.add_block(f"j{k}", din * dout)
+    b.set_objective({f"j{k}": z for k, z in enumerate(zs)}, sense="max")
+    basis = hermitian_basis(din)
+    if stacked:
+        tp = np.stack([np.kron(h, np.eye(dout)) for h in basis])
+        b.add_constraint({f"j{k}": tp for k in range(len(zs))}, [np.trace(h).real for h in basis])
+    else:
+        for h in basis:
+            b.add_constraint(
+                {f"j{k}": np.kron(h, np.eye(dout)) for k in range(len(zs))}, np.trace(h).real
+            )
+    return b.solve()
+
+
+def _rand_herm(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (a + a.conj().T) / 2
+
+
+class TestSharedStacks:
+    def test_stack_statement_matches_single_rows(self):
+        rng = np.random.default_rng(np.random.Philox(45))
+        for din, dout, n in ((2, 2, 3), (3, 2, 2), (2, 3, 4)):
+            zs = [_rand_herm(rng, din * dout) for _ in range(n)]
+            one = _instrument_value(zs, din, dout, stacked=True)
+            rows = _instrument_value(zs, din, dout, stacked=False)
+            assert one.status is rows.status is SdpStatus.OPTIMAL
+            assert abs(one.value - rows.value) <= 1e-9
+            assert one.iterations == rows.iterations
+
+    @staticmethod
+    def chain(cs, flip):
+        """Blocks x = y = z stated over one basis stack, unit trace on y.
+
+        Block x carries the basis in both equalities, or (``flip``) the basis
+        in one and its negative in the other.
+        """
+        basis = np.stack(hermitian_basis(2))
+        neg = -basis
+        zero = np.zeros(len(basis))
+        b = ComplexSdpBuilder()
+        for name in "xyz":
+            b.add_block(name, 2)
+        b.set_objective(dict(zip("xyz", cs)))
+        b.add_constraint({"x": basis, "y": neg}, zero)
+        b.add_constraint({"z": basis, "x": neg} if flip else {"x": basis, "z": neg}, zero)
+        b.add_constraint({"y": np.eye(2)}, 1.0)
+        return b
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_reused_matrix_under_both_signs(self, flip):
+        rng = np.random.default_rng(np.random.Philox(46))
+        for _ in range(5):
+            cs = [_rand_herm(rng, 2) for _ in range(3)]
+            b = self.chain(cs, flip)
+            assert len(b._column("x").mats) == (8 if flip else 4)
+            assert list(b._column("x").rows) == list(range(8))
+            res = b.solve()
+            assert res.status is SdpStatus.OPTIMAL
+            assert abs(res.value - np.linalg.eigvalsh(sum(cs))[0]) <= 1e-6
+            for name in "yz":
+                assert np.allclose(res.blocks[name], res.blocks["x"], atol=1e-6)
+
+    def test_each_stack_embedded_once(self, monkeypatch):
+        calls = []
+        embed = sdp.embed_complex
+
+        def counting(h):
+            calls.append(np.shape(h))
+            return embed(h)
+
+        monkeypatch.setattr(sdp, "embed_complex", counting)
+        self.chain([np.eye(2)] * 3, flip=True)
+        # three objective matrices, then basis, neg and the identity once each
+        assert calls[3:] == [(4, 2, 2), (4, 2, 2), (1, 2, 2)]
+
+
 class TestComplexBuilder:
+    def test_unknown_block_rejected(self):
+        b = ComplexSdpBuilder()
+        b.add_block("x", 2)
+        with pytest.raises(ValueError, match="typo"):
+            b.add_constraint({"typo": np.eye(2)}, 5)
+        with pytest.raises(ValueError, match="typo"):
+            b.set_objective({"typo": np.eye(2)})
+
+    def test_stack_must_match_rhs_and_block(self):
+        b = ComplexSdpBuilder()
+        b.add_block("x", 2)
+        with pytest.raises(ValueError, match="'x'"):
+            b.add_constraint({"x": np.stack([np.eye(2)] * 3)}, [1.0, 2.0])
+        with pytest.raises(ValueError, match="'x'"):
+            b.add_constraint({"x": np.eye(3)}, 1.0)
+
     def test_min_eigenvalue_complex(self):
         y = np.array([[0, -1j], [1j, 0]])
         b = ComplexSdpBuilder()
