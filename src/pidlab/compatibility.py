@@ -21,8 +21,10 @@ constructions, is
               sum_{x0} Tr[beta_{x0}] = din * n_programs,
               sum_{x0} (beta_{x0} (x) 1 - alpha_{f(x0)|x0}) >= 0  for all f.
 
-Strong duality holds (both programs admit strictly feasible points), so the
-two values agree and either side certifies the other.
+Strong duality holds (both programs admit strictly feasible points), so one
+primal solve gives both sides: :func:`roi_primal` reads ``alpha``/``beta`` off
+the multipliers and :func:`roi` re-checks both before accepting the value;
+:func:`roi_dual` solves the dual itself, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
 STRATEGY_CAP = 4096
 SIMPLE_TOL = 1e-6
 CERT_TOL = 1e-7
+ROI_AGREE_TOL = 1e-6  # |r - dual_r| accepted by roi()
 ROI_OPTS = SolveOptions(feas_tol=1e-8, gap_tol=1e-9)
 
 
@@ -270,26 +273,18 @@ def roi_dual(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
     )
 
 
-def roi(p: Pid, opts: SolveOptions | None = None, agree_tol: float = 1e-6) -> RoiCertificate:
-    """Primal and dual solves combined, with an agreement check."""
-    prim = roi_primal(p, opts)
-    dual = roi_dual(p, opts)
-    if abs(prim.r - dual.r) > agree_tol:
+def roi(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
+    """One primal solve, its certificate re-checked on both sides by :func:`verify_roi_certificate`.
+
+    Raises ``ArithmeticError`` on a residual above ``CERT_TOL`` or ``|r - dual_r| > ROI_AGREE_TOL``.
+    """
+    cert = roi_primal(p, opts)
+    bad = {k: v for k, v in verify_roi_certificate(p, cert).items() if v > CERT_TOL}
+    if bad or abs(cert.r - cert.dual_r) > ROI_AGREE_TOL:
         raise ArithmeticError(
-            f"robustness primal/dual disagree: {prim.r} vs {dual.r}"
+            f"robustness certificate rejected: r={cert.r}, dual r={cert.dual_r}, residuals {bad}"
         )
-    return RoiCertificate(
-        r=prim.r,
-        gap=max(prim.gap, dual.gap),
-        noise=prim.noise,
-        simple_mix=prim.simple_mix,
-        simplicity=prim.simplicity,
-        alpha=dual.alpha,
-        beta=dual.beta,
-        dual_r=dual.r,
-        din=p.din,
-        dout=p.dout,
-    )
+    return cert
 
 
 def _simplicity_certificate(
@@ -472,5 +467,5 @@ def is_compatible_pmd(
 
 
 def roi_pmd(m: Pmd, opts: SolveOptions | None = None) -> RoiCertificate:
-    """Robustness of the measurement family (primal/dual agreement included)."""
+    """Robustness of the measurement family through :func:`roi` (one re-checked primal solve)."""
     return roi(pid_from_pmd(m), opts)

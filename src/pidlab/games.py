@@ -28,7 +28,7 @@ from .compatibility import (
 )
 from .devices import Pid, Povm, pad_pid_outcomes
 from .linalg import hermitize, max_abs, min_eig
-from .sdp import ComplexSdpBuilder, SolveOptions, hermitian_basis
+from .sdp import ComplexSdpBuilder, SolveOptions, hermitian_basis, trace_preserving_stack
 
 __all__ = [
     "BoundReport",
@@ -107,16 +107,22 @@ def game_value(g: GameSpec, strategy: Pid) -> float:
 
 
 def _merge_groups(effects: np.ndarray, tol: float = 1e-12) -> list[list[int]]:
-    """Group outcome labels whose effect columns agree across every program."""
+    """Group outcome labels whose effect columns agree across every program.
+
+    A column joins the first group, in creation order, whose first column it
+    matches to ``tol``; each new group claims all its later matches at once.
+    """
     n_n = effects.shape[1]
+    cols = np.moveaxis(effects, 1, 0).reshape(n_n, -1)
+    unclaimed = np.ones(n_n, dtype=bool)
     groups: list[list[int]] = []
     for n in range(n_n):
-        for grp in groups:
-            if max_abs(effects[:, n] - effects[:, grp[0]]) <= tol:
-                grp.append(n)
-                break
-        else:
-            groups.append([n])
+        if not unclaimed[n]:
+            continue
+        diff = np.abs(cols[n + 1 :] - cols[n]).max(axis=1, initial=0.0)
+        later = n + 1 + np.flatnonzero(unclaimed[n + 1 :] & (diff <= tol))
+        unclaimed[later] = False
+        groups.append([n, *later.tolist()])
     return groups
 
 
@@ -166,9 +172,8 @@ def pguess_simple(
         },
         sense="max",
     )
-    basis = hermitian_basis(g.d_ref)
-    tp = np.stack([np.kron(h, np.eye(g.dout)) for h in basis])
-    builder.add_constraint({f"j{f.index}": tp for f in strategies}, [h.trace().real for h in basis])
+    tp, tp_rhs = trace_preserving_stack(g.d_ref, g.dout)
+    builder.add_constraint({f"j{f.index}": tp for f in strategies}, tp_rhs)
     res = builder.solve(opts or GAME_OPTS).require_optimal("simple-device benchmark")
     blocks = np.zeros((n_m, g.n_n, d, d), dtype=complex)
     for f in strategies:
@@ -363,9 +368,8 @@ def pi_pguess_simple(
         },
         sense="max",
     )
-    basis = hermitian_basis(g.din)
-    tp = np.stack([np.kron(h, np.eye(g.dout)) for h in basis])
-    builder.add_constraint({f"j{f.index}": tp for f in strategies}, [h.trace().real for h in basis])
+    tp, tp_rhs = trace_preserving_stack(g.din, g.dout)
+    builder.add_constraint({f"j{f.index}": tp for f in strategies}, tp_rhs)
     res = builder.solve(opts or GAME_OPTS).require_optimal("post-information benchmark")
     blocks = np.zeros((g.n_m, g.n_n, d, d), dtype=complex)
     for f in strategies:

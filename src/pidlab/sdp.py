@@ -50,6 +50,7 @@ __all__ = [
     "embed_complex",
     "hermitian_basis",
     "solve",
+    "trace_preserving_stack",
     "unembed_complex",
 ]
 
@@ -206,6 +207,14 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
             f[l, k] = 1j * s
             basis.append(f)
     return basis
+
+
+def trace_preserving_stack(din: int, dout: int) -> tuple[np.ndarray, np.ndarray]:
+    """``Tr_out J = 1`` over :func:`hermitian_basis` ``(din)``: the stack of
+    ``np.kron(h, np.eye(dout))``, shape ``(din**2, din*dout, din*dout)``, and the ``Tr h``."""
+    h = np.stack(hermitian_basis(din))
+    stack = h[:, :, None, :, None] * np.eye(dout)[None, None, :, None, :]
+    return stack.reshape(-1, din * dout, din * dout), np.trace(h, axis1=1, axis2=2).real
 
 
 # ---------------------------------------------------------------------------

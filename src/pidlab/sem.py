@@ -10,6 +10,10 @@ dilation of the marginal channel.
 The support is identified with the abstract system through the deterministic
 eigenbasis ordering of :func:`pidlab.linalg.eig_hermitian`; complex
 conjugation in the dilation is entrywise in the computational basis.
+
+Name clash: the package attribute ``pidlab.sem`` is the function :func:`sem`,
+so ``import pidlab.sem as m`` gives the function.  This module is
+``sys.modules["pidlab.sem"]``, and ``from pidlab.sem import ...`` still works.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .linalg import (
     choi_trace_map,
     link_product,
 )
-from .sdp import ComplexSdpBuilder, SolveOptions, hermitian_basis
+from .sdp import ComplexSdpBuilder, SolveOptions, trace_preserving_stack
 
 __all__ = [
     "SeesawResult",
@@ -432,32 +432,23 @@ def _score_tensor(g: GameSpec) -> np.ndarray:
     return t.transpose(0, 1, 4, 2, 5, 3) / g.d_ref
 
 
-def _seesaw_value_and_grads(p: Pid, g: GameSpec, f: FreeSimulation):
-    s6 = _score_tensor(g)  # S6[w,g,b,c,u,v] pairing Gamma6[w,g,b,c,u,v]
-    ft = _pre_tensor(f)
-    lt = _source_tensor(p)
-    kt = _post_tensor(f)
-    wt = _routing_tensor(f)
-    common = (s6, wt, ft, lt, kt)
-    value = float(
-        np.real(
-            np.einsum(
-                "wgbcuv,wgxyk,bcimjn,xyijpq,kpmqnuv->",
-                *common,
-                optimize=True,
-            )
+def _seesaw_grad(p: Pid, g: GameSpec, f: FreeSimulation, wrt: str) -> np.ndarray:
+    """Score S6[w,g,b,c,u,v] contracted with every factor but ``wrt`` (routing, pre or post)."""
+    s6, lt = _score_tensor(g), _source_tensor(p)
+    if wrt == "routing":
+        return np.einsum(
+            "wgbcuv,bcimjn,xyijpq,kpmqnuv->wgxyk",
+            s6, _pre_tensor(f), lt, _post_tensor(f), optimize=True,
         )
+    if wrt == "pre":
+        return np.einsum(
+            "wgbcuv,wgxyk,xyijpq,kpmqnuv->bcimjn",
+            s6, _routing_tensor(f), lt, _post_tensor(f), optimize=True,
+        )
+    return np.einsum(
+        "wgbcuv,wgxyk,bcimjn,xyijpq->kpmqnuv",
+        s6, _routing_tensor(f), _pre_tensor(f), lt, optimize=True,
     )
-    grad_f = np.einsum(
-        "wgbcuv,wgxyk,xyijpq,kpmqnuv->bcimjn", s6, wt, lt, kt, optimize=True
-    )
-    grad_k = np.einsum(
-        "wgbcuv,wgxyk,bcimjn,xyijpq->kpmqnuv", s6, wt, ft, lt, optimize=True
-    )
-    grad_w = np.einsum(
-        "wgbcuv,bcimjn,xyijpq,kpmqnuv->wgxyk", s6, ft, lt, kt, optimize=True
-    )
-    return value, grad_f, grad_k, grad_w
 
 
 def _channel_sdp(z: np.ndarray, din: int, dout: int, opts: SolveOptions) -> np.ndarray:
@@ -466,9 +457,8 @@ def _channel_sdp(z: np.ndarray, din: int, dout: int, opts: SolveOptions) -> np.n
     d = din * dout
     builder.add_block("j", d)
     builder.set_objective({"j": z}, sense="max")
-    basis = hermitian_basis(din)
-    tp = np.stack([np.kron(h, np.eye(dout)) for h in basis])
-    builder.add_constraint({"j": tp}, [h.trace().real for h in basis])
+    tp, tp_rhs = trace_preserving_stack(din, dout)
+    builder.add_constraint({"j": tp}, tp_rhs)
     res = builder.solve(opts).require_optimal("channel step")
     return res.blocks["j"]
 
@@ -482,9 +472,8 @@ def _instrument_sdp(
     for k in range(len(zs)):
         builder.add_block(f"j{k}", d)
     builder.set_objective({f"j{k}": z for k, z in enumerate(zs)}, sense="max")
-    basis = hermitian_basis(din)
-    tp = np.stack([np.kron(h, np.eye(dout)) for h in basis])
-    builder.add_constraint({f"j{k}": tp for k in range(len(zs))}, [h.trace().real for h in basis])
+    tp, tp_rhs = trace_preserving_stack(din, dout)
+    builder.add_constraint({f"j{k}": tp for k in range(len(zs))}, tp_rhs)
     res = builder.solve(opts).require_optimal("instrument step")
     return [res.blocks[f"j{k}"] for k in range(len(zs))]
 
@@ -538,7 +527,7 @@ def seesaw_pguess(
         f = random_free_simulation(shape, seed=int(rng.integers(2**62)))
         value = -np.inf
         for _ in range(iters):
-            _, grad_f, grad_k, grad_w = _seesaw_value_and_grads(p, game, f)
+            grad_w = _seesaw_grad(p, game, f, "routing")
             # routing updates: per-column argmax on the affine score
             pt = f.p_table()
             qt = f.q_table()
@@ -557,12 +546,10 @@ def seesaw_pguess(
                 new_p.reshape(shape.source_programs * shape.n_flags, -1)[row, col] = 1.0
             f = _replace_tables(f, p_t=new_p)
             # quantum updates
-            _, grad_f, grad_k, _ = _seesaw_value_and_grads(p, game, f)
-            zf = _grad_to_score_matrix_pre(grad_f, shape)
+            zf = _grad_to_score_matrix_pre(_seesaw_grad(p, game, f, "pre"), shape)
             j_pre = _channel_sdp(zf, shape.target_din, shape.source_din * side, opts)
             f = _replace_pre(f, j_pre)
-            _, _, grad_k, _ = _seesaw_value_and_grads(p, game, f)
-            zks = _grad_to_score_matrices_post(grad_k, shape)
+            zks = _grad_to_score_matrices_post(_seesaw_grad(p, game, f, "post"), shape)
             jks = _instrument_sdp(zks, shape.source_dout * side, shape.target_dout, opts)
             f = _replace_post(f, jks)
             new_value = game_value(game, apply_free_simulation(f, p))

@@ -1,10 +1,13 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
+from pidlab import compatibility, io, sdp
 from pidlab.compatibility import (
     CERT_TOL,
+    ROI_AGREE_TOL,
     build_incoherent_extension,
     enumerate_strategies,
     is_compatible_pmd,
@@ -20,6 +23,7 @@ from pidlab.compatibility import (
 from pidlab.devices import (
     Pid,
     Pmd,
+    pid_from_pmd,
     random_pid,
     random_pmd,
     random_simple_pid,
@@ -40,6 +44,33 @@ from pidlab.presets import (
 # Exact robustness of the X/Z pair (and of the assemblage it steers from the
 # maximally entangled state), certified analytically in TestXZOracle below.
 XZ_ROI_EXACT = 3.0 - 2.0 * np.sqrt(2.0)
+
+
+def _mub_qutrit_assemblage():
+    w = np.exp(2j * np.pi / 3)
+    fourier = np.array([[w ** (j * k) for k in range(3)] for j in range(3)]) / np.sqrt(3)
+    proj = np.array(
+        [[np.outer(b[:, k], b[:, k].conj()) for k in range(3)] for b in (np.eye(3), fourier)]
+    )
+    return Pid(1, 3, proj.transpose(0, 1, 3, 2) / 3)
+
+
+def _oracle_devices():
+    """Every device fixture, the benchmark grid's base devices and a near-boundary draw."""
+    fixture_dir = os.path.join(os.path.dirname(__file__), "fixtures")
+    out = {}
+    for name in ("entangled_xz_assemblage", "simple_device", "steered_device", "xz_pair"):
+        dev = io.read_device(os.path.join(fixture_dir, name + ".json"))
+        out[name] = pid_from_pmd(dev) if isinstance(dev, Pmd) else dev
+    for dims in ((2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2), (2, 3, 4, 2)):
+        out[f"random_pid{dims}"] = random_pid(*dims, seed=1)
+    out["random_simple_pid"] = random_simple_pid(2, 2, 2, 2, seed=1).pid
+    out["mub_qutrit"] = _mub_qutrit_assemblage()
+    out["near_boundary"] = random_pid(2, 2, 2, 2, seed=384001152)
+    return out
+
+
+ORACLE_DEVICES = _oracle_devices()
 
 
 class TestXZOracle:
@@ -191,6 +222,35 @@ class TestRoi:
         cert = roi(p)
         res = verify_roi_certificate(p, cert)
         assert max(res.values()) <= 1e-6
+
+    def test_roi_is_one_solve(self, monkeypatch):
+        calls = []
+        real_solve = sdp.solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(sdp, "solve", counting_solve)
+        roi(maximally_entangled_assemblage(xz_pmd()))
+        assert len(calls) == 1
+
+    def test_roi_rejects_corrupted_certificate(self, monkeypatch):
+        p = maximally_entangled_assemblage(xz_pmd())
+        cert = roi_primal(p)
+        alpha = cert.alpha.copy()
+        vals, vecs = np.linalg.eigh(alpha[0, 0])
+        vals[0] = -1e-5
+        alpha[0, 0] = (vecs * vals) @ vecs.conj().T
+        bad = dataclasses.replace(cert, alpha=alpha)
+        monkeypatch.setattr(compatibility, "roi_primal", lambda *args: bad)
+        with pytest.raises(ArithmeticError, match="alpha_psd"):
+            roi(p)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_DEVICES))
+    def test_roi_agrees_with_independent_dual(self, name):
+        p = ORACLE_DEVICES[name]
+        assert abs(roi(p).r - roi_dual(p).r) <= ROI_AGREE_TOL
 
     def test_certificate_checks_noise_side(self):
         # r = 9.2e-4: the noise itself carries CP and TP defects of ~5e-7,

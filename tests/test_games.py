@@ -15,6 +15,7 @@ from pidlab.games import (
     DualFrame,
     GameSpec,
     PiGameSpec,
+    _merge_groups,
     dummy_count_for_gap,
     game_value,
     ic_dual_frame,
@@ -81,7 +82,30 @@ class TestGameValue:
             game_value(g, random_pid(2, 2, 2, 2, seed=95))
 
 
+def _merge_groups_loop(effects, tol=1e-12):
+    """Reference: each column against every group representative in turn."""
+    groups = []
+    for n in range(effects.shape[1]):
+        for grp in groups:
+            if max_abs(effects[:, n] - effects[:, grp[0]]) <= tol:
+                grp.append(n)
+                break
+        else:
+            groups.append([n])
+    return groups
+
+
 class TestPguessSimple:
+    def test_merge_groups_matches_column_loop(self):
+        eff = witness_game(roi(random_pid(2, 2, 2, 2, seed=139)), n_dummy=512).effects
+        assert _merge_groups(eff) == _merge_groups_loop(eff)
+        # columns offset from column 0 in one entry: 1e-13 and 0.75e-12 merge
+        # into the first group, though 0.75e-12 is also within 1e-12 of 1.5e-12
+        offsets = (0.0, 1e-13, 1e-11, 1.5e-12, 0.75e-12)
+        cols = np.repeat(eff[:, :1], len(offsets), axis=1)
+        cols[0, :, 0, 0] += offsets
+        assert _merge_groups(cols) == _merge_groups_loop(cols) == [[0, 1, 4], [2], [3]]
+
     def test_blind_game_benchmark(self):
         g = blind_game()
         res = pguess_simple(g)

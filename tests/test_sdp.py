@@ -12,6 +12,7 @@ from pidlab.sdp import (
     embed_complex,
     hermitian_basis,
     solve,
+    trace_preserving_stack,
     unembed_complex,
 )
 from pidlab.sem import sem
@@ -504,3 +505,12 @@ class TestComplexBuilder:
             for j, hj in enumerate(basis):
                 ip = np.sum(hi.conj() * hj).real
                 assert abs(ip - (1.0 if i == j else 0.0)) <= 1e-12
+
+    def test_trace_preserving_stack_matches_kron_rows(self):
+        for din in range(1, 5):
+            for dout in range(1, 4):
+                stack, rhs = trace_preserving_stack(din, dout)
+                basis = hermitian_basis(din)
+                ref = np.stack([np.kron(h, np.eye(dout)) for h in basis])
+                assert stack.tobytes() == ref.tobytes()  # bit for bit, signed zeros included
+                assert rhs.tolist() == [h.trace().real for h in basis]

@@ -1,5 +1,10 @@
+import sys
+import types
+
 import numpy as np
 import pytest
+
+import pidlab
 
 from pidlab.compatibility import is_compatible_pmd, is_simple_pid, roi_pmd
 from pidlab.devices import (
@@ -19,6 +24,13 @@ def identity_channel_pid():
 
 
 class TestSem:
+    def test_package_attribute_is_the_function(self):
+        # pidlab.sem names the function; the module stays in sys.modules
+        assert pidlab.sem is sem
+        module = sys.modules["pidlab.sem"]
+        assert isinstance(module, types.ModuleType)
+        assert module.sem is sem
+
     def test_identity_channel_rank_one(self):
         res = sem(identity_channel_pid())
         assert res.rank == 1
