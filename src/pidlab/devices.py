@@ -396,12 +396,6 @@ def validate_pid(p: Pid) -> PidValidationReport:
     return PidValidationReport(cp_defect=cp, nonsignaling_defect=ns, tp_defect=tp)
 
 
-def assert_valid_pid(p: Pid, tol: float = DEFAULT_TOL, what: str = "pid") -> None:
-    report = validate_pid(p)
-    if not report.ok(tol):
-        raise ValueError(f"invalid {what}: {report}")
-
-
 # ---------------------------------------------------------------------------
 # Steering and conversions
 # ---------------------------------------------------------------------------

@@ -17,12 +17,16 @@ inverse and step-length eigenvalues run once per group.  The Schur
 complement ``H[i, j] = sum_b <A_{i,b}, W_b A_{j,b} W_b>`` is built per block
 from its ``u`` distinct matrices (``U (W U W)^T``, ``u x u``) and scattered
 into the rows of its support (the sparsity argument of Fujisawa, Kojima and
-Nakata, Math. Prog. 79, 1997).  ``H`` is dense (a few hundred rows): a
-Cholesky factorization tests it for positive definiteness and each Newton
-system is solved with one factorization of it.  The corrector also gets one
-Newton correction for the primal residual that forming its direction leaves
-behind, which keeps problems near the boundary of the cone primal feasible.
-Everything is deterministic, so identical inputs produce identical iterates.
+Nakata, Math. Prog. 79, 1997).  ``H`` is dense (a few hundred rows) and is
+Cholesky-factored once per iteration, with the smallest ridge of a short
+ladder at which it factors.  That one factor serves all three solves of the
+iteration, the predictor, the corrector, and the corrector's Newton
+correction for the primal residual that forming its direction leaves behind
+(which keeps problems near the boundary of the cone primal feasible), by
+blocked forward and back substitution; ``H^-1`` is never formed (as in
+SDPT3, Toh, Todd and Tutuncu, 1999).  A solve that runs out of iterations
+reports :attr:`SdpStatus.MAX_ITER`.  Everything is deterministic, so
+identical inputs produce identical iterates.
 
 Complex Hermitian problems are handled by :class:`ComplexSdpBuilder`, which
 embeds every Hermitian matrix ``H = P + iQ`` as the real symmetric matrix
@@ -55,6 +59,7 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e8
+_PANEL = 32  # rows per panel of the Schur factor's substitution
 
 
 class SdpStatus(Enum):
@@ -62,6 +67,7 @@ class SdpStatus(Enum):
     INFEASIBLE = "Infeasible"
     UNBOUNDED = "Unbounded"
     NUMERICAL_FAILURE = "NumericalFailure"
+    MAX_ITER = "MaxIterations"
 
 
 @dataclass(frozen=True)
@@ -301,6 +307,39 @@ def _max_step(l_inv: np.ndarray, delta: np.ndarray) -> float:
     return 1.0 / (-lam)
 
 
+class _CholeskySolver:
+    """Solve ``H v = r`` given ``H = L L^T`` by blocked forward and back substitution.
+
+    ``L`` is cut into panels of ``_PANEL`` rows (one panel when it has
+    fewer) whose diagonal blocks are inverted once per factor, in one
+    batched call (a short last panel is padded with the identity); each
+    solve is then matrix-vector products with those inverses and with
+    ``L``'s off-diagonal panels.  ``H^-1`` is never formed.
+    """
+
+    def __init__(self, l: np.ndarray):
+        m = len(l)
+        w = min(_PANEL, m)
+        self.l = l
+        self.spans = [(a, min(a + w, m)) for a in range(0, m, w)]
+        diag = np.tile(np.eye(w), (len(self.spans), 1, 1))
+        for blk, (a, e) in zip(diag, self.spans):
+            blk[: e - a, : e - a] = l[a:e, a:e]
+        self.diag_inv = [
+            inv[: e - a, : e - a] for inv, (a, e) in zip(np.linalg.inv(diag), self.spans)
+        ]
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        l = self.l
+        z = np.empty_like(r)
+        for (a, e), inv in zip(self.spans, self.diag_inv):
+            z[a:e] = inv @ (r[a:e] - l[a:e, :a] @ z[:a])
+        v = np.empty_like(r)
+        for (a, e), inv in zip(self.spans[::-1], self.diag_inv[::-1]):
+            v[a:e] = inv.T @ (z[a:e] - l[e:, a:e].T @ v[e:])
+        return v
+
+
 def _initial_point(groups, b, m):
     # primal blocks: identity scaled to roughly satisfy trace-like constraints
     tr = sum(grp.apply_a(np.broadcast_to(np.eye(grp.dim), grp.c.shape), m) for grp in groups)
@@ -341,7 +380,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     b_scale = 1.0 + float(np.max(np.abs(b)))
     c_scale = 1.0 + max(max_abs(grp.c) for grp in groups)
 
-    status = SdpStatus.NUMERICAL_FAILURE
+    status = SdpStatus.MAX_ITER
     it = 0
     pres = dres = np.inf
     for it in range(1, opts.max_iter + 1):
@@ -376,19 +415,15 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         for grp, sc in zip(groups, nt):
             grp.add_schur(sc.w, h)
 
-        # Cholesky only tests H for positive definiteness; every solve below is
-        # one np.linalg.solve with the matrix that passed
-        h_reg = None
+        # the smallest ridge at which H factors; its factor serves every solve below
         h_scale = max(np.trace(h) / m, 1e-300)
         for ridge in (1e-14, 1e-12, 1e-10, 1e-8):
-            h_try = h + ridge * h_scale * np.eye(m)
             try:
-                np.linalg.cholesky(h_try)
+                solve_h = _CholeskySolver(np.linalg.cholesky(h + ridge * h_scale * np.eye(m)))
             except np.linalg.LinAlgError:
                 continue
-            h_reg = h_try
             break
-        if h_reg is None:
+        else:
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
@@ -396,7 +431,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             """Given scaled complementarity RHS per group, return (dx, dy, ds)."""
             grcg = [sc.g @ rc @ sc.g.swapaxes(1, 2) for sc, rc in zip(nt, rc_scaled)]
             wrdw = [sc.w @ r @ sc.w for sc, r in zip(nt, rd)]
-            dy = np.linalg.solve(h_reg, rp - apply_a([gr - t for gr, t in zip(grcg, wrdw)]))
+            dy = solve_h(rp - apply_a([gr - t for gr, t in zip(grcg, wrdw)]))
             ds = [r - grp.apply_at(dy) for grp, r in zip(groups, rd)]
             dx = [_sym(gr - sc.w @ dsg @ sc.w) for gr, sc, dsg in zip(grcg, nt, ds)]
             return dx, dy, ds
@@ -423,7 +458,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         # forming dx cancels terms of size |W|^2 |dy|, which leaves A dx off rp
         # by far more than the solve's own error once W is large; one Newton
         # correction for that residual keeps the iterates primal feasible
-        dy_c = np.linalg.solve(h_reg, rp - apply_a(dx))
+        dy_c = solve_h(rp - apply_a(dx))
         aty_c = [grp.apply_at(dy_c) for grp in groups]
         dx = [_sym(d + sc.w @ a @ sc.w) for d, sc, a in zip(dx, nt, aty_c)]
         ds = [d - a for d, a in zip(ds, aty_c)]

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +25,9 @@ from pidlab.presets import (
     pauli_tetrahedron_povm,
     xz_pmd,
 )
+
+
+XZ_ASSEMBLAGE = os.path.join(os.path.dirname(__file__), "fixtures", "entangled_xz_assemblage.json")
 
 
 @pytest.fixture(scope="module")
@@ -229,3 +234,41 @@ class TestCommands:
         captured = capsys.readouterr()
         assert code == 3
         assert "numerical failure" in captured.err
+
+    def test_iteration_cap_named(self, capsys):
+        code = main(["--max-iter", "3", "roi", XZ_ASSEMBLAGE])
+        assert code == 3
+        assert "MaxIterations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--dout", "--outcomes", "--din", "--programs"])
+def test_single_dimension_devices(flag, capsys, tmp_path):
+    # Schur systems of 1 to 47 rows: one substitution panel, or one and a short one
+    path = str(tmp_path / "device.json")
+    assert main(["--seed", "5", "sample", "pid", flag, "1", "--out", path]) == 0
+    capsys.readouterr()
+    r = {}
+    for extra in ([], ["--dual"]):
+        assert main(["--json", "roi", path, *extra]) == 0
+        r[bool(extra)] = json.loads(capsys.readouterr().out)["roi"]
+    assert abs(r[False] - r[True]) <= 1e-6
+    code = main(["--json", "simplicity", path])
+    assert code == (0 if json.loads(capsys.readouterr().out)["simple"] else 1)
+    for cmd in ("witness", "sem"):
+        assert main(["--json", cmd, path]) == 0, cmd
+        capsys.readouterr()
+
+
+def test_roi_runs_without_scipy():
+    script = (
+        "import sys; sys.modules['scipy'] = None; from pidlab.cli import main; "
+        "sys.exit(main(['--json', 'roi', sys.argv[1]]))"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, "-c", script, XZ_ASSEMBLAGE],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    assert abs(json.loads(res.stdout)["roi"] - (3 - 2 * np.sqrt(2))) <= 2e-4

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pidlab import sdp
-from pidlab.compatibility import roi_dual
+from pidlab.compatibility import roi_dual, roi_primal
 from pidlab.devices import Pid, pid_from_pmd, random_pid
 from pidlab.sdp import (
     ComplexSdpBuilder,
@@ -117,6 +119,12 @@ class TestSolveBasics:
             SdpProblem((("x", 2),), (eye,), columns=[([0], [0], [np.eye(3)])], rhs=[1.0])
         with pytest.raises(ValueError, match="either"):
             SdpProblem((("x", 2),), (eye,), [((eye,), 1.0)], columns=[([0], [0], [eye])], rhs=[1.0])
+
+    def test_iteration_cap_reported_as_such(self):
+        p = _single_block_problem(np.diag([1.0, 2.0]), [np.eye(2)], [1.0])
+        sol = solve(p, SolveOptions(max_iter=2))
+        assert sol.status is SdpStatus.MAX_ITER
+        assert sol.iterations == 2
 
     def test_deterministic(self):
         rng = np.random.default_rng(np.random.Philox(33))
@@ -361,12 +369,59 @@ def _haar(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+class TestCholeskySolver:
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        m=st.sampled_from([1, 31, 32, 33, 64, 65, 332]),
+        log_cond=st.floats(0.0, 12.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_linalg_solve(self, m, log_cond, seed):
+        sla = pytest.importorskip("scipy.linalg")  # an oracle here, never at run time
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        h = (q * np.logspace(0, -log_cond, m)) @ q.T
+        h = (h + h.T) / 2
+        r = rng.standard_normal(m)
+        l = np.linalg.cholesky(h)
+        v = sdp._CholeskySolver(l)(r)
+        lu = np.linalg.solve(h, r)
+        oracle = sla.solve_triangular(l, sla.solve_triangular(l, r, lower=True), lower=True, trans="T")
+        eps = np.finfo(float).eps
+
+        def rel_residual(x):
+            return np.linalg.norm(h @ x - r) / (np.linalg.norm(h, 2) * np.linalg.norm(x))
+
+        # a backward-stable bound, met by both references as well
+        for x in (v, lu, oracle):
+            assert rel_residual(x) <= 16 * m * eps
+        for ref in (lu, oracle):
+            assert np.linalg.norm(v - ref) <= 16 * m * eps * 10**log_cond * np.linalg.norm(ref)
+
+    def test_newton_solves_use_the_factor(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        statuses = []
+        real_solve = sdp.solve
+
+        def recording_solve(*args, **kwargs):
+            sol = real_solve(*args, **kwargs)
+            statuses.append((args[0].n_constraints, sol.status))
+            return sol
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(sdp, "solve", recording_solve)
+        roi_primal(random_pid(2, 3, 4, 2, seed=1))  # the benchmark's qubit-qutrit-4x2 device
+        assert statuses == [(291, SdpStatus.OPTIMAL)]
+
+
 class TestSchurPrecision:
     # Local-unitary rotations of random_pid(2, 2, 2, 2, seed=1), compressed to
     # their measurement family: the dual robustness program on these stops
     # with NumericalFailure when the Schur system is solved through
     # H^-1 = inv(L)^T inv(L) formed explicitly from its Cholesky factor L,
-    # instead of by a linear solve.
+    # instead of by substitution with L.
     @pytest.mark.parametrize("s,i", [(43, 5), (43, 42), (41, 3), (41, 13), (41, 30)])
     def test_sem_dual_reaches_optimality(self, s, i):
         base = random_pid(2, 2, 2, 2, seed=1)
