@@ -30,7 +30,6 @@ the multipliers and :func:`roi` re-checks both before accepting the value;
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,13 +45,16 @@ __all__ = [
     "SimplicityCertificate",
     "build_incoherent_extension",
     "enumerate_strategies",
+    "gather_responses",
     "is_compatible_pmd",
     "is_simple_pid",
     "readout_pmd",
+    "response_maps",
     "roi",
     "roi_dual",
     "roi_pmd",
     "roi_primal",
+    "scatter_responses",
     "verify_roi_certificate",
     "witness_value",
 ]
@@ -82,6 +84,23 @@ def enumerate_strategies(n_programs: int, n_outcomes: int) -> tuple[Deterministi
         DeterministicStrategy(mapping=m, index=i)
         for i, m in enumerate(itertools.product(range(n_outcomes), repeat=n_programs))
     )
+
+
+def response_maps(strategies: tuple[DeterministicStrategy, ...]) -> np.ndarray:
+    """``(n_f, n_programs)`` integer table whose row ``f`` is ``strategies[f].mapping``."""
+    return np.array([f.mapping for f in strategies], dtype=np.intp)
+
+
+def gather_responses(maps: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``out[f] = sum_x0 blocks[x0, maps[f, x0]]`` for every response ``f``, in ``x0`` order."""
+    return blocks[np.arange(maps.shape[1]), maps].sum(axis=1)
+
+
+def scatter_responses(maps: np.ndarray, per_f: np.ndarray, n_outcomes: int) -> np.ndarray:
+    """``out[x0, x1] = sum_{f : maps[f, x0] = x1} per_f[f]``, accumulated in ``f`` order."""
+    out = np.zeros((maps.shape[1], n_outcomes, *per_f.shape[1:]), dtype=per_f.dtype)
+    np.add.at(out, (np.arange(maps.shape[1]), maps), per_f[:, None])
+    return out
 
 
 @dataclass(frozen=True)
@@ -128,16 +147,18 @@ def _traceless_basis(n: int) -> np.ndarray:
 def roi_primal(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
     """Robustness via the primal program; the dual certificate is read off the multipliers."""
     strategies = enumerate_strategies(p.n_programs, p.n_outcomes)
+    maps = response_maps(strategies)
+    etas = [f"eta{f}" for f in range(len(maps))]
     d = p.block_dim
     din = p.din
     builder = ComplexSdpBuilder()
-    for f in strategies:
-        builder.add_block(f"eta{f.index}", d)
+    for name in etas:
+        builder.add_block(name, d)
     for x0 in range(p.n_programs):
         for x1 in range(p.n_outcomes):
             builder.add_block(f"slack{x0}_{x1}", d)
     builder.set_objective(
-        {f"eta{f.index}": np.eye(d, dtype=complex) / din for f in strategies},
+        {name: np.eye(d, dtype=complex) / din for name in etas},
         constant=-1.0,
     )
     # one statement per (x0, x1): the covering response blocks minus the
@@ -146,7 +167,7 @@ def roi_primal(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
     neg_basis = -basis
     for x0 in range(p.n_programs):
         for x1 in range(p.n_outcomes):
-            row = {f"eta{f.index}": basis for f in strategies if f.mapping[x0] == x1}
+            row = {etas[f]: basis for f in np.flatnonzero(maps[:, x0] == x1)}
             row[f"slack{x0}_{x1}"] = neg_basis
             builder.add_constraint(
                 row, np.einsum("kpq,pq->k", basis.conj(), p.blocks[x0, x1]).real
@@ -154,22 +175,15 @@ def roi_primal(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
     if din > 1:
         eye_out = np.eye(p.dout, dtype=complex)
         traceless = np.stack([np.kron(h, eye_out) for h in _traceless_basis(din)])
-        builder.add_constraint(
-            {f"eta{f.index}": traceless for f in strategies}, np.zeros(len(traceless))
-        )
+        builder.add_constraint(dict.fromkeys(etas, traceless), np.zeros(len(traceless)))
     res = builder.solve(opts or ROI_OPTS).require_optimal("robustness primal")
 
-    eta = np.stack([res.blocks[f"eta{f.index}"] for f in strategies])
+    eta = np.stack([res.blocks[name] for name in etas])
     t = float(np.real(eta.sum(axis=0).trace())) / din
     r = max(t - 1.0, -1e-8)
-    omega = np.zeros_like(p.blocks)
-    for f in strategies:
-        for x0 in range(p.n_programs):
-            omega[x0, f.mapping[x0]] += eta[f.index]
+    omega = scatter_responses(maps, eta, p.n_outcomes)
     simple_mix = Pid(p.din, p.dout, omega / t)
-    mother = Instrument(
-        tuple(ChoiMatrix(p.din, p.dout, eta[f.index] / t) for f in strategies)
-    )
+    mother = Instrument(tuple(ChoiMatrix(p.din, p.dout, e / t) for e in eta))
     cert_simplicity = _simplicity_certificate(simple_mix, strategies, mother)
     noise = None
     if r > 1e-8:
@@ -185,10 +199,7 @@ def roi_primal(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
             for x0 in range(p.n_programs)
         ]
     )
-    f0 = strategies[0]
-    t0 = res.dual_slacks[f"eta{f0.index}"] + sum(
-        alpha_raw[x0, f0.mapping[x0]] for x0 in range(p.n_programs)
-    )
+    t0 = res.dual_slacks[etas[0]] + gather_responses(maps[:1], alpha_raw)[0]
     b_op = partial_trace(t0, (din, p.dout), keep=(0,)) / p.dout
     scale = din * p.n_programs
     alpha = scale * alpha_raw
@@ -212,15 +223,15 @@ def roi_primal(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
 
 def roi_dual(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
     """Robustness via the explicit dual program (independent of :func:`roi_primal`)."""
-    strategies = enumerate_strategies(p.n_programs, p.n_outcomes)
+    maps = response_maps(enumerate_strategies(p.n_programs, p.n_outcomes))
     d = p.block_dim
     din, dout = p.din, p.dout
     builder = ComplexSdpBuilder()
     for x0 in range(p.n_programs):
         for x1 in range(p.n_outcomes):
             builder.add_block(f"alpha{x0}_{x1}", d)
-    for f in strategies:
-        builder.add_block(f"w{f.index}", d)
+    for f in range(len(maps)):
+        builder.add_block(f"w{f}", d)
     builder.set_objective(
         {
             f"alpha{x0}_{x1}": p.blocks[x0, x1] / (din * p.n_programs)
@@ -230,20 +241,15 @@ def roi_dual(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
         constant=-1.0,
         sense="max",
     )
-    f0 = strategies[0]
-
-    def _alpha_counts(f: DeterministicStrategy) -> Counter:
-        return Counter(f"alpha{x0}_{x1}" for x0, x1 in enumerate(f.mapping))
-
-    # each multiple of the basis is one object, shared by every statement using it
+    # W_f + sum_x0 alpha_{f(x0)|x0} is the same for every f: each row states
+    # W_f - W_f0 plus the alphas where f and f0 differ, over the Hermitian basis
     basis = np.stack(hermitian_basis(d))
-    multiples = {c: c * basis for c in range(-p.n_programs, p.n_programs + 1)}
-    counts0 = _alpha_counts(f0)
-    for f in strategies[1:]:
-        diff = _alpha_counts(f)
-        diff.subtract(counts0)
-        row = {f"w{f.index}": basis, f"w{f0.index}": multiples[-1]}
-        row.update({key: multiples[c] for key, c in diff.items() if c})
+    neg_basis = -basis
+    for f in range(1, len(maps)):
+        row = {f"w{f}": basis, "w0": neg_basis}
+        for x0 in np.flatnonzero(maps[f] != maps[0]):
+            row[f"alpha{x0}_{maps[f, x0]}"] = basis
+            row[f"alpha{x0}_{maps[0, x0]}"] = neg_basis
         builder.add_constraint(row, np.zeros(len(basis)))
     # T := W_f0 + sum_x0 alpha_{f0(x0)|x0} must equal (something) (x) identity
     t_basis = np.array(
@@ -251,8 +257,8 @@ def roi_dual(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
     ).reshape(-1, d, d)
     eye_d = np.eye(d, dtype=complex)[None]
     for mats, rhs in ((t_basis, 0.0), (eye_d, float(din * p.n_programs * dout))):
-        row = {f"w{f0.index}": mats}
-        row.update({key: c * mats for key, c in counts0.items()})
+        row = {"w0": mats}
+        row.update({f"alpha{x0}_{x1}": mats for x0, x1 in enumerate(maps[0])})
         builder.add_constraint(row, np.full(len(mats), rhs))
 
     res = builder.solve(opts or ROI_OPTS).require_optimal("robustness dual")
@@ -262,9 +268,7 @@ def roi_dual(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
             for x0 in range(p.n_programs)
         ]
     )
-    t0 = res.blocks[f"w{f0.index}"] + sum(
-        alpha[x0, f0.mapping[x0]] for x0 in range(p.n_programs)
-    )
+    t0 = res.blocks["w0"] + gather_responses(maps[:1], alpha)[0]
     b_op = partial_trace(t0, (din, dout), keep=(0,)) / dout
     beta = np.stack([b_op / p.n_programs for _ in range(p.n_programs)])
     return RoiCertificate(
@@ -292,10 +296,8 @@ def _simplicity_certificate(
     strategies: tuple[DeterministicStrategy, ...],
     mother: Instrument,
 ) -> SimplicityCertificate:
-    recon = np.zeros_like(target.blocks)
-    for f in strategies:
-        for x0 in range(target.n_programs):
-            recon[x0, f.mapping[x0]] += mother.branches[f.index].mat
+    branches = np.stack([b.mat for b in mother.branches])
+    recon = scatter_responses(response_maps(strategies), branches, target.n_outcomes)
     matching = max_abs(recon - target.blocks)
     return SimplicityCertificate(
         strategies=strategies,
@@ -387,15 +389,12 @@ def verify_roi_certificate(
             sum(float(np.real(np.trace(cert.beta[x0]))) for x0 in range(p.n_programs))
             - p.din * p.n_programs
         )
-        eye_out = np.eye(p.dout)
-        worst = 0.0
-        for f in enumerate_strategies(p.n_programs, p.n_outcomes):
-            acc = sum(
-                np.kron(cert.beta[x0], eye_out) - cert.alpha[x0, f.mapping[x0]]
-                for x0 in range(p.n_programs)
-            )
-            worst = max(worst, max(0.0, -min_eig(acc)))
-        out["dual_family_psd"] = worst
+        # sum_x0 (beta_x0 (x) 1 - alpha_{f(x0)|x0}) for every f, one batched eigvalsh
+        kron_beta = np.stack([np.kron(b, np.eye(p.dout)) for b in cert.beta])
+        maps = response_maps(enumerate_strategies(p.n_programs, p.n_outcomes))
+        acc = gather_responses(maps, kron_beta[:, None] - cert.alpha)
+        lam = np.linalg.eigvalsh((acc + acc.conj().swapaxes(1, 2)) / 2)[:, 0]
+        out["dual_family_psd"] = max(0.0, -float(lam.min()))
         if cert.dual_r is not None:
             out["dual_value_consistency"] = abs(witness_value(cert.alpha, p) - cert.dual_r)
     return out
@@ -420,9 +419,10 @@ def readout_pmd(
     """Environment measurement reading the response register and applying it."""
     n_env = len(strategies)
     effects = np.zeros((n_programs, n_outcomes, n_env, n_env), dtype=complex)
-    for f in strategies:
-        for x0 in range(n_programs):
-            effects[x0, f.mapping[x0], f.index, f.index] = 1.0
+    maps = response_maps(strategies)
+    env = np.arange(n_env)
+    # effects[x0, x1] = sum_{f : f(x0) = x1} |f><f|
+    effects[:, :, env, env] = maps.T[:, None] == np.arange(n_outcomes)[:, None]
     return Pmd(effects)
 
 
@@ -453,10 +453,8 @@ def is_compatible_pmd(
         assert cert is not None
         effects = np.stack([b.mat.T for b in cert.mother.branches])
         parent = Povm(effects)
-        table = np.zeros((m.n_outcomes, m.n_programs, len(cert.strategies)))
-        for f in cert.strategies:
-            for x0 in range(m.n_programs):
-                table[f.mapping[x0], x0, f.index] = 1.0
+        maps = response_maps(cert.strategies)
+        table = (maps.T == np.arange(m.n_outcomes)[:, None, None]).astype(float)
         return PmdCompatibilityVerdict(
             compatible=True, r=verdict.r, parent=parent, post_processing=table, witness=None
         )

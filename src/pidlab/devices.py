@@ -117,9 +117,6 @@ class Pid:
         """Choi matrix of the coarse-grained channel for program ``x0``."""
         return self.blocks[x0].sum(axis=0)
 
-    def is_assemblage(self) -> bool:
-        return self.din == 1
-
 
 @dataclass(frozen=True)
 class Pmd:

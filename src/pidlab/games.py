@@ -24,11 +24,14 @@ import numpy as np
 from .compatibility import (
     RoiCertificate,
     enumerate_strategies,
+    gather_responses,
+    response_maps,
     roi,
+    scatter_responses,
 )
 from .devices import Pid, Povm, pad_pid_outcomes
 from .linalg import hermitize, max_abs, min_eig
-from .sdp import ComplexSdpBuilder, SolveOptions, hermitian_basis, trace_preserving_stack
+from .sdp import SolveOptions, best_instrument, hermitian_basis
 
 __all__ = [
     "BoundReport",
@@ -146,6 +149,21 @@ class PguessSimpleResult:
     gap: float
 
 
+def _best_simple(
+    score: np.ndarray, norm: int, din: int, dout: int, opts: SolveOptions | None, what: str
+) -> tuple[float, np.ndarray, float]:
+    """Best simple device for the value ``sum Tr[score[x0, x1] J_{x1|x0}] / norm``.
+
+    The branch for response ``f`` scores ``sum_x0 score[x0, f(x0)] / norm``; returns the
+    optimum, the device blocks ``(n_programs, n_outcomes, d, d)`` and the relative gap.
+    """
+    n_programs, n_outcomes = score.shape[:2]
+    maps = response_maps(enumerate_strategies(n_programs, n_outcomes))
+    zs = gather_responses(maps, score) / norm
+    value, js, gap = best_instrument(zs, din, dout, opts or GAME_OPTS, what)
+    return value, scatter_responses(maps, js, n_outcomes), gap
+
+
 def pguess_simple(
     g: GameSpec, opts: SolveOptions | None = None
 ) -> PguessSimpleResult:
@@ -156,32 +174,14 @@ def pguess_simple(
     distinguishing them), which keeps witness games with many dummy outcomes
     tractable.
     """
-    groups = _merge_groups(g.effects)
-    reps = [grp[0] for grp in groups]
-    eff = g.effects[:, reps]
-    n_m, n_red = eff.shape[0], eff.shape[1]
-    strategies = enumerate_strategies(n_m, n_red)
+    reps = [grp[0] for grp in _merge_groups(g.effects)]
+    value, merged, gap = _best_simple(
+        g.effects[:, reps], g.d_ref, g.d_ref, g.dout, opts, "simple-device benchmark"
+    )
     d = g.d_ref * g.dout
-    builder = ComplexSdpBuilder()
-    for f in strategies:
-        builder.add_block(f"j{f.index}", d)
-    builder.set_objective(
-        {
-            f"j{f.index}": sum(eff[m, f.mapping[m]] for m in range(n_m)) / g.d_ref
-            for f in strategies
-        },
-        sense="max",
-    )
-    tp, tp_rhs = trace_preserving_stack(g.d_ref, g.dout)
-    builder.add_constraint({f"j{f.index}": tp for f in strategies}, tp_rhs)
-    res = builder.solve(opts or GAME_OPTS).require_optimal("simple-device benchmark")
-    blocks = np.zeros((n_m, g.n_n, d, d), dtype=complex)
-    for f in strategies:
-        for m in range(n_m):
-            blocks[m, reps[f.mapping[m]]] += res.blocks[f"j{f.index}"]
-    return PguessSimpleResult(
-        value=res.value, strategy=Pid(g.d_ref, g.dout, blocks), gap=res.gap
-    )
+    blocks = np.zeros((g.n_m, g.n_n, d, d), dtype=complex)
+    blocks[:, reps] = merged
+    return PguessSimpleResult(value=value, strategy=Pid(g.d_ref, g.dout, blocks), gap=gap)
 
 
 def witness_game(cert: RoiCertificate, n_dummy: int = 64) -> GameSpec:
@@ -356,28 +356,10 @@ def pi_pguess_simple(
         "mnlji,luv->mniujv", g.ensemble, g.povm_l.effects, optimize=True
     ).reshape(g.n_m, g.n_n, g.din * g.dout, g.din * g.dout)
     score = (score + score.conj().transpose(0, 1, 3, 2)) / 2
-    strategies = enumerate_strategies(g.n_m, g.n_n)
-    d = g.din * g.dout
-    builder = ComplexSdpBuilder()
-    for f in strategies:
-        builder.add_block(f"j{f.index}", d)
-    builder.set_objective(
-        {
-            f"j{f.index}": sum(score[m, f.mapping[m]] for m in range(g.n_m))
-            for f in strategies
-        },
-        sense="max",
+    value, blocks, gap = _best_simple(
+        score, 1, g.din, g.dout, opts, "post-information benchmark"
     )
-    tp, tp_rhs = trace_preserving_stack(g.din, g.dout)
-    builder.add_constraint({f"j{f.index}": tp for f in strategies}, tp_rhs)
-    res = builder.solve(opts or GAME_OPTS).require_optimal("post-information benchmark")
-    blocks = np.zeros((g.n_m, g.n_n, d, d), dtype=complex)
-    for f in strategies:
-        for m in range(g.n_m):
-            blocks[m, f.mapping[m]] += res.blocks[f"j{f.index}"]
-    return PguessSimpleResult(
-        value=res.value, strategy=Pid(g.din, g.dout, blocks), gap=res.gap
-    )
+    return PguessSimpleResult(value=value, strategy=Pid(g.din, g.dout, blocks), gap=gap)
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,7 @@ def from_document(data: dict):
         raise DeviceFileError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if data.get("layout", "row-major") != "row-major":
         raise DeviceFileError("only row-major layout is supported")
+    _metadata(data)
     if kind == "pid":
         din = _int_field(data, "din", kind)
         dout = _int_field(data, "dout", kind)

@@ -37,7 +37,6 @@ __all__ = [
     "min_eig",
     "partial_trace",
     "phi_plus",
-    "psd_pinv_sqrt",
     "trace_norm",
 ]
 
@@ -166,33 +165,6 @@ def eig_hermitian(m: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndar
             vals[i:j] = vals[order]
         i = j
     return vals, vecs
-
-
-def psd_pinv_sqrt(
-    m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Pseudo-inverse square root of a PSD matrix.
-
-    Returns ``(sqrt_pinv, support_basis, rank)`` where eigenvalues below
-    ``rank_tol`` times the largest eigenvalue are treated as zero and
-    ``support_basis`` holds the retained eigenvectors as orthonormal columns
-    (descending eigenvalue order).  Raises for significantly negative input.
-    """
-    vals, vecs = eig_hermitian(m)
-    top = float(vals[0]) if len(vals) else 0.0
-    if top <= 0.0:
-        raise ValueError("psd_pinv_sqrt requires a nonzero PSD matrix")
-    if vals[-1] < -rank_tol * top:
-        raise ValueError(
-            f"matrix has a significantly negative eigenvalue {vals[-1]:.3e}"
-        )
-    cut = rank_tol * top
-    mask = vals > cut
-    rank = int(np.count_nonzero(mask))
-    kept_vals = vals[mask]
-    kept_vecs = vecs[:, mask]
-    sqrt_pinv = (kept_vecs * (kept_vals ** -0.5)) @ kept_vecs.conj().T
-    return sqrt_pinv, kept_vecs, rank
 
 
 def phi_plus(d: int) -> np.ndarray:

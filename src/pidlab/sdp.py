@@ -25,13 +25,16 @@ correction for the primal residual that forming its direction leaves behind
 (which keeps problems near the boundary of the cone primal feasible), by
 blocked forward and back substitution; ``H^-1`` is never formed (as in
 SDPT3, Toh, Todd and Tutuncu, 1999).  A solve that runs out of iterations
-reports :attr:`SdpStatus.MAX_ITER`.  Everything is deterministic, so
-identical inputs produce identical iterates.
+reports :attr:`SdpStatus.MAX_ITER`, with the residuals of the iterate it
+returns.  Everything is deterministic, so identical inputs produce identical
+iterates.
 
 Complex Hermitian problems are handled by :class:`ComplexSdpBuilder`, which
 embeds every Hermitian matrix ``H = P + iQ`` as the real symmetric matrix
 ``[[P, -Q], [Q, P]]`` (doubling traces and eigenvalue multiplicities) and
-undoes the doubling when reporting values.
+undoes the doubling when reporting values.  :func:`best_instrument` is the
+one instrument program built on it: maximize ``sum_k Tr[Z_k J_k]`` over
+trace-preserving instruments.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
     "SdpSolution",
     "SdpStatus",
     "SolveOptions",
+    "best_instrument",
     "embed_complex",
     "hermitian_basis",
     "solve",
@@ -380,17 +384,19 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     b_scale = 1.0 + float(np.max(np.abs(b)))
     c_scale = 1.0 + max(max_abs(grp.c) for grp in groups)
 
-    status = SdpStatus.MAX_ITER
-    it = 0
-    pres = dres = np.inf
-    for it in range(1, opts.max_iter + 1):
+    def residuals(x, s, y):
+        """Primal and dual residuals of an iterate, and their scaled maxima."""
         rp = b - apply_a(x)
         rd = [grp.c - grp.apply_at(y) - sg for grp, sg in zip(groups, s)]
+        return rp, rd, float(np.max(np.abs(rp))) / b_scale, max(max_abs(r) for r in rd) / c_scale
+
+    status = SdpStatus.MAX_ITER
+    it = 0
+    for it in range(1, opts.max_iter + 1):
+        rp, rd, pres, dres = residuals(x, s, y)
         mu = inner(x, s) / ntot
         pobj = inner((grp.c for grp in groups), x)
         dobj = float(b @ y)
-        pres = float(np.max(np.abs(rp))) / b_scale
-        dres = max(max_abs(r) for r in rd) / c_scale
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
 
         if pres <= opts.feas_tol and dres <= opts.feas_tol and (
@@ -471,6 +477,8 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         s = [_sym(sg + ad * d) for sg, d in zip(s, ds)]
         y = y + ad * dy
 
+    # reported for the iterate returned, which has moved on if the loop ran out
+    _, _, pres, dres = residuals(x, s, y)
     pobj = inner((grp.c for grp in groups), x)
     dobj = float(b @ y)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj))
@@ -612,3 +620,22 @@ class ComplexSdpResult:
         if self.status is not SdpStatus.OPTIMAL:
             raise ArithmeticError(f"{what} did not reach optimality: {self.status.value}")
         return self
+
+
+def best_instrument(
+    zs, din: int, dout: int, opts: SolveOptions | None = None, what: str = "instrument"
+) -> tuple[float, np.ndarray, float]:
+    """Maximize ``sum_k Tr[Z_k J_k]`` over instruments ``din -> dout``, one branch per ``Z_k``.
+
+    Returns the optimum, the branch Choi matrices ``(n, din*dout, din*dout)`` and the
+    relative gap; raises ``ArithmeticError`` naming ``what`` unless the solve is optimal.
+    """
+    names = [f"j{k}" for k in range(len(zs))]
+    builder = ComplexSdpBuilder()
+    for name in names:
+        builder.add_block(name, din * dout)
+    builder.set_objective(dict(zip(names, zs)), sense="max")
+    tp, tp_rhs = trace_preserving_stack(din, dout)
+    builder.add_constraint(dict.fromkeys(names, tp), tp_rhs)
+    res = builder.solve(opts).require_optimal(what)
+    return res.value, np.stack([res.blocks[name] for name in names]), res.gap

@@ -36,7 +36,7 @@ from .linalg import (
     choi_trace_map,
     link_product,
 )
-from .sdp import ComplexSdpBuilder, SolveOptions, trace_preserving_stack
+from .sdp import SolveOptions, best_instrument
 
 __all__ = [
     "SeesawResult",
@@ -451,33 +451,6 @@ def _seesaw_grad(p: Pid, g: GameSpec, f: FreeSimulation, wrt: str) -> np.ndarray
     )
 
 
-def _channel_sdp(z: np.ndarray, din: int, dout: int, opts: SolveOptions) -> np.ndarray:
-    """Maximize Tr[Z J] over Choi matrices of channels din -> dout."""
-    builder = ComplexSdpBuilder()
-    d = din * dout
-    builder.add_block("j", d)
-    builder.set_objective({"j": z}, sense="max")
-    tp, tp_rhs = trace_preserving_stack(din, dout)
-    builder.add_constraint({"j": tp}, tp_rhs)
-    res = builder.solve(opts).require_optimal("channel step")
-    return res.blocks["j"]
-
-
-def _instrument_sdp(
-    zs: list[np.ndarray], din: int, dout: int, opts: SolveOptions
-) -> list[np.ndarray]:
-    """Maximize sum_k Tr[Z_k J_k] over instruments din -> dout."""
-    builder = ComplexSdpBuilder()
-    d = din * dout
-    for k in range(len(zs)):
-        builder.add_block(f"j{k}", d)
-    builder.set_objective({f"j{k}": z for k, z in enumerate(zs)}, sense="max")
-    tp, tp_rhs = trace_preserving_stack(din, dout)
-    builder.add_constraint({f"j{k}": tp for k in range(len(zs))}, tp_rhs)
-    res = builder.solve(opts).require_optimal("instrument step")
-    return [res.blocks[f"j{k}"] for k in range(len(zs))]
-
-
 def _clean_table(t: np.ndarray) -> np.ndarray:
     t = np.clip(t, 0.0, None)
     sums = t.sum(axis=0, keepdims=True)
@@ -547,10 +520,14 @@ def seesaw_pguess(
             f = _replace_tables(f, p_t=new_p)
             # quantum updates
             zf = _grad_to_score_matrix_pre(_seesaw_grad(p, game, f, "pre"), shape)
-            j_pre = _channel_sdp(zf, shape.target_din, shape.source_din * side, opts)
-            f = _replace_pre(f, j_pre)
+            _, j_pre, _ = best_instrument(
+                [zf], shape.target_din, shape.source_din * side, opts, "channel step"
+            )
+            f = _replace_pre(f, j_pre[0])
             zks = _grad_to_score_matrices_post(_seesaw_grad(p, game, f, "post"), shape)
-            jks = _instrument_sdp(zks, shape.source_dout * side, shape.target_dout, opts)
+            _, jks, _ = best_instrument(
+                zks, shape.source_dout * side, shape.target_dout, opts, "instrument step"
+            )
             f = _replace_post(f, jks)
             new_value = game_value(game, apply_free_simulation(f, p))
             if new_value <= value + 1e-8:
@@ -611,7 +588,7 @@ def _replace_pre(f: FreeSimulation, j_pre: np.ndarray) -> FreeSimulation:
     return FreeSimulation(shape=s, pre=pre, post=f.post, p_cc=f.p_cc, q_cc=f.q_cc)
 
 
-def _replace_post(f: FreeSimulation, jks: list[np.ndarray]) -> FreeSimulation:
+def _replace_post(f: FreeSimulation, jks: np.ndarray) -> FreeSimulation:
     s = f.shape
     din = s.source_dout * s.side_dim
     post = Instrument(tuple(ChoiMatrix(din, s.target_dout, j) for j in jks))

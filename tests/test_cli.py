@@ -116,6 +116,17 @@ class TestRoundTrip:
         with pytest.raises(io.DeviceFileError):
             io.read_device(str(p))
 
+    def test_metadata_must_be_an_object(self, tmp_path, capsys):
+        fixture = os.path.join(os.path.dirname(__file__), "fixtures", "xz_pair.json")
+        data = json.load(open(fixture, encoding="utf-8"))
+        data["metadata"] = 5
+        p = tmp_path / "bad_metadata.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(io.DeviceFileError, match="metadata"):
+            io.read_device(str(p))
+        assert main(["validate", str(p)]) == 2
+        assert "metadata must be an object" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_validate_good_and_bad(self, files, capsys):
@@ -257,6 +268,21 @@ def test_single_dimension_devices(flag, capsys, tmp_path):
     for cmd in ("witness", "sem"):
         assert main(["--json", cmd, path]) == 0, cmd
         capsys.readouterr()
+
+
+def test_strategy_cap_plus_one(capsys, tmp_path):
+    # 2^13 = 8192 response functions, one past STRATEGY_CAP: refused before any solve
+    path = str(tmp_path / "device.json")
+    assert main(["sample", "pid", "--programs", "13", "--outcomes", "2", "--out", path]) == 0
+    capsys.readouterr()
+    for cmd in ("roi", "simplicity", "witness", "sem"):
+        assert main([cmd, path]) == 2, cmd
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cap of 4096" in captured.err and "Traceback" not in captured.err
+        assert main(["--json", cmd, path]) == 2, cmd
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == 2 and "cap of 4096" in err["message"]
 
 
 def test_roi_runs_without_scipy():

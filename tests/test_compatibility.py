@@ -10,13 +10,16 @@ from pidlab.compatibility import (
     ROI_AGREE_TOL,
     build_incoherent_extension,
     enumerate_strategies,
+    gather_responses,
     is_compatible_pmd,
     is_simple_pid,
     readout_pmd,
+    response_maps,
     roi,
     roi_dual,
     roi_pmd,
     roi_primal,
+    scatter_responses,
     verify_roi_certificate,
     witness_value,
 )
@@ -402,3 +405,32 @@ class TestFaithfulness:
 def test_strategy_cap():
     with pytest.raises(ValueError):
         enumerate_strategies(4, 16)
+
+
+def _gather_loop(strategies, blocks):
+    """``sum_x0 blocks[x0, f(x0)]`` per response, as a Python loop."""
+    return np.stack([sum(blocks[x0, x1] for x0, x1 in enumerate(f.mapping)) for f in strategies])
+
+
+def _scatter_loop(strategies, per_f, n_programs, n_outcomes):
+    """``out[x0, f(x0)] += per_f[f]`` over responses in order, as a Python loop."""
+    out = np.zeros((n_programs, n_outcomes, *per_f.shape[1:]), dtype=per_f.dtype)
+    for f in strategies:
+        for x0 in range(n_programs):
+            out[x0, f.mapping[x0]] += per_f[f.index]
+    return out
+
+
+@pytest.mark.parametrize("n_programs, n_outcomes", [(1, 1), (1, 3), (2, 2), (3, 2), (2, 4)])
+def test_response_table_matches_loops(n_programs, n_outcomes):
+    rng = np.random.default_rng(np.random.Philox(48))
+    strategies = enumerate_strategies(n_programs, n_outcomes)
+    maps = response_maps(strategies)
+    assert maps.shape == (len(strategies), n_programs)
+    assert [tuple(row) for row in maps.tolist()] == [f.mapping for f in strategies]
+    blocks = rng.standard_normal((n_programs, n_outcomes, 3, 3, 2)) @ [1.0, 1j]
+    got = gather_responses(maps, blocks)
+    assert got.tobytes() == _gather_loop(strategies, blocks).tobytes()
+    per_f = rng.standard_normal((len(strategies), 3, 3, 2)) @ [1.0, 1j]
+    got = scatter_responses(maps, per_f, n_outcomes)
+    assert got.tobytes() == _scatter_loop(strategies, per_f, n_programs, n_outcomes).tobytes()

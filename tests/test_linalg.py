@@ -14,7 +14,6 @@ from pidlab.linalg import (
     max_abs,
     partial_trace,
     phi_plus,
-    psd_pinv_sqrt,
 )
 
 RNG = np.random.default_rng(np.random.Philox(7))
@@ -27,12 +26,6 @@ def rand_complex(rng, *shape):
 def rand_hermitian(rng, n):
     a = rand_complex(rng, n, n)
     return (a + a.conj().T) / 2
-
-
-def rand_psd(rng, n, rank=None):
-    k = rank or n
-    a = rand_complex(rng, n, k)
-    return a @ a.conj().T
 
 
 def rand_kraus_channel(rng, din, dout, n_env):
@@ -123,32 +116,6 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestPsdPinvSqrt:
-    def test_identity(self):
-        b, basis, rank = psd_pinv_sqrt(np.eye(2))
-        assert rank == 2
-        assert np.allclose(b, np.eye(2))
-
-    def test_rank_one(self):
-        b, basis, rank = psd_pinv_sqrt(np.diag([4.0, 0.0]))
-        assert rank == 1
-        assert np.allclose(b, np.diag([0.5, 0.0]))
-        assert np.allclose(np.abs(basis[:, 0]), [1.0, 0.0])
-
-    def test_projector_identity_oracle(self):
-        rng = np.random.default_rng(np.random.Philox(16))
-        for _ in range(20):
-            m = rand_psd(rng, 4, rank=2)
-            b, basis, rank = psd_pinv_sqrt(m)
-            assert rank == 2
-            proj = basis @ basis.conj().T
-            assert max_abs(b @ m @ b - proj) <= 1e-8
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            psd_pinv_sqrt(np.diag([1.0, -0.5]))
 
 
 class TestApplyChoi:

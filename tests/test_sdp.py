@@ -126,6 +126,16 @@ class TestSolveBasics:
         assert sol.status is SdpStatus.MAX_ITER
         assert sol.iterations == 2
 
+    def test_iteration_cap_reports_returned_iterate(self):
+        c = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.3], [0.0, 0.3, -1.0]])
+        a_rows, rhs = [np.eye(3), np.diag([1.0, -1.0, 0.0])], np.array([1.0, 0.2])
+        p = _single_block_problem(c, a_rows, rhs)
+        for cap in (1, 2):
+            sol = solve(p, SolveOptions(max_iter=cap))
+            assert sol.status is SdpStatus.MAX_ITER
+            rp = rhs - [np.sum(a * sol.primal_blocks[0]) for a in a_rows]
+            assert abs(sol.primal_residual - np.max(np.abs(rp)) / 2.0) <= 1e-15
+
     def test_deterministic(self):
         rng = np.random.default_rng(np.random.Philox(33))
         c = rand_sym(rng, 3)
@@ -465,6 +475,27 @@ class TestSharedStacks:
             assert one.status is rows.status is SdpStatus.OPTIMAL
             assert abs(one.value - rows.value) <= 1e-9
             assert one.iterations == rows.iterations
+
+    def test_best_instrument_matches_single_rows(self, monkeypatch):
+        iterations = []
+
+        def counting(problem, opts=None):
+            sol = solve(problem, opts)
+            iterations.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(sdp, "solve", counting)
+        rng = np.random.default_rng(np.random.Philox(47))
+        for din, dout, n in ((2, 2, 1), (2, 2, 3), (3, 2, 2), (2, 3, 4)):
+            zs = [_rand_herm(rng, din * dout) for _ in range(n)]
+            value, js, _ = sdp.best_instrument(zs, din, dout)
+            rows = _instrument_value(zs, din, dout, stacked=False)
+            assert rows.status is SdpStatus.OPTIMAL
+            assert abs(value - rows.value) <= 1e-9
+            assert iterations[-2] == rows.iterations
+            assert js.shape == (n, din * dout, din * dout)
+        with pytest.raises(ArithmeticError, match="channel step"):
+            sdp.best_instrument(zs[:1], din, dout, SolveOptions(max_iter=1), "channel step")
 
     @staticmethod
     def chain(cs, flip):
