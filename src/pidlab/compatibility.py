@@ -37,7 +37,7 @@ import numpy as np
 
 from .devices import Instrument, Pid, Pmd, Povm, pid_from_pmd
 from .linalg import ChoiMatrix, max_abs, min_eig, partial_trace
-from .sdp import ComplexSdpBuilder, SolveOptions, hermitian_basis
+from .sdp import ComplexSdpBuilder, SolveOptions, hermitian_basis, kron_stack, traceless_basis
 
 __all__ = [
     "DeterministicStrategy",
@@ -137,48 +137,32 @@ class RoiCertificate:
     dout: int = 0
 
 
-def _traceless_basis(n: int) -> np.ndarray:
-    """Hermitian basis ``(n*n - 1, n, n)`` of the traceless matrices: ``(E_00 - E_kk)/sqrt 2``
-    and the off-diagonal elements of :func:`hermitian_basis`."""
-    h = np.stack(hermitian_basis(n))
-    return np.concatenate([(h[:1] - h[1:n]) / np.sqrt(2.0), h[n:]])
-
-
 def roi_primal(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
     """Robustness via the primal program; the dual certificate is read off the multipliers."""
     strategies = enumerate_strategies(p.n_programs, p.n_outcomes)
     maps = response_maps(strategies)
-    etas = [f"eta{f}" for f in range(len(maps))]
     d = p.block_dim
     din = p.din
-    builder = ComplexSdpBuilder()
-    for name in etas:
-        builder.add_block(name, d)
-    for x0 in range(p.n_programs):
-        for x1 in range(p.n_outcomes):
-            builder.add_block(f"slack{x0}_{x1}", d)
-    builder.set_objective(
-        {name: np.eye(d, dtype=complex) / din for name in etas},
-        constant=-1.0,
-    )
+    builder = ComplexSdpBuilder(d)
+    etas = builder.add_blocks(len(maps))
+    slacks = builder.add_blocks(p.n_programs * p.n_outcomes).reshape(p.n_programs, p.n_outcomes)
+    builder.set_objective(dict.fromkeys(etas, np.eye(d, dtype=complex) / din), constant=-1.0)
     # one statement per (x0, x1): the covering response blocks minus the
     # slack equal J_{x1|x0}, over the whole Hermitian basis
-    basis = np.stack(hermitian_basis(d))
+    basis = hermitian_basis(d)
     neg_basis = -basis
     for x0 in range(p.n_programs):
         for x1 in range(p.n_outcomes):
-            row = {etas[f]: basis for f in np.flatnonzero(maps[:, x0] == x1)}
-            row[f"slack{x0}_{x1}"] = neg_basis
+            row = dict.fromkeys(etas[maps[:, x0] == x1], basis)
+            row[slacks[x0, x1]] = neg_basis
             builder.add_constraint(
                 row, np.einsum("kpq,pq->k", basis.conj(), p.blocks[x0, x1]).real
             )
-    if din > 1:
-        eye_out = np.eye(p.dout, dtype=complex)
-        traceless = np.stack([np.kron(h, eye_out) for h in _traceless_basis(din)])
-        builder.add_constraint(dict.fromkeys(etas, traceless), np.zeros(len(traceless)))
+    traceless = kron_stack(traceless_basis(din), np.eye(p.dout)[None])
+    builder.add_constraint(dict.fromkeys(etas, traceless), np.zeros(len(traceless)))
     res = builder.solve(opts or ROI_OPTS).require_optimal("robustness primal")
 
-    eta = np.stack([res.blocks[name] for name in etas])
+    eta = res.primal_blocks[etas]
     t = float(np.real(eta.sum(axis=0).trace())) / din
     r = max(t - 1.0, -1e-8)
     omega = scatter_responses(maps, eta, p.n_outcomes)
@@ -191,14 +175,7 @@ def roi_primal(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
 
     # dual certificate from the multipliers: the slack blocks' reduced costs are
     # the block functionals, and any response block exposes beta (x) 1.
-    alpha_raw = np.stack(
-        [
-            np.stack(
-                [res.dual_slacks[f"slack{x0}_{x1}"] for x1 in range(p.n_outcomes)]
-            )
-            for x0 in range(p.n_programs)
-        ]
-    )
+    alpha_raw = res.dual_slacks[slacks]
     t0 = res.dual_slacks[etas[0]] + gather_responses(maps[:1], alpha_raw)[0]
     b_op = partial_trace(t0, (din, p.dout), keep=(0,)) / p.dout
     scale = din * p.n_programs
@@ -226,53 +203,39 @@ def roi_dual(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
     maps = response_maps(enumerate_strategies(p.n_programs, p.n_outcomes))
     d = p.block_dim
     din, dout = p.din, p.dout
-    builder = ComplexSdpBuilder()
-    for x0 in range(p.n_programs):
-        for x1 in range(p.n_outcomes):
-            builder.add_block(f"alpha{x0}_{x1}", d)
-    for f in range(len(maps)):
-        builder.add_block(f"w{f}", d)
+    builder = ComplexSdpBuilder(d)
+    alphas = builder.add_blocks(p.n_programs * p.n_outcomes).reshape(p.n_programs, p.n_outcomes)
+    ws = builder.add_blocks(len(maps))
     builder.set_objective(
-        {
-            f"alpha{x0}_{x1}": p.blocks[x0, x1] / (din * p.n_programs)
-            for x0 in range(p.n_programs)
-            for x1 in range(p.n_outcomes)
-        },
+        dict(zip(alphas.ravel(), p.blocks.reshape(-1, d, d) / (din * p.n_programs))),
         constant=-1.0,
         sense="max",
     )
     # W_f + sum_x0 alpha_{f(x0)|x0} is the same for every f: each row states
     # W_f - W_f0 plus the alphas where f and f0 differ, over the Hermitian basis
-    basis = np.stack(hermitian_basis(d))
+    basis = hermitian_basis(d)
     neg_basis = -basis
     for f in range(1, len(maps)):
-        row = {f"w{f}": basis, "w0": neg_basis}
+        row = {ws[f]: basis, ws[0]: neg_basis}
         for x0 in np.flatnonzero(maps[f] != maps[0]):
-            row[f"alpha{x0}_{maps[f, x0]}"] = basis
-            row[f"alpha{x0}_{maps[0, x0]}"] = neg_basis
+            row[alphas[x0, maps[f, x0]]] = basis
+            row[alphas[x0, maps[0, x0]]] = neg_basis
         builder.add_constraint(row, np.zeros(len(basis)))
     # T := W_f0 + sum_x0 alpha_{f0(x0)|x0} must equal (something) (x) identity
-    t_basis = np.array(
-        [np.kron(fj, gk) for fj in hermitian_basis(din) for gk in _traceless_basis(dout)]
-    ).reshape(-1, d, d)
+    t_basis = kron_stack(hermitian_basis(din), traceless_basis(dout))
     eye_d = np.eye(d, dtype=complex)[None]
     for mats, rhs in ((t_basis, 0.0), (eye_d, float(din * p.n_programs * dout))):
-        row = {"w0": mats}
-        row.update({f"alpha{x0}_{x1}": mats for x0, x1 in enumerate(maps[0])})
+        row = dict.fromkeys(alphas[np.arange(p.n_programs), maps[0]], mats)
+        row[ws[0]] = mats
         builder.add_constraint(row, np.full(len(mats), rhs))
 
     res = builder.solve(opts or ROI_OPTS).require_optimal("robustness dual")
-    alpha = np.stack(
-        [
-            np.stack([res.blocks[f"alpha{x0}_{x1}"] for x1 in range(p.n_outcomes)])
-            for x0 in range(p.n_programs)
-        ]
-    )
-    t0 = res.blocks["w0"] + gather_responses(maps[:1], alpha)[0]
+    alpha = res.primal_blocks[alphas]
+    t0 = res.primal_blocks[ws[0]] + gather_responses(maps[:1], alpha)[0]
     b_op = partial_trace(t0, (din, dout), keep=(0,)) / dout
     beta = np.stack([b_op / p.n_programs for _ in range(p.n_programs)])
     return RoiCertificate(
-        r=res.value, gap=res.gap, alpha=alpha, beta=beta, dual_r=res.value,
+        r=res.primal_value, gap=res.gap, alpha=alpha, beta=beta, dual_r=res.primal_value,
         din=p.din, dout=p.dout,
     )
 
@@ -360,14 +323,7 @@ def verify_roi_certificate(
         # The noise must be a device: checked on r * noise = (1+r) simple_mix - J,
         # since dividing by r would magnify the solver's error by 1/r.
         scaled_noise = (1.0 + cert.r) * cert.simple_mix.blocks - p.blocks
-        out["noise_psd"] = max(
-            0.0,
-            max(
-                -min_eig(scaled_noise[x0, x1])
-                for x0 in range(p.n_programs)
-                for x1 in range(p.n_outcomes)
-            ),
-        )
+        out["noise_psd"] = max(0.0, -min_eig(scaled_noise))
         out["noise_tp"] = max(
             max_abs(
                 partial_trace(scaled_noise[x0].sum(axis=0), (p.din, p.dout), keep=(0,))
@@ -376,25 +332,17 @@ def verify_roi_certificate(
             for x0 in range(p.n_programs)
         )
     if cert.alpha is not None:
-        out["alpha_psd"] = max(
-            0.0,
-            max(
-                -min_eig(cert.alpha[x0, x1])
-                for x0 in range(p.n_programs)
-                for x1 in range(p.n_outcomes)
-            ),
-        )
+        out["alpha_psd"] = max(0.0, -min_eig(cert.alpha))
         assert cert.beta is not None
         out["beta_trace"] = abs(
             sum(float(np.real(np.trace(cert.beta[x0]))) for x0 in range(p.n_programs))
             - p.din * p.n_programs
         )
         # sum_x0 (beta_x0 (x) 1 - alpha_{f(x0)|x0}) for every f, one batched eigvalsh
-        kron_beta = np.stack([np.kron(b, np.eye(p.dout)) for b in cert.beta])
+        kron_beta = kron_stack(cert.beta, np.eye(p.dout)[None])
         maps = response_maps(enumerate_strategies(p.n_programs, p.n_outcomes))
         acc = gather_responses(maps, kron_beta[:, None] - cert.alpha)
-        lam = np.linalg.eigvalsh((acc + acc.conj().swapaxes(1, 2)) / 2)[:, 0]
-        out["dual_family_psd"] = max(0.0, -float(lam.min()))
+        out["dual_family_psd"] = max(0.0, -min_eig(acc))
         if cert.dual_r is not None:
             out["dual_value_consistency"] = abs(witness_value(cert.alpha, p) - cert.dual_r)
     return out

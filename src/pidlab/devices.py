@@ -145,11 +145,7 @@ class Pmd:
         return self.effects.shape[2]
 
     def cp_defect(self) -> float:
-        return max(
-            0.0,
-            max(-min_eig(self.effects[x0, x1]) for x0 in range(self.n_programs)
-                for x1 in range(self.n_outcomes)),
-        )
+        return max(0.0, -min_eig(self.effects))
 
     def completeness_defect(self) -> float:
         eye = np.eye(self.dim)
@@ -191,7 +187,7 @@ class Povm:
         return self.effects.shape[1]
 
     def cp_defect(self) -> float:
-        return max(0.0, max(-min_eig(e) for e in self.effects))
+        return max(0.0, -min_eig(self.effects))
 
     def completeness_defect(self) -> float:
         return max_abs(self.effects.sum(axis=0) - np.eye(self.dim))
@@ -230,7 +226,7 @@ class Instrument:
         return sum(b.mat for b in self.branches)
 
     def cp_defect(self) -> float:
-        return max(0.0, max(-min_eig(b.mat) for b in self.branches))
+        return max(0.0, -min_eig(np.stack([b.mat for b in self.branches])))
 
     def tp_defect(self) -> float:
         marg = partial_trace(self.total(), (self.din, self.dout), keep=(0,))
@@ -375,14 +371,7 @@ def validate_pid(p: Pid) -> PidValidationReport:
     coarse-grained channels of two programs; the other defects are the most
     negative block eigenvalue and the deviation of the marginal from identity.
     """
-    cp = max(
-        0.0,
-        max(
-            -min_eig(p.blocks[x0, x1])
-            for x0 in range(p.n_programs)
-            for x1 in range(p.n_outcomes)
-        ),
-    )
+    cp = max(0.0, -min_eig(p.blocks))
     margs = [p.marginal(x0) for x0 in range(p.n_programs)]
     ns = 0.0
     for a in range(len(margs)):

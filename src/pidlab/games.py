@@ -85,14 +85,7 @@ class GameSpec:
         return max_abs(self.effects.sum(axis=(0, 1)) - np.eye(d))
 
     def cp_defect(self) -> float:
-        return max(
-            0.0,
-            max(
-                -min_eig(self.effects[m, n])
-                for m in range(self.n_m)
-                for n in range(self.n_n)
-            ),
-        )
+        return max(0.0, -min_eig(self.effects))
 
     def is_valid(self, tol: float = 1e-9) -> bool:
         return self.cp_defect() <= tol and self.completeness_defect() <= tol
@@ -321,8 +314,7 @@ class PiGameSpec:
         return float(np.real(np.einsum("mnlpp->", self.ensemble)))
 
     def cp_defect(self) -> float:
-        flat = self.ensemble.reshape(-1, self.din, self.din)
-        return max(0.0, max(-min_eig(s) for s in flat))
+        return max(0.0, -min_eig(self.ensemble))
 
     def is_valid(self, tol: float = 1e-9) -> bool:
         return self.cp_defect() <= tol and abs(self.total_probability() - 1.0) <= tol
@@ -415,13 +407,11 @@ class DualFrameSolver:
         f_basis = hermitian_basis(d0)
         t = targets.reshape(lead + (d0, d1, d0, d1))
         # coefficients D[..., j, i] = <F_j (x) H_i, target>
-        fd = np.stack([f.conj() for f in f_basis])
-        hd = np.stack([h.conj() for h in self._basis])
+        fd, hd = f_basis.conj(), self._basis.conj()
         coeff = np.real(np.einsum("jab,icd,...acbd->...ji", fd, hd, t, optimize=True))
         x = np.einsum("...ji,li,lk->...jk", coeff, self._coords, self._gram_pinv, optimize=True)
         # operators mu[..., l] = sum_j X[..., j, l] F_j
-        fmats = np.stack(f_basis)
-        mu = np.einsum("...jl,jab->...lab", x, fmats, optimize=True)
+        mu = np.einsum("...jl,jab->...lab", x, f_basis, optimize=True)
         recon = np.einsum("...lab,lcd->...acbd", mu, self._povm.effects, optimize=True)
         residual = float(np.max(np.abs(recon.reshape(targets.shape) - targets)))
         return DualFrame(operators=mu, povm=self._povm, residual=residual)

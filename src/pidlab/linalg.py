@@ -109,8 +109,8 @@ def trace_norm(a: np.ndarray) -> float:
 
 
 def min_eig(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a (numerically) Hermitian matrix."""
-    return float(np.linalg.eigvalsh((h + h.conj().T) / 2)[0])
+    """Smallest eigenvalue of a (numerically) Hermitian matrix, or over a stack ``(..., n, n)``."""
+    return float(np.linalg.eigvalsh((h + h.conj().swapaxes(-1, -2)) / 2)[..., 0].min())
 
 
 def _canonical_phase(vecs: np.ndarray, mag_tol: float = 1e-8) -> np.ndarray:

@@ -29,17 +29,21 @@ reports :attr:`SdpStatus.MAX_ITER`, with the residuals of the iterate it
 returns.  Everything is deterministic, so identical inputs produce identical
 iterates.
 
-Complex Hermitian problems are handled by :class:`ComplexSdpBuilder`, which
-embeds every Hermitian matrix ``H = P + iQ`` as the real symmetric matrix
-``[[P, -Q], [Q, P]]`` (doubling traces and eigenvalue multiplicities) and
-undoes the doubling when reporting values.  :func:`best_instrument` is the
-one instrument program built on it: maximize ``sum_k Tr[Z_k J_k]`` over
-trace-preserving instruments.
+Complex Hermitian problems are handled by :class:`ComplexSdpBuilder`, over
+blocks of one size named by integer handles.  It embeds every Hermitian
+matrix ``H = P + iQ`` as the real symmetric matrix ``[[P, -Q], [Q, P]]``
+(doubling traces and eigenvalue multiplicities), undoes the doubling when
+reporting values, and returns the same :class:`SdpSolution` with its blocks
+as complex stacks indexed by handle.  Bases for matrix constraints come from
+:func:`hermitian_basis`, :func:`traceless_basis` and their Kronecker
+products, :func:`kron_stack`.  :func:`best_instrument` is the one instrument
+program built on it: maximize ``sum_k Tr[Z_k J_k]`` over trace-preserving
+instruments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -57,8 +61,9 @@ __all__ = [
     "best_instrument",
     "embed_complex",
     "hermitian_basis",
+    "kron_stack",
     "solve",
-    "trace_preserving_stack",
+    "traceless_basis",
     "unembed_complex",
 ]
 
@@ -161,16 +166,29 @@ def _check_mats(stack: np.ndarray, dim: int, what: str) -> None:
 
 @dataclass
 class SdpSolution:
+    """Primal-dual result of a solve.
+
+    From :func:`solve`, ``primal_blocks`` and ``dual_slacks`` are lists with
+    one real matrix per block; from :meth:`ComplexSdpBuilder.solve` they are
+    complex ``(n, cdim, cdim)`` stacks indexed by block handle.
+    """
+
     status: SdpStatus
     primal_value: float
     dual_value: float
-    primal_blocks: list[np.ndarray]
+    primal_blocks: list[np.ndarray] | np.ndarray
     dual_multipliers: np.ndarray
-    dual_slacks: list[np.ndarray]
+    dual_slacks: list[np.ndarray] | np.ndarray
     gap: float
     iterations: int
     primal_residual: float
     dual_residual: float
+
+    def require_optimal(self, what: str = "SDP") -> "SdpSolution":
+        """Return ``self``; raise ``ArithmeticError`` naming ``what`` unless optimal."""
+        if self.status is not SdpStatus.OPTIMAL:
+            raise ArithmeticError(f"{what} did not reach optimality: {self.status.value}")
+        return self
 
 
 def embed_complex(h: np.ndarray) -> np.ndarray:
@@ -188,43 +206,50 @@ def embed_complex(h: np.ndarray) -> np.ndarray:
 
 
 def unembed_complex(x: np.ndarray) -> np.ndarray:
-    """Project a ``2n x 2n`` real symmetric matrix back to Hermitian ``n x n``."""
-    n2 = x.shape[0]
+    """Project ``2n x 2n`` real symmetric matrices, one or a stack, back to Hermitian ``n x n``."""
+    n2 = x.shape[-1]
     if n2 % 2:
         raise ValueError("embedded matrix must have even dimension")
     n = n2 // 2
-    p = (x[:n, :n] + x[n:, n:]) / 2
-    q = (x[n:, :n] - x[:n, n:]) / 2
+    p = (x[..., :n, :n] + x[..., n:, n:]) / 2
+    q = (x[..., n:, :n] - x[..., :n, n:]) / 2
     return hermitize(p + 1j * q, tol=1e-8)
 
 
-def hermitian_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of n x n Hermitian matrices, diagonal first."""
-    basis = []
-    for k in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[k, k] = 1.0
-        basis.append(e)
+def hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal (Frobenius) basis ``(n*n, n, n)`` of n x n Hermitian matrices.
+
+    The diagonal units come first, then for each ``k < l`` the real and the
+    imaginary off-diagonal pair ``(E_kl + E_lk)/sqrt 2``, ``i(E_lk - E_kl)/sqrt 2``.
+    """
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    diag = np.arange(n)
+    basis[diag, diag, diag] = 1.0
+    k, l = np.triu_indices(n, 1)
+    pos = n + 2 * np.arange(len(k))
     s = 1.0 / np.sqrt(2.0)
-    for k in range(n):
-        for l in range(k + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[k, l] = s
-            e[l, k] = s
-            basis.append(e)
-            f = np.zeros((n, n), dtype=complex)
-            f[k, l] = -1j * s
-            f[l, k] = 1j * s
-            basis.append(f)
+    basis[pos, k, l] = basis[pos, l, k] = s
+    basis[pos + 1, k, l] = -1j * s
+    basis[pos + 1, l, k] = 1j * s
     return basis
 
 
-def trace_preserving_stack(din: int, dout: int) -> tuple[np.ndarray, np.ndarray]:
-    """``Tr_out J = 1`` over :func:`hermitian_basis` ``(din)``: the stack of
-    ``np.kron(h, np.eye(dout))``, shape ``(din**2, din*dout, din*dout)``, and the ``Tr h``."""
-    h = np.stack(hermitian_basis(din))
-    stack = h[:, :, None, :, None] * np.eye(dout)[None, None, :, None, :]
-    return stack.reshape(-1, din * dout, din * dout), np.trace(h, axis1=1, axis2=2).real
+def traceless_basis(n: int) -> np.ndarray:
+    """Basis ``(n*n - 1, n, n)`` of the traceless Hermitian matrices: ``(E_00 - E_kk)/sqrt 2``
+    and the off-diagonal elements of :func:`hermitian_basis`.
+
+    Every element has unit norm; the diagonal ones overlap by 1/2, so the basis is
+    orthonormal only for ``n <= 2``.
+    """
+    h = hermitian_basis(n)
+    return np.concatenate([(h[:1] - h[1:n]) / np.sqrt(2.0), h[n:]])
+
+
+def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a[i], b[j])`` for every pair, ``i`` major, from stacks ``a`` and ``b``."""
+    (na, p, r), (nb, q, s) = np.shape(a), np.shape(b)
+    out = np.asarray(a)[:, None, :, None, :, None] * np.asarray(b)[None, :, None, :, None, :]
+    return out.reshape(na * nb, p * q, r * s)
 
 
 # ---------------------------------------------------------------------------
@@ -508,68 +533,70 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
 
 
 class ComplexSdpBuilder:
-    """Assemble an SDP over complex Hermitian PSD blocks.
+    """Assemble an SDP over complex Hermitian PSD blocks of one size ``cdim``.
 
-    Matrices are embedded into real symmetric blocks; right-hand sides and
-    the reported optimum are rescaled so values refer to the complex problem.
-    ``minimize`` is the default sense; pass ``sense="max"`` to flip.
+    :meth:`add_blocks` returns integer handles, and objectives and
+    constraints are dicts keyed by handle.  Matrices are embedded into real
+    symmetric blocks; right-hand sides and the reported optimum are rescaled
+    so values refer to the complex problem.  ``minimize`` is the default
+    sense; pass ``sense="max"`` to flip.
 
     A constraint statement states ``k`` rows at once: each block's
-    coefficient is a ``(k, d, d)`` stack, row ``i`` reading
+    coefficient is a ``(k, cdim, cdim)`` stack, row ``i`` reading
     ``sum_b <A_b[i], X_b> = rhs[i]``.  Each distinct coefficient object is
     checked and embedded once, however many blocks and statements share it,
     so a coefficient must not be changed after it is passed.
     """
 
-    def __init__(self):
-        self._dims: dict[str, int] = {}
-        self._obj: dict[str, np.ndarray] = {}
+    def __init__(self, cdim: int):
+        self.cdim = cdim
+        self._obj: dict[int, np.ndarray] = {}
         # keyed by id(); the caller's object is kept so that its id stays unique
         self._mats: dict[int, tuple[object, np.ndarray]] = {}
-        self._terms: dict[str, list[tuple[int, int]]] = {}
+        self._terms: list[list[tuple[int, int]]] = []
         self._rhs: list[np.ndarray] = []
         self._m = 0
         self._constant = 0.0
         self._sense = 1.0
 
-    def add_block(self, name: str, cdim: int) -> None:
-        if name in self._dims:
-            raise ValueError(f"duplicate block {name!r}")
-        self._dims[name] = cdim
-        self._terms[name] = []
+    def add_blocks(self, n: int) -> np.ndarray:
+        """Add ``n`` blocks and return their handles."""
+        first = len(self._terms)
+        self._terms.extend([] for _ in range(n))
+        return np.arange(first, first + n)
 
-    def _block(self, name: str) -> str:
-        if name not in self._dims:
-            raise ValueError(f"unknown block {name!r}")
-        return name
+    def _block(self, handle) -> int:
+        if not isinstance(handle, (int, np.integer)) or not 0 <= handle < len(self._terms):
+            raise ValueError(f"unknown block handle {handle!r}")
+        return int(handle)
 
     def set_objective(
-        self, coeffs: dict[str, np.ndarray], constant: float = 0.0, sense: str = "min"
+        self, coeffs: dict[int, np.ndarray], constant: float = 0.0, sense: str = "min"
     ) -> None:
         self._obj = {self._block(k): embed_complex(v) for k, v in coeffs.items()}
         self._constant = constant
         self._sense = -1.0 if sense == "max" else 1.0
 
-    def add_constraint(self, coeffs: dict[str, np.ndarray], rhs) -> None:
-        """State one row per entry of ``rhs``; a ``(d, d)`` coefficient goes with a scalar."""
+    def add_constraint(self, coeffs: dict[int, np.ndarray], rhs) -> None:
+        """State one row per entry of ``rhs``; a ``(cdim, cdim)`` coefficient takes a scalar."""
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        k = len(rhs)
-        for name, a in coeffs.items():
-            d = self._dims[self._block(name)]
+        k, d = len(rhs), self.cdim
+        for handle, a in coeffs.items():
+            block = self._block(handle)
             if id(a) not in self._mats:
                 self._mats[id(a)] = (a, embed_complex(np.reshape(a, (-1, *np.shape(a)[-2:]))))
             if self._mats[id(a)][1].shape != (k, 2 * d, 2 * d):
-                raise ValueError(f"block {name!r} needs a ({k}, {d}, {d}) coefficient")
-            self._terms[name].append((self._m, id(a)))
+                raise ValueError(f"block {block} needs a ({k}, {d}, {d}) coefficient")
+            self._terms[block].append((self._m, id(a)))
         self._rhs.append(rhs)
         self._m += k
 
-    def _column(self, name: str) -> BlockColumn:
+    def _column(self, block: int) -> BlockColumn:
         """The block's support rows and distinct embedded matrices, in statement order."""
-        d2 = 2 * self._dims[name]
+        d2 = 2 * self.cdim
         rows, index = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
         mats, offset = [np.zeros((0, d2, d2))], {}
-        for first, key in self._terms[name]:
+        for first, key in self._terms[block]:
             stack = self._mats[key][1]
             if key not in offset:
                 offset[key] = sum(map(len, mats))
@@ -578,48 +605,22 @@ class ComplexSdpBuilder:
             index.append(np.arange(offset[key], offset[key] + len(stack)))
         return BlockColumn(np.concatenate(rows), np.concatenate(index), np.concatenate(mats))
 
-    def solve(self, opts: SolveOptions | None = None) -> "ComplexSdpResult":
-        names = list(self._dims)
-        blocks = tuple((n, 2 * d) for n, d in self._dims.items())
-        obj = [self._sense * self._obj.get(n, np.zeros((d, d))) for n, d in blocks]
-        columns = [self._column(n) for n in names]
+    def solve(self, opts: SolveOptions | None = None) -> SdpSolution:
+        """Solve; values and multipliers refer to the complex problem, blocks stack by handle."""
+        n, d2 = len(self._terms), 2 * self.cdim
+        zero = np.zeros((d2, d2))
+        obj = [self._sense * self._obj.get(k, zero) for k in range(n)]
+        columns = [self._column(k) for k in range(n)]
         rhs = 2.0 * np.concatenate([np.zeros(0), *self._rhs])
-        sol = solve(SdpProblem(blocks, obj, columns=columns, rhs=rhs), opts)
-        value = self._sense * sol.primal_value / 2.0 + self._constant
-        dual_value = self._sense * sol.dual_value / 2.0 + self._constant
-        prim = {n: unembed_complex(x) for n, x in zip(names, sol.primal_blocks)}
-        slack = {n: unembed_complex(self._sense * z) for n, z in zip(names, sol.dual_slacks)}
-        return ComplexSdpResult(
-            status=sol.status,
-            value=value,
-            dual_value=dual_value,
-            blocks=prim,
-            multipliers=self._sense * sol.dual_multipliers,
-            dual_slacks=slack,
-            gap=sol.gap,
-            iterations=sol.iterations,
-            primal_residual=sol.primal_residual,
-            dual_residual=sol.dual_residual,
+        sol = solve(SdpProblem([(k, d2) for k in range(n)], obj, columns=columns, rhs=rhs), opts)
+        return replace(
+            sol,
+            primal_value=self._sense * sol.primal_value / 2.0 + self._constant,
+            dual_value=self._sense * sol.dual_value / 2.0 + self._constant,
+            primal_blocks=unembed_complex(np.stack(sol.primal_blocks)),
+            dual_multipliers=self._sense * sol.dual_multipliers,
+            dual_slacks=unembed_complex(self._sense * np.stack(sol.dual_slacks)),
         )
-
-
-@dataclass
-class ComplexSdpResult:
-    status: SdpStatus
-    value: float
-    dual_value: float
-    blocks: dict[str, np.ndarray]
-    multipliers: np.ndarray
-    dual_slacks: dict[str, np.ndarray]
-    gap: float
-    iterations: int
-    primal_residual: float
-    dual_residual: float
-
-    def require_optimal(self, what: str = "SDP") -> "ComplexSdpResult":
-        if self.status is not SdpStatus.OPTIMAL:
-            raise ArithmeticError(f"{what} did not reach optimality: {self.status.value}")
-        return self
 
 
 def best_instrument(
@@ -630,12 +631,11 @@ def best_instrument(
     Returns the optimum, the branch Choi matrices ``(n, din*dout, din*dout)`` and the
     relative gap; raises ``ArithmeticError`` naming ``what`` unless the solve is optimal.
     """
-    names = [f"j{k}" for k in range(len(zs))]
-    builder = ComplexSdpBuilder()
-    for name in names:
-        builder.add_block(name, din * dout)
-    builder.set_objective(dict(zip(names, zs)), sense="max")
-    tp, tp_rhs = trace_preserving_stack(din, dout)
-    builder.add_constraint(dict.fromkeys(names, tp), tp_rhs)
+    builder = ComplexSdpBuilder(din * dout)
+    js = builder.add_blocks(len(zs))
+    builder.set_objective(dict(zip(js, zs)), sense="max")
+    h = hermitian_basis(din)
+    tp = kron_stack(h, np.eye(dout)[None])
+    builder.add_constraint(dict.fromkeys(js, tp), np.trace(h, axis1=1, axis2=2).real)
     res = builder.solve(opts).require_optimal(what)
-    return res.value, np.stack([res.blocks[name] for name in names]), res.gap
+    return res.primal_value, res.primal_blocks, res.gap

@@ -298,3 +298,20 @@ def test_roi_runs_without_scipy():
     )
     assert res.returncode == 0, res.stderr
     assert abs(json.loads(res.stdout)["roi"] - (3 - 2 * np.sqrt(2))) <= 2e-4
+
+
+@pytest.mark.parametrize("eps", [1e-6, 5e-8, 1e-8, 0.0])
+def test_near_cutoff_marginals(eps, capsys, tmp_path):
+    # the X/Z assemblage with its output squeezed by diag(1, sqrt eps) and
+    # renormalized: one marginal eigenvalue of about eps, down to rank one
+    p = io.read_device(XZ_ASSEMBLAGE)
+    k = np.kron(np.eye(p.din), np.diag([1.0, np.sqrt(eps)]))
+    blocks = k @ p.blocks @ k
+    path = str(tmp_path / "squeezed.json")
+    io.write_device(path, Pid(p.din, p.dout, blocks / np.trace(blocks[0].sum(axis=0)).real))
+    for cmd in (["sem"], ["roi"], ["roi", "--dual"], ["witness"], ["simplicity"]):
+        code = main([cmd[0], path, *cmd[1:]])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2, 3), cmd
+        assert (captured.out + captured.err).strip(), cmd
+        assert "Traceback" not in captured.err, cmd

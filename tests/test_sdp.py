@@ -13,8 +13,9 @@ from pidlab.sdp import (
     SolveOptions,
     embed_complex,
     hermitian_basis,
+    kron_stack,
     solve,
-    trace_preserving_stack,
+    traceless_basis,
     unembed_complex,
 )
 from pidlab.sem import sem
@@ -81,6 +82,16 @@ class TestEmbedComplex:
         h = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
         with pytest.raises(ValueError):
             embed_complex(h)
+
+    def test_unembed_stack_matrix_by_matrix(self):
+        rng = np.random.default_rng(np.random.Philox(33))
+        x = rng.standard_normal((2, 3, 6, 6))
+        x = x + x.swapaxes(-1, -2)
+        stacked = unembed_complex(x)
+        assert stacked.shape == (2, 3, 3, 3)
+        for i in range(2):
+            for j in range(3):
+                assert unembed_complex(x[i, j]).tobytes() == stacked[i, j].tobytes()
 
 
 def _single_block_problem(c, a_rows, rhs):
@@ -444,19 +455,16 @@ class TestSchurPrecision:
 
 def _instrument_value(zs, din, dout, stacked):
     """Maximize sum_k Tr[Z_k J_k] over instruments; the TP rows in one statement or row by row."""
-    b = ComplexSdpBuilder()
-    for k in range(len(zs)):
-        b.add_block(f"j{k}", din * dout)
-    b.set_objective({f"j{k}": z for k, z in enumerate(zs)}, sense="max")
+    b = ComplexSdpBuilder(din * dout)
+    js = b.add_blocks(len(zs))
+    b.set_objective(dict(zip(js, zs)), sense="max")
     basis = hermitian_basis(din)
     if stacked:
         tp = np.stack([np.kron(h, np.eye(dout)) for h in basis])
-        b.add_constraint({f"j{k}": tp for k in range(len(zs))}, [np.trace(h).real for h in basis])
+        b.add_constraint(dict.fromkeys(js, tp), [np.trace(h).real for h in basis])
     else:
         for h in basis:
-            b.add_constraint(
-                {f"j{k}": np.kron(h, np.eye(dout)) for k in range(len(zs))}, np.trace(h).real
-            )
+            b.add_constraint({j: np.kron(h, np.eye(dout)) for j in js}, np.trace(h).real)
     return b.solve()
 
 
@@ -473,7 +481,7 @@ class TestSharedStacks:
             one = _instrument_value(zs, din, dout, stacked=True)
             rows = _instrument_value(zs, din, dout, stacked=False)
             assert one.status is rows.status is SdpStatus.OPTIMAL
-            assert abs(one.value - rows.value) <= 1e-9
+            assert abs(one.primal_value - rows.primal_value) <= 1e-9
             assert one.iterations == rows.iterations
 
     def test_best_instrument_matches_single_rows(self, monkeypatch):
@@ -491,7 +499,7 @@ class TestSharedStacks:
             value, js, _ = sdp.best_instrument(zs, din, dout)
             rows = _instrument_value(zs, din, dout, stacked=False)
             assert rows.status is SdpStatus.OPTIMAL
-            assert abs(value - rows.value) <= 1e-9
+            assert abs(value - rows.primal_value) <= 1e-9
             assert iterations[-2] == rows.iterations
             assert js.shape == (n, din * dout, din * dout)
         with pytest.raises(ArithmeticError, match="channel step"):
@@ -502,33 +510,34 @@ class TestSharedStacks:
         """Blocks x = y = z stated over one basis stack, unit trace on y.
 
         Block x carries the basis in both equalities, or (``flip``) the basis
-        in one and its negative in the other.
+        in one and its negative in the other.  Returns the builder and the
+        handles of x, y and z.
         """
-        basis = np.stack(hermitian_basis(2))
+        basis = hermitian_basis(2)
         neg = -basis
         zero = np.zeros(len(basis))
-        b = ComplexSdpBuilder()
-        for name in "xyz":
-            b.add_block(name, 2)
-        b.set_objective(dict(zip("xyz", cs)))
-        b.add_constraint({"x": basis, "y": neg}, zero)
-        b.add_constraint({"z": basis, "x": neg} if flip else {"x": basis, "z": neg}, zero)
-        b.add_constraint({"y": np.eye(2)}, 1.0)
-        return b
+        b = ComplexSdpBuilder(2)
+        x, y, z = handles = b.add_blocks(3)
+        b.set_objective(dict(zip(handles, cs)))
+        b.add_constraint({x: basis, y: neg}, zero)
+        b.add_constraint({z: basis, x: neg} if flip else {x: basis, z: neg}, zero)
+        b.add_constraint({y: np.eye(2)}, 1.0)
+        return b, handles
 
     @pytest.mark.parametrize("flip", [False, True])
     def test_reused_matrix_under_both_signs(self, flip):
         rng = np.random.default_rng(np.random.Philox(46))
         for _ in range(5):
             cs = [_rand_herm(rng, 2) for _ in range(3)]
-            b = self.chain(cs, flip)
-            assert len(b._column("x").mats) == (8 if flip else 4)
-            assert list(b._column("x").rows) == list(range(8))
+            b, (x, y, z) = self.chain(cs, flip)
+            assert len(b._column(x).mats) == (8 if flip else 4)
+            assert list(b._column(x).rows) == list(range(8))
             res = b.solve()
             assert res.status is SdpStatus.OPTIMAL
-            assert abs(res.value - np.linalg.eigvalsh(sum(cs))[0]) <= 1e-6
-            for name in "yz":
-                assert np.allclose(res.blocks[name], res.blocks["x"], atol=1e-6)
+            assert abs(res.primal_value - np.linalg.eigvalsh(sum(cs))[0]) <= 1e-6
+            assert res.primal_blocks.shape == (3, 2, 2)
+            for other in (y, z):
+                assert np.allclose(res.primal_blocks[other], res.primal_blocks[x], atol=1e-6)
 
     def test_each_stack_embedded_once(self, monkeypatch):
         calls = []
@@ -546,57 +555,84 @@ class TestSharedStacks:
 
 class TestComplexBuilder:
     def test_unknown_block_rejected(self):
-        b = ComplexSdpBuilder()
-        b.add_block("x", 2)
-        with pytest.raises(ValueError, match="typo"):
-            b.add_constraint({"typo": np.eye(2)}, 5)
-        with pytest.raises(ValueError, match="typo"):
-            b.set_objective({"typo": np.eye(2)})
+        b = ComplexSdpBuilder(2)
+        b.add_blocks(1)
+        for handle in (1, 7, -1, "x"):  # out of range, negative, not an integer
+            with pytest.raises(ValueError, match="handle"):
+                b.add_constraint({handle: np.eye(2)}, 5)
+            with pytest.raises(ValueError, match="handle"):
+                b.set_objective({handle: np.eye(2)})
+
+    def test_handles_number_blocks_in_order(self):
+        b = ComplexSdpBuilder(2)
+        assert b.add_blocks(2).tolist() == [0, 1]
+        assert b.add_blocks(0).tolist() == []
+        assert b.add_blocks(3).tolist() == [2, 3, 4]
 
     def test_stack_must_match_rhs_and_block(self):
-        b = ComplexSdpBuilder()
-        b.add_block("x", 2)
-        with pytest.raises(ValueError, match="'x'"):
-            b.add_constraint({"x": np.stack([np.eye(2)] * 3)}, [1.0, 2.0])
-        with pytest.raises(ValueError, match="'x'"):
-            b.add_constraint({"x": np.eye(3)}, 1.0)
+        b = ComplexSdpBuilder(2)
+        (x,) = b.add_blocks(1)
+        with pytest.raises(ValueError, match="block 0"):
+            b.add_constraint({x: np.stack([np.eye(2)] * 3)}, [1.0, 2.0])
+        with pytest.raises(ValueError, match="block 0"):
+            b.add_constraint({x: np.eye(3)}, 1.0)
 
     def test_min_eigenvalue_complex(self):
         y = np.array([[0, -1j], [1j, 0]])
-        b = ComplexSdpBuilder()
-        b.add_block("x", 2)
-        b.set_objective({"x": y})
-        b.add_constraint({"x": np.eye(2)}, 1.0)
+        b = ComplexSdpBuilder(2)
+        (x,) = b.add_blocks(1)
+        b.set_objective({x: y})
+        b.add_constraint({x: np.eye(2)}, 1.0)
         res = b.solve()
         assert res.status is SdpStatus.OPTIMAL
-        assert abs(res.value - (-1.0)) <= 1e-6
-        x = res.blocks["x"]
-        assert abs(np.trace(x).real - 1.0) <= 1e-6
-        assert np.linalg.eigvalsh(x)[0] >= -1e-8
+        assert abs(res.primal_value - (-1.0)) <= 1e-6
+        xm = res.primal_blocks[x]
+        assert abs(np.trace(xm).real - 1.0) <= 1e-6
+        assert np.linalg.eigvalsh(xm)[0] >= -1e-8
+        # the slack of the single constraint: Y - y * 1 >= 0 with y = -1
+        assert np.allclose(res.dual_slacks[x], y + np.eye(2), atol=1e-6)
 
     def test_max_sense(self):
         h = np.array([[1.0, 0.5j], [-0.5j, -0.25]])
-        b = ComplexSdpBuilder()
-        b.add_block("x", 2)
-        b.set_objective({"x": h}, sense="max")
-        b.add_constraint({"x": np.eye(2)}, 1.0)
+        b = ComplexSdpBuilder(2)
+        (x,) = b.add_blocks(1)
+        b.set_objective({x: h}, sense="max")
+        b.add_constraint({x: np.eye(2)}, 1.0)
         res = b.solve()
         lam_max = np.linalg.eigvalsh(h)[-1]
-        assert abs(res.value - lam_max) <= 1e-6
+        assert abs(res.primal_value - lam_max) <= 1e-6
+        with pytest.raises(ArithmeticError, match="toy"):
+            b.solve(SolveOptions(max_iter=1)).require_optimal("toy")
 
     def test_hermitian_basis_orthonormal(self):
         basis = hermitian_basis(3)
-        assert len(basis) == 9
-        for i, hi in enumerate(basis):
-            for j, hj in enumerate(basis):
-                ip = np.sum(hi.conj() * hj).real
-                assert abs(ip - (1.0 if i == j else 0.0)) <= 1e-12
+        assert basis.shape == (9, 3, 3)
+        assert np.allclose(basis, basis.conj().swapaxes(1, 2), atol=0)
+        gram = np.einsum("ipq,jpq->ij", basis.conj(), basis)
+        assert np.allclose(gram, np.eye(9), atol=1e-12)
 
-    def test_trace_preserving_stack_matches_kron_rows(self):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_traceless_basis(self, n):
+        basis = traceless_basis(n)
+        assert basis.shape == (n * n - 1, n, n)
+        assert np.allclose(basis, basis.conj().swapaxes(1, 2), atol=0)
+        assert np.abs(np.trace(basis, axis1=1, axis2=2)).max(initial=0.0) <= 1e-15
+        gram = np.einsum("ipq,jpq->ij", basis.conj(), basis).real
+        # unit elements; the n - 1 diagonal ones (E_00 - E_kk)/sqrt 2 overlap
+        # by 1/2, everything else is orthogonal
+        expect = np.eye(n * n - 1)
+        expect[: n - 1, : n - 1] += 0.5 * (1 - np.eye(n - 1))
+        assert np.allclose(gram, expect, atol=1e-12)
+        assert np.linalg.matrix_rank(gram) == n * n - 1  # spans the traceless matrices
+
+    def test_kron_stack_matches_kron_loops(self):
         for din in range(1, 5):
-            for dout in range(1, 4):
-                stack, rhs = trace_preserving_stack(din, dout)
-                basis = hermitian_basis(din)
-                ref = np.stack([np.kron(h, np.eye(dout)) for h in basis])
-                assert stack.tobytes() == ref.tobytes()  # bit for bit, signed zeros included
-                assert rhs.tolist() == [h.trace().real for h in basis]
+            h_in, t_in = hermitian_basis(din), traceless_basis(din)
+            for dout in range(1, 5):
+                h_out, t_out = hermitian_basis(dout), traceless_basis(dout)
+                eye = np.eye(dout)[None]
+                for a, b in ((h_in, eye), (t_in, eye), (h_in, t_out), (t_out, h_out)):
+                    shape = (len(a) * len(b), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
+                    ref = np.array([np.kron(x, y) for x in a for y in b]).reshape(shape)
+                    # bit for bit, signed zeros included
+                    assert kron_stack(a, b).tobytes() == ref.tobytes(), (din, dout)
