@@ -590,7 +590,7 @@ class TestComplexBuilder:
         assert abs(np.trace(xm).real - 1.0) <= 1e-6
         assert np.linalg.eigvalsh(xm)[0] >= -1e-8
         # the slack of the single constraint: Y - y * 1 >= 0 with y = -1
-        assert np.allclose(res.dual_slacks[x], y + np.eye(2), atol=1e-6)
+        assert np.allclose(res.dual_slacks[x], y + np.eye(2), rtol=0, atol=1e-6)
 
     def test_max_sense(self):
         h = np.array([[1.0, 0.5j], [-0.5j, -0.25]])
@@ -607,22 +607,22 @@ class TestComplexBuilder:
     def test_hermitian_basis_orthonormal(self):
         basis = hermitian_basis(3)
         assert basis.shape == (9, 3, 3)
-        assert np.allclose(basis, basis.conj().swapaxes(1, 2), atol=0)
+        assert np.array_equal(basis, basis.conj().swapaxes(1, 2))
         gram = np.einsum("ipq,jpq->ij", basis.conj(), basis)
-        assert np.allclose(gram, np.eye(9), atol=1e-12)
+        assert np.allclose(gram, np.eye(9), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_traceless_basis(self, n):
         basis = traceless_basis(n)
         assert basis.shape == (n * n - 1, n, n)
-        assert np.allclose(basis, basis.conj().swapaxes(1, 2), atol=0)
+        assert np.array_equal(basis, basis.conj().swapaxes(1, 2))
         assert np.abs(np.trace(basis, axis1=1, axis2=2)).max(initial=0.0) <= 1e-15
         gram = np.einsum("ipq,jpq->ij", basis.conj(), basis).real
         # unit elements; the n - 1 diagonal ones (E_00 - E_kk)/sqrt 2 overlap
         # by 1/2, everything else is orthogonal
         expect = np.eye(n * n - 1)
         expect[: n - 1, : n - 1] += 0.5 * (1 - np.eye(n - 1))
-        assert np.allclose(gram, expect, atol=1e-12)
+        assert np.allclose(gram, expect, rtol=0, atol=1e-12)
         assert np.linalg.matrix_rank(gram) == n * n - 1  # spans the traceless matrices
 
     def test_kron_stack_matches_kron_loops(self):
