@@ -6,44 +6,62 @@ Solves standard-form problems over real symmetric PSD blocks,
     subject to  sum_b <A_{i,b}, X_b> = b_i   (i = 1..m),   X_b >= 0,
 
 with a Mehrotra-style predictor-corrector path-following method using
-Nesterov-Todd scaling.
+Nesterov-Todd scaling.  A block of even size may be given in complex form,
+as Hermitian matrices ``H = P + iQ`` of half its size that stand for their
+real embeddings ``E(H) = [[P, -Q], [Q, P]]``.
 
 Constraints are stored by block column: a block keeps the rows it appears
 in (its support), its distinct matrices, and per row an index into them, so
 a matrix equality stated once over a Hermitian basis shares that basis with
-every block it covers.  Blocks are grouped by size, support size and
-distinct-matrix count and held as ``(n, d, d)`` stacks, so Cholesky, SVD,
-inverse and step-length eigenvalues run once per group.  The Schur
-complement ``H[i, j] = sum_b <A_{i,b}, W_b A_{j,b} W_b>`` is built per block
-from its ``u`` distinct matrices (``U (W U W)^T``, ``u x u``) and scattered
-into the rows of its support (the sparsity argument of Fujisawa, Kojima and
-Nakata, Math. Prog. 79, 1997).  ``H`` is dense (a few hundred rows) and is
-Cholesky-factored once per iteration, with the smallest ridge of a short
-ladder at which it factors.  That one factor serves all three solves of the
-iteration, the predictor, the corrector, and the corrector's Newton
-correction for the primal residual that forming its direction leaves behind
-(which keeps problems near the boundary of the cone primal feasible), by
-blocked forward and back substitution; ``H^-1`` is never formed (as in
-SDPT3, Toh, Todd and Tutuncu, 1999).  A solve that runs out of iterations
-reports :attr:`SdpStatus.MAX_ITER`, with the residuals of the iterate it
-returns.  Everything is deterministic, so identical inputs produce identical
-iterates.
+every block it covers.  The solver holds every block's iterates ``X`` and
+``S`` as complex Hermitian ``(n, c, c)`` stacks, ``c`` the complex size; a
+real block is the zero-imaginary case, and its imaginary parts stay exactly
+zero.  ``E`` maps products to products, so the iteration is the one on the
+embedded blocks, whose iterates then stay exactly in the embedded subspace
+(the symmetry reduction of Gatermann and Parrilo, J. Pure Appl. Algebra 192,
+2004).  Work is split by where it is cheaper:
 
-Complex Hermitian problems are handled by :class:`ComplexSdpBuilder`, over
-blocks of one size named by integer handles.  It embeds every Hermitian
-matrix ``H = P + iQ`` as the real symmetric matrix ``[[P, -Q], [Q, P]]``
-(doubling traces and eigenvalue multiplicities), undoes the doubling when
-reporting values, and returns the same :class:`SdpSolution` with its blocks
-as complex stacks indexed by handle.  Bases for matrix constraints come from
-:func:`hermitian_basis`, :func:`traceless_basis` and their Kronecker
-products, :func:`kron_stack`.  :func:`best_instrument` is the one instrument
-program built on it: maximize ``sum_k Tr[Z_k J_k]`` over trace-preserving
-instruments.
+* factorizations run in complex arithmetic at size ``c``, once per stack of
+  blocks of one size and form: the Nesterov-Todd scaling (two Cholesky
+  factors, one SVD, two inverses) and the four step-length eigenvalue calls
+  of each iteration;
+* the Schur complement ``H[i, j] = sum_b <A_{i,b}, W_b A_{j,b} W_b>`` runs in
+  the real embedding at half width: ``E(W U W)`` is fixed by its first block
+  column ``E(W) E(U) E(W)[:, :c]``, and ``<E(V), E(Z)>`` is twice the inner
+  product of first block columns.  It is built per block from its ``u``
+  distinct matrices and scattered into the rows of its support (the sparsity
+  argument of Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997); ``A X`` and
+  ``A^T y`` read the same half-width form as ``(re, im)`` pairs;
+* the remaining matrix products, a few dozen per iteration on ``c x c``
+  stacks, stay complex, since building an embedded copy of an operand costs
+  more than the complex product at these sizes.
+
+``H`` is dense (a few hundred rows) and is Cholesky-factored once per
+iteration, with the smallest ridge of a short ladder at which it factors.
+That one factor serves all three solves of the iteration, the predictor, the
+corrector, and the corrector's Newton correction for the primal residual
+that forming its direction leaves behind (which keeps problems near the
+boundary of the cone primal feasible), by blocked forward and back
+substitution; ``H^-1`` is never formed (as in SDPT3, Toh, Todd and Tutuncu,
+1999).  A solve that runs out of iterations reports
+:attr:`SdpStatus.MAX_ITER`, with the residuals of the iterate it returns.
+Everything is deterministic, so identical inputs produce identical iterates.
+
+Complex Hermitian problems are stated through :class:`ComplexSdpBuilder`,
+over blocks of one size named by integer handles.  It passes its Hermitian
+matrices to :func:`solve` in complex form, undoes the doubling of traces
+when reporting values, and returns the same :class:`SdpSolution` with its
+blocks as exactly Hermitian stacks indexed by handle.  Bases for matrix
+constraints come from :func:`hermitian_basis`, :func:`traceless_basis` and
+their Kronecker products, :func:`kron_stack`.  :func:`best_instrument` is
+the one instrument program built on it: maximize ``sum_k Tr[Z_k J_k]`` over
+trace-preserving instruments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from enum import Enum
 from typing import NamedTuple
 
@@ -108,11 +126,16 @@ class SdpProblem:
     each nonzero matrix of a block becomes its own entry of that block's
     column.  Shapes, indices and symmetry are checked once per distinct
     matrix.
+
+    A block of size ``d`` is real symmetric.  It may instead be given in
+    complex form, when its objective or its matrices are complex arrays:
+    Hermitian ``d/2 x d/2`` matrices ``H`` that stand for their embeddings
+    ``[[Re H, -Im H], [Im H, Re H]]``, so ``<A, X>`` reads ``2 Re tr(A X)``.
     """
 
     def __init__(self, blocks, objective, constraints=None, *, columns=None, rhs=None):
         self.blocks = tuple(blocks)
-        self.objective = tuple(objective)
+        self.objective = tuple(_as_mats(c) for c in objective)
         dims = [d for _, d in self.blocks]
         if len(self.objective) != len(dims):
             raise ValueError("objective must provide one matrix per block")
@@ -122,13 +145,17 @@ class SdpProblem:
             columns, rhs = _row_form_columns(constraints, dims)
         self.rhs = np.asarray(rhs, dtype=float).reshape(-1)
         self.columns = tuple(
-            BlockColumn(np.asarray(r, np.intp), np.asarray(i, np.intp), np.asarray(a, float))
+            BlockColumn(np.asarray(r, np.intp), np.asarray(i, np.intp), _as_mats(a))
             for r, i, a in columns
         )
         if len(self.columns) != len(dims):
             raise ValueError("columns must provide one entry per block")
-        for d, c, (rows, index, mats) in zip(dims, self.objective, self.columns):
-            _check_mats(np.asarray(c, dtype=float)[None], d, "objective")
+        for k, (d, c, (rows, index, mats)) in enumerate(zip(dims, self.objective, self.columns)):
+            if _complex_form(self, k):
+                if d % 2:
+                    raise ValueError(f"a block of odd size {d} cannot be given in complex form")
+                d //= 2
+            _check_mats(c[None], d, "objective")
             _check_mats(mats, d, "constraint")
             if rows.ndim != 1 or rows.shape != index.shape or not np.all(
                 (0 <= rows) & (rows < len(self.rhs)) & (0 <= index) & (index < len(mats))
@@ -155,11 +182,17 @@ def _row_form_columns(constraints, dims: list[int]):
     return columns, [rhs for _, rhs in constraints]
 
 
+def _as_mats(a) -> np.ndarray:
+    """``a`` as a float array, or a complex one when it is complex."""
+    a = np.asarray(a)
+    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
+
+
 def _check_mats(stack: np.ndarray, dim: int, what: str) -> None:
-    """Check a ``(u, dim, dim)`` stack: shape, then symmetry of each matrix."""
+    """Check a ``(u, dim, dim)`` stack: shape, then Hermiticity of each matrix."""
     if stack.ndim != 3 or stack.shape[1:] != (dim, dim):
         raise ValueError(f"{what} matrix shape {stack.shape[1:]} does not match block dim {dim}")
-    asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+    asym = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     if np.any(asym > 1e-12 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))):
         raise ValueError(f"{what} matrix has an antisymmetric part")
 
@@ -169,8 +202,9 @@ class SdpSolution:
     """Primal-dual result of a solve.
 
     From :func:`solve`, ``primal_blocks`` and ``dual_slacks`` are lists with
-    one real matrix per block; from :meth:`ComplexSdpBuilder.solve` they are
-    complex ``(n, cdim, cdim)`` stacks indexed by block handle.
+    one matrix per block, real or, for blocks given in complex form, complex
+    Hermitian; from :meth:`ComplexSdpBuilder.solve` they are complex
+    ``(n, cdim, cdim)`` stacks indexed by block handle.
     """
 
     status: SdpStatus
@@ -198,11 +232,17 @@ def embed_complex(h: np.ndarray) -> np.ndarray:
     The embedding is PSD iff the input is, its eigenvalues are the doubled
     multiset of the input's, and traces double.
     """
-    h = hermitize(h)
-    re, im = h.real, h.imag
-    return np.concatenate(
-        [np.concatenate([re, -im], axis=-1), np.concatenate([im, re], axis=-1)], axis=-2
-    )
+    return _embed(hermitize(h))
+
+
+def _embed(h: np.ndarray) -> np.ndarray:
+    """``[[Re h, -Im h], [Im h, Re h]]`` of each matrix of a complex stack, unchecked."""
+    c = h.shape[-1]
+    out = np.empty(h.shape[:-2] + (2 * c, 2 * c))
+    out[..., :c, :c] = out[..., c:, c:] = h.real
+    out[..., c:, :c] = h.imag
+    np.negative(h.imag, out=out[..., :c, c:])
+    return out
 
 
 def unembed_complex(x: np.ndarray) -> np.ndarray:
@@ -257,18 +297,32 @@ def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.swapaxes(-1, -2)) / 2
+def _herm(a: np.ndarray) -> np.ndarray:
+    """Hermitian part ``(a + a^dag)/2``; exactly Hermitian, since ``x + y == y + x``."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
+
+
+def _ct(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _pairs(a: np.ndarray) -> np.ndarray:
+    """The ``(re, im)`` pairs of a complex stack, as a float view."""
+    return np.ascontiguousarray(a).view(float)
 
 
 class _BlockGroup:
-    """Blocks of one size ``d`` with ``r`` support rows and ``u`` distinct matrices.
+    """Blocks of one size ``d`` and form with ``r`` support rows and ``u`` distinct matrices.
 
-    ``rows`` ``(n, r)`` holds each block's support rows and ``mats``
-    ``(n, u, d, d)`` its distinct matrices; ``members`` are the blocks'
-    positions in the problem.  Flat positions computed once per solve map
-    each row to its matrix (``mat_pos``), each pair of rows to its entry of
-    ``U (W U W)^T`` (``pair_pos``) and to its entry of H (``h_pos``).
+    Matrices and iterates are complex Hermitian ``(c, c)`` stacks: ``c = d/2``
+    for blocks given in complex form, ``c = d`` with zero imaginary part for
+    real ones.  ``weight = d / c`` turns ``Re tr(A X)`` into the inner product
+    of the ``d x d`` blocks.  ``rows`` ``(n, r)`` holds each block's support
+    rows and ``mats`` ``(n, u, c, c)`` its distinct matrices; ``members`` are
+    the blocks' positions in the problem.  Flat positions computed once per
+    solve map each row to its matrix (``mat_pos``), each pair of rows to its
+    entry of the ``u x u`` Schur block (``pair_pos``) and to its entry of H
+    (``h_pos``).
     """
 
     def __init__(self, problem: SdpProblem, members: list[int]):
@@ -276,10 +330,19 @@ class _BlockGroup:
         self.members = members
         self.dim = d = problem.blocks[members[0]][1]
         self.rows = np.stack([col.rows for col in cols])
-        self.mats = np.stack([col.mats for col in cols])
-        n, u = self.mats.shape[:2]
-        self.mats_flat = self.mats.reshape(n, u, d * d)
-        self.c = np.stack([np.asarray(problem.objective[k], dtype=float) for k in members])
+        self.complex_form = _complex_form(problem, members[0])
+        mats = np.stack([col.mats for col in cols]).astype(complex)
+        n, u, c = mats.shape[:3]
+        self.cdim, self.weight = c, d // c
+        self.mats = mats
+        # Re tr(A X) = A pairs . X pairs, for apply_a and apply_at
+        self.mats_pairs = mats.view(float).reshape(n, u, 2 * c * c)
+        # for the Schur complement: the embedded matrices E(U) stacked into
+        # (2c u, 2c), and their first block columns
+        emb = _embed(mats)
+        self.mats_tall = emb.reshape(n, u * 2 * c, 2 * c)
+        self.mats_col = np.ascontiguousarray(emb[..., :c]).reshape(n, u, 2 * c * c)
+        self.c = np.stack([problem.objective[k] for k in members]).astype(complex)
         index = np.stack([col.index for col in cols])
         self.mat_pos = (index + u * np.arange(n)[:, None]).ravel()
         pair = index[:, :, None] * u + index[:, None, :]
@@ -288,27 +351,71 @@ class _BlockGroup:
 
     def apply_a(self, x: np.ndarray, m: int) -> np.ndarray:
         """``out[i] = sum_b <A_{i,b}, X_b>`` over this group, as an m-vector."""
-        per_mat = (self.mats_flat @ x.reshape(len(self.members), -1, 1)).ravel()
+        xp = _pairs(x).reshape(len(self.members), -1, 1)
+        per_mat = self.weight * (self.mats_pairs @ xp).ravel()
         return np.bincount(self.rows.ravel(), per_mat[self.mat_pos], minlength=m)
 
     def apply_at(self, y: np.ndarray) -> np.ndarray:
         """``sum_i y_i A_{i,b}`` for each block of the group."""
         n, u = self.mats.shape[:2]
         coef = np.bincount(self.mat_pos, y[self.rows].ravel(), minlength=n * u)
-        return (coef.reshape(n, 1, u) @ self.mats_flat).reshape(self.c.shape)
+        return (coef.reshape(n, 1, u) @ self.mats_pairs).view(complex).reshape(self.c.shape)
 
-    def add_schur(self, w: np.ndarray, h: np.ndarray) -> None:
-        """``H[i, j] += <A_{i,b}, W_b A_{j,b} W_b>``, from each block's distinct matrices."""
-        n, u = self.mats.shape[:2]
-        wuw = (w[:, None] @ self.mats @ w[:, None]).reshape(n, u, -1)
-        per_pair = (self.mats_flat @ wuw.swapaxes(1, 2)).ravel()[self.pair_pos]
+    def add_schur(self, ew: np.ndarray, h: np.ndarray) -> None:
+        """``H[i, j] += <A_{i,b}, W_b A_{j,b} W_b>`` given the embeddings ``E(W_b)``.
+
+        ``E(W U W)`` is fixed by its first block column ``E(W) E(U) E(W)[:, :c]``,
+        and ``Re tr(V W U W)`` is that column's inner product with ``V``'s.
+        """
+        n, u, c = self.mats.shape[:3]
+        ue = (self.mats_tall @ ew[..., :c]).reshape(n, u, 2 * c, c)
+        wuw = (ew[:, None] @ ue).reshape(n, u, -1)
+        per_pair = self.weight * (self.mats_col @ wuw.swapaxes(1, 2)).ravel()[self.pair_pos]
         h += np.bincount(self.h_pos, per_pair, minlength=h.size).reshape(h.shape)
 
 
+class _SizeClass:
+    """Groups whose blocks share size and form; the iterates of all their blocks form one stack.
+
+    Factorizations and matrix products run once per class; ``A``, ``A^T``
+    and the Schur complement go group by group, over consecutive slices.
+    """
+
+    def __init__(self, groups: list[_BlockGroup]):
+        self.groups = groups
+        first = groups[0]
+        self.cdim, self.weight, self.complex_form = first.cdim, first.weight, first.complex_form
+        ends = np.cumsum([len(grp.members) for grp in groups])
+        self.slices = [slice(e - len(grp.members), e) for grp, e in zip(groups, ends)]
+        self.members = [k for grp in groups for k in grp.members]
+        self.c = np.concatenate([grp.c for grp in groups])
+
+    def apply_a(self, x: np.ndarray, m: int) -> np.ndarray:
+        return sum(grp.apply_a(x[sl], m) for grp, sl in zip(self.groups, self.slices))
+
+    def apply_at(self, y: np.ndarray) -> np.ndarray:
+        parts = [grp.apply_at(y) for grp in self.groups]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def add_schur(self, w: np.ndarray, h: np.ndarray) -> None:
+        ew = _embed(w)
+        for grp, sl in zip(self.groups, self.slices):
+            grp.add_schur(ew[sl], h)
+
+    def blocks(self, x: np.ndarray) -> list[np.ndarray]:
+        """One matrix per member; real for blocks given in real form, whose imaginary parts are zero."""
+        return list(x if self.complex_form else x.real)
+
+
 class _NtScaling(NamedTuple):
-    """Nesterov-Todd scaling of a group: ``W = G G^T``, ``G^-1 X G^-T = G^T S G = diag(d)``."""
+    """Nesterov-Todd scaling of a class: ``W = G G^H``, ``G^-1 X G^-H = G^H S G = diag(d)``.
+
+    ``gh`` is ``G^H``; ``lx_inv`` and ``ls_inv`` invert the Cholesky factors
+    of ``X`` and ``S``.
+    """
 
     g: np.ndarray
+    gh: np.ndarray
     ginv: np.ndarray
     d: np.ndarray
     w: np.ndarray
@@ -319,21 +426,40 @@ class _NtScaling(NamedTuple):
 def _nt_scaling(x: np.ndarray, s: np.ndarray) -> _NtScaling:
     lx = np.linalg.cholesky(x)
     ls = np.linalg.cholesky(s)
-    _, sv, vt = np.linalg.svd(ls.swapaxes(1, 2) @ lx)
+    _, sv, vh = np.linalg.svd(_ct(ls) @ lx)
     sv = np.maximum(sv, 1e-300)
     lx_inv = np.linalg.inv(lx)
-    g = lx @ vt.swapaxes(1, 2) * (sv**-0.5)[:, None, :]
-    ginv = (sv**0.5)[:, :, None] * (vt @ lx_inv)
-    return _NtScaling(g, ginv, sv, g @ g.swapaxes(1, 2), lx_inv, np.linalg.inv(ls))
+    g = lx @ _ct(vh) * (sv**-0.5)[:, None, :]
+    gh = _ct(g)
+    ginv = (sv**0.5)[:, :, None] * (vh @ lx_inv)
+    return _NtScaling(g, gh, ginv, sv, g @ gh, lx_inv, np.linalg.inv(ls))
 
 
 def _max_step(l_inv: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha with X + alpha*Delta >= 0 on every block, given X = L L^T."""
-    t = l_inv @ delta @ l_inv.swapaxes(1, 2)
-    lam = float(np.min(np.linalg.eigvalsh(_sym(t))[:, 0]))
+    """Largest alpha with X + alpha*Delta >= 0 on every block, given X = L L^H."""
+    t = l_inv @ delta @ _ct(l_inv)
+    lam = float(np.min(np.linalg.eigvalsh(_herm(t))[:, 0]))
     if lam >= -1e-13:
         return np.inf
     return 1.0 / (-lam)
+
+
+@lru_cache(maxsize=32)
+def _panel_layout(m: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray, np.ndarray]:
+    """Panels of an m-row factor: their row spans, and the gather of their diagonal blocks.
+
+    ``l.ravel()[index] * keep + pad`` stacks the diagonal blocks, a short
+    last one padded with the identity.
+    """
+    w = min(_PANEL, m)
+    spans = tuple((a, min(a + w, m)) for a in range(0, m, w))
+    rows = np.array([a for a, _ in spans])[:, None] + np.arange(w)
+    keep = (rows < m)[:, :, None] & (rows < m)[:, None, :]
+    index = np.where(keep, rows[:, :, None] * m + rows[:, None, :], 0)
+    pad = np.where(keep, 0.0, np.eye(w))
+    for a in (index, keep, pad):
+        a.flags.writeable = False
+    return spans, index, keep, pad
 
 
 class _CholeskySolver:
@@ -343,50 +469,64 @@ class _CholeskySolver:
     fewer) whose diagonal blocks are inverted once per factor, in one
     batched call (a short last panel is padded with the identity); each
     solve is then matrix-vector products with those inverses and with
-    ``L``'s off-diagonal panels.  ``H^-1`` is never formed.
+    ``L``'s off-diagonal panels.  The panel layout is built once per size,
+    and the first panel of each sweep needs no off-diagonal product.
+    ``H^-1`` is never formed.
     """
 
     def __init__(self, l: np.ndarray):
-        m = len(l)
-        w = min(_PANEL, m)
         self.l = l
-        self.spans = [(a, min(a + w, m)) for a in range(0, m, w)]
-        diag = np.tile(np.eye(w), (len(self.spans), 1, 1))
-        for blk, (a, e) in zip(diag, self.spans):
-            blk[: e - a, : e - a] = l[a:e, a:e]
-        self.diag_inv = [
-            inv[: e - a, : e - a] for inv, (a, e) in zip(np.linalg.inv(diag), self.spans)
-        ]
+        self.spans, index, keep, pad = _panel_layout(len(l))
+        inv = np.linalg.inv(l.ravel()[index] * keep + pad)
+        a, e = self.spans[-1]
+        self.diag_inv = [*inv[:-1], inv[-1, : e - a, : e - a]]
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        l = self.l
+        l, spans, inv = self.l, self.spans, self.diag_inv
         z = np.empty_like(r)
-        for (a, e), inv in zip(self.spans, self.diag_inv):
-            z[a:e] = inv @ (r[a:e] - l[a:e, :a] @ z[:a])
+        e = spans[0][1]
+        z[:e] = inv[0] @ r[:e]
+        for (a, e), d in zip(spans[1:], inv[1:]):
+            z[a:e] = d @ (r[a:e] - l[a:e, :a] @ z[:a])
         v = np.empty_like(r)
-        for (a, e), inv in zip(self.spans[::-1], self.diag_inv[::-1]):
-            v[a:e] = inv.T @ (z[a:e] - l[e:, a:e].T @ v[e:])
+        a = spans[-1][0]
+        v[a:] = inv[-1].T @ z[a:]
+        for (a, e), d in zip(spans[-2::-1], inv[-2::-1]):
+            v[a:e] = d.T @ (z[a:e] - l[e:, a:e].T @ v[e:])
         return v
 
 
-def _initial_point(groups, b, m):
+def _initial_point(classes, b, m):
     # primal blocks: identity scaled to roughly satisfy trace-like constraints
-    tr = sum(grp.apply_a(np.broadcast_to(np.eye(grp.dim), grp.c.shape), m) for grp in groups)
+    eye = [np.broadcast_to(np.eye(cls.cdim, dtype=complex), cls.c.shape) for cls in classes]
+    tr = sum(cls.apply_a(e, m) for cls, e in zip(classes, eye))
     big = np.abs(tr) > 1e-9
     cands = np.abs(b[big]) / np.abs(tr[big])
     xi = float(np.clip(cands.max() if cands.size else 1.0, 1.0, 1e4))
-    eta = float(np.clip(max(max_abs(grp.c) for grp in groups), 1.0, 1e4))
-    x = [xi * np.broadcast_to(np.eye(grp.dim), grp.c.shape) for grp in groups]
-    s = [eta * np.broadcast_to(np.eye(grp.dim), grp.c.shape) for grp in groups]
-    return x, s, np.zeros(m)
+    eta = float(np.clip(max(max_abs(_pairs(cls.c)) for cls in classes), 1.0, 1e4))
+    return [xi * e for e in eye], [eta * e for e in eye], np.zeros(m)
+
+
+def _complex_form(problem: SdpProblem, k: int) -> bool:
+    return np.iscomplexobj(problem.objective[k]) or np.iscomplexobj(problem.columns[k].mats)
 
 
 def _group_blocks(problem: SdpProblem) -> list[list[int]]:
-    """Block positions grouped by (size, support size, distinct-matrix count), in order."""
-    groups: dict[tuple[int, int, int], list[int]] = {}
+    """Block positions grouped by (size, form, support size, distinct-matrix count), in order."""
+    groups: dict[tuple[int, bool, int, int], list[int]] = {}
     for k, ((_, d), col) in enumerate(zip(problem.blocks, problem.columns)):
-        groups.setdefault((d, len(col.rows), len(col.mats)), []).append(k)
+        key = (d, _complex_form(problem, k), len(col.rows), len(col.mats))
+        groups.setdefault(key, []).append(k)
     return list(groups.values())
+
+
+def _size_classes(problem: SdpProblem) -> list[_SizeClass]:
+    """The problem's block groups, gathered by (size, form) in order."""
+    classes: dict[tuple[int, bool], list[_BlockGroup]] = {}
+    for members in _group_blocks(problem):
+        grp = _BlockGroup(problem, members)
+        classes.setdefault((grp.dim, grp.complex_form), []).append(grp)
+    return [_SizeClass(groups) for groups in classes.values()]
 
 
 def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
@@ -397,30 +537,33 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         raise ValueError("problems without equality constraints are not supported")
     ntot = sum(d for _, d in problem.blocks)
     b = problem.rhs
-    groups = [_BlockGroup(problem, members) for members in _group_blocks(problem)]
+    classes = _size_classes(problem)
 
     def apply_a(xs):
-        return sum(grp.apply_a(xg, m) for grp, xg in zip(groups, xs))
+        return sum(cls.apply_a(xc, m) for cls, xc in zip(classes, xs))
 
     def inner(us, vs):
-        return sum(float(np.sum(u * v)) for u, v in zip(us, vs))
+        return sum(
+            cls.weight * float(np.vdot(_pairs(u), _pairs(v))) for cls, u, v in zip(classes, us, vs)
+        )
 
-    x, s, y = _initial_point(groups, b, m)
+    x, s, y = _initial_point(classes, b, m)
     b_scale = 1.0 + float(np.max(np.abs(b)))
-    c_scale = 1.0 + max(max_abs(grp.c) for grp in groups)
+    c_scale = 1.0 + max(max_abs(_pairs(cls.c)) for cls in classes)
 
     def residuals(x, s, y):
         """Primal and dual residuals of an iterate, and their scaled maxima."""
         rp = b - apply_a(x)
-        rd = [grp.c - grp.apply_at(y) - sg for grp, sg in zip(groups, s)]
-        return rp, rd, float(np.max(np.abs(rp))) / b_scale, max(max_abs(r) for r in rd) / c_scale
+        rd = [cls.c - cls.apply_at(y) - sc for cls, sc in zip(classes, s)]
+        dres = max(max_abs(_pairs(r)) for r in rd) / c_scale
+        return rp, rd, float(np.max(np.abs(rp))) / b_scale, dres
 
     status = SdpStatus.MAX_ITER
     it = 0
     for it in range(1, opts.max_iter + 1):
         rp, rd, pres, dres = residuals(x, s, y)
         mu = inner(x, s) / ntot
-        pobj = inner((grp.c for grp in groups), x)
+        pobj = inner((cls.c for cls in classes), x)
         dobj = float(b @ y)
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
 
@@ -437,14 +580,14 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             break
 
         try:
-            nt = [_nt_scaling(xg, sg) for xg, sg in zip(x, s)]
+            nt = [_nt_scaling(xc, sc) for xc, sc in zip(x, s)]
         except np.linalg.LinAlgError:
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
         h = np.zeros((m, m))
-        for grp, sc in zip(groups, nt):
-            grp.add_schur(sc.w, h)
+        for cls, sc in zip(classes, nt):
+            cls.add_schur(sc.w, h)
 
         # the smallest ridge at which H factors; its factor serves every solve below
         h_scale = max(np.trace(h) / m, 1e-300)
@@ -458,59 +601,61 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
-        def newton_step(rc_scaled):
-            """Given scaled complementarity RHS per group, return (dx, dy, ds)."""
-            grcg = [sc.g @ rc @ sc.g.swapaxes(1, 2) for sc, rc in zip(nt, rc_scaled)]
-            wrdw = [sc.w @ r @ sc.w for sc, r in zip(nt, rd)]
+        wrdw = [sc.w @ r @ sc.w for sc, r in zip(nt, rd)]
+
+        def newton_step(grcg):
+            """Given ``G Rc G^H`` per class for the scaled complementarity RHS, return (dx, dy, ds)."""
             dy = solve_h(rp - apply_a([gr - t for gr, t in zip(grcg, wrdw)]))
-            ds = [r - grp.apply_at(dy) for grp, r in zip(groups, rd)]
-            dx = [_sym(gr - sc.w @ dsg @ sc.w) for gr, sc, dsg in zip(grcg, nt, ds)]
+            ds = [r - cls.apply_at(dy) for cls, r in zip(classes, rd)]
+            dx = [_herm(gr - sc.w @ dsc @ sc.w) for gr, sc, dsc in zip(grcg, nt, ds)]
             return dx, dy, ds
 
         # predictor (affine scaling): Rc = -D in scaled space, divided by L_D
-        rc_aff = [-sc.d[:, None, :] * np.eye(grp.dim) for grp, sc in zip(groups, nt)]
-        dx_a, dy_a, ds_a = newton_step(rc_aff)
+        dx_a, dy_a, ds_a = newton_step([-(sc.g * sc.d[:, None, :]) @ sc.gh for sc in nt])
         ap = min([_max_step(sc.lx_inv, d) for sc, d in zip(nt, dx_a)] + [1.0])
         ad = min([_max_step(sc.ls_inv, d) for sc, d in zip(nt, ds_a)] + [1.0])
         mu_aff = inner(
-            [xg + ap * d for xg, d in zip(x, dx_a)], [sg + ad * d for sg, d in zip(s, ds_a)]
+            [xc + ap * d for xc, d in zip(x, dx_a)], [sc + ad * d for sc, d in zip(s, ds_a)]
         ) / ntot
         sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0))
 
         # corrector: Rc = L_D^{-1}(sigma*mu*I - D^2 - H(dXhat dShat))
-        rc = []
-        for grp, sc, dxg, dsg in zip(groups, nt, dx_a, ds_a):
+        grcg = []
+        for cls, sc, dxc, dsc in zip(classes, nt, dx_a, ds_a):
             d = sc.d
-            dxh = sc.ginv @ dxg @ sc.ginv.swapaxes(1, 2)
-            dsh = sc.g.swapaxes(1, 2) @ dsg @ sc.g
-            rhs_mat = sigma * mu * np.eye(grp.dim) - (d * d)[:, None, :] * np.eye(grp.dim)
-            rc.append((rhs_mat - _sym(dxh @ dsh)) / ((d[:, :, None] + d[:, None, :]) / 2))
-        dx, dy, ds = newton_step(rc)
+            dxh = sc.ginv @ dxc @ _ct(sc.ginv)
+            dsh = sc.gh @ dsc @ sc.g
+            rhs_mat = sigma * mu * np.eye(cls.cdim) - (d * d)[:, None, :] * np.eye(cls.cdim)
+            rc = (rhs_mat - _herm(dxh @ dsh)) / ((d[:, :, None] + d[:, None, :]) / 2)
+            grcg.append(sc.g @ rc @ sc.gh)
+        dx, dy, ds = newton_step(grcg)
         # forming dx cancels terms of size |W|^2 |dy|, which leaves A dx off rp
         # by far more than the solve's own error once W is large; one Newton
         # correction for that residual keeps the iterates primal feasible
         dy_c = solve_h(rp - apply_a(dx))
-        aty_c = [grp.apply_at(dy_c) for grp in groups]
-        dx = [_sym(d + sc.w @ a @ sc.w) for d, sc, a in zip(dx, nt, aty_c)]
+        aty_c = [cls.apply_at(dy_c) for cls in classes]
+        dx = [_herm(d + sc.w @ a @ sc.w) for d, sc, a in zip(dx, nt, aty_c)]
         ds = [d - a for d, a in zip(ds, aty_c)]
         dy = dy + dy_c
         ap = min(_max_step(sc.lx_inv, d) for sc, d in zip(nt, dx))
         ad = min(_max_step(sc.ls_inv, d) for sc, d in zip(nt, ds))
         ap = min(1.0, opts.step_frac * ap)
         ad = min(1.0, opts.step_frac * ad)
-        x = [_sym(xg + ap * d) for xg, d in zip(x, dx)]
-        s = [_sym(sg + ad * d) for sg, d in zip(s, ds)]
+        # x stays exactly Hermitian, as dx is; s is made so
+        x = [xc + ap * d for xc, d in zip(x, dx)]
+        s = [_herm(sc + ad * d) for sc, d in zip(s, ds)]
         y = y + ad * dy
 
     # reported for the iterate returned, which has moved on if the loop ran out
     _, _, pres, dres = residuals(x, s, y)
-    pobj = inner((grp.c for grp in groups), x)
+    pobj = inner((cls.c for cls in classes), x)
     dobj = float(b @ y)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj))
     primal_blocks: list[np.ndarray] = [None] * len(problem.blocks)
     slacks: list[np.ndarray] = [None] * len(problem.blocks)
-    for grp, xg in zip(groups, x):
-        for k, xb, zb in zip(grp.members, xg, grp.c - grp.apply_at(y)):
+    for cls, xc in zip(classes, x):
+        zc = _herm(cls.c - cls.apply_at(y))
+        for k, xb, zb in zip(cls.members, cls.blocks(xc), cls.blocks(zc)):
             primal_blocks[k] = xb
             slacks[k] = zb
     return SdpSolution(
@@ -536,15 +681,16 @@ class ComplexSdpBuilder:
     """Assemble an SDP over complex Hermitian PSD blocks of one size ``cdim``.
 
     :meth:`add_blocks` returns integer handles, and objectives and
-    constraints are dicts keyed by handle.  Matrices are embedded into real
-    symmetric blocks; right-hand sides and the reported optimum are rescaled
-    so values refer to the complex problem.  ``minimize`` is the default
+    constraints are dicts keyed by handle.  Blocks go to :func:`solve` in
+    complex form, each standing for its real embedding of size ``2 cdim``;
+    right-hand sides and the reported optimum are rescaled so values refer to
+    the complex problem.  ``minimize`` is the default
     sense; pass ``sense="max"`` to flip.
 
     A constraint statement states ``k`` rows at once: each block's
     coefficient is a ``(k, cdim, cdim)`` stack, row ``i`` reading
     ``sum_b <A_b[i], X_b> = rhs[i]``.  Each distinct coefficient object is
-    checked and embedded once, however many blocks and statements share it,
+    checked and hermitized once, however many blocks and statements share it,
     so a coefficient must not be changed after it is passed.
     """
 
@@ -573,7 +719,7 @@ class ComplexSdpBuilder:
     def set_objective(
         self, coeffs: dict[int, np.ndarray], constant: float = 0.0, sense: str = "min"
     ) -> None:
-        self._obj = {self._block(k): embed_complex(v) for k, v in coeffs.items()}
+        self._obj = {self._block(k): hermitize(v) for k, v in coeffs.items()}
         self._constant = constant
         self._sense = -1.0 if sense == "max" else 1.0
 
@@ -584,18 +730,18 @@ class ComplexSdpBuilder:
         for handle, a in coeffs.items():
             block = self._block(handle)
             if id(a) not in self._mats:
-                self._mats[id(a)] = (a, embed_complex(np.reshape(a, (-1, *np.shape(a)[-2:]))))
-            if self._mats[id(a)][1].shape != (k, 2 * d, 2 * d):
+                self._mats[id(a)] = (a, hermitize(np.reshape(a, (-1, *np.shape(a)[-2:]))))
+            if self._mats[id(a)][1].shape != (k, d, d):
                 raise ValueError(f"block {block} needs a ({k}, {d}, {d}) coefficient")
             self._terms[block].append((self._m, id(a)))
         self._rhs.append(rhs)
         self._m += k
 
     def _column(self, block: int) -> BlockColumn:
-        """The block's support rows and distinct embedded matrices, in statement order."""
-        d2 = 2 * self.cdim
+        """The block's support rows and distinct matrices, in statement order."""
+        d = self.cdim
         rows, index = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-        mats, offset = [np.zeros((0, d2, d2))], {}
+        mats, offset = [np.zeros((0, d, d), dtype=complex)], {}
         for first, key in self._terms[block]:
             stack = self._mats[key][1]
             if key not in offset:
@@ -607,19 +753,20 @@ class ComplexSdpBuilder:
 
     def solve(self, opts: SolveOptions | None = None) -> SdpSolution:
         """Solve; values and multipliers refer to the complex problem, blocks stack by handle."""
-        n, d2 = len(self._terms), 2 * self.cdim
-        zero = np.zeros((d2, d2))
+        n, d = len(self._terms), self.cdim
+        zero = np.zeros((d, d), dtype=complex)
         obj = [self._sense * self._obj.get(k, zero) for k in range(n)]
         columns = [self._column(k) for k in range(n)]
+        # each block stands for its embedding, which doubles traces and inner products
         rhs = 2.0 * np.concatenate([np.zeros(0), *self._rhs])
-        sol = solve(SdpProblem([(k, d2) for k in range(n)], obj, columns=columns, rhs=rhs), opts)
+        sol = solve(SdpProblem([(k, 2 * d) for k in range(n)], obj, columns=columns, rhs=rhs), opts)
         return replace(
             sol,
             primal_value=self._sense * sol.primal_value / 2.0 + self._constant,
             dual_value=self._sense * sol.dual_value / 2.0 + self._constant,
-            primal_blocks=unembed_complex(np.stack(sol.primal_blocks)),
+            primal_blocks=np.stack(sol.primal_blocks),
             dual_multipliers=self._sense * sol.dual_multipliers,
-            dual_slacks=unembed_complex(self._sense * np.stack(sol.dual_slacks)),
+            dual_slacks=self._sense * np.stack(sol.dual_slacks),
         )
 
 

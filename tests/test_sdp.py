@@ -131,6 +131,13 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match="either"):
             SdpProblem((("x", 2),), (eye,), [((eye,), 1.0)], columns=[([0], [0], [eye])], rhs=[1.0])
 
+    def test_rejects_complex_form_of_odd_size(self):
+        h = np.eye(1, dtype=complex)
+        with pytest.raises(ValueError, match="odd size"):
+            SdpProblem((("x", 3),), (h,), columns=[([0], [0], [h])], rhs=[1.0])
+        with pytest.raises(ValueError, match="block dim"):  # a complex block of size 4 holds 2 x 2 matrices
+            SdpProblem((("x", 4),), (np.eye(4, dtype=complex),), columns=[([0], [0], [h])], rhs=[1.0])
+
     def test_iteration_cap_reported_as_such(self):
         p = _single_block_problem(np.diag([1.0, 2.0]), [np.eye(2)], [1.0])
         sol = solve(p, SolveOptions(max_iter=2))
@@ -262,8 +269,7 @@ def _reversed(p):
 def _dense_column(p, k):
     """Block ``k``'s matrix on every one of the m rows, zero where it is absent."""
     col = p.columns[k]
-    d = p.blocks[k][1]
-    a = np.zeros((p.n_constraints, d, d))
+    a = np.zeros((p.n_constraints, *col.mats.shape[1:]), dtype=col.mats.dtype)
     np.add.at(a, col.rows, col.mats[col.index])
     return a
 
@@ -335,6 +341,64 @@ class TestGroupedLayout:
         assert sdp._group_blocks(p) == [[0], [1, 2], [3]]
         _check_assembly(p, rng)
 
+    def test_complex_form_assembly_matches_embedded_reference(self):
+        rng = np.random.default_rng(np.random.Philox(48))
+        p = _complex_form_problem(rng)
+        assert sdp._group_blocks(p) == [[0, 1], [2], [3]]
+        _check_assembly(p, rng)
+
+    def test_complex_form_matches_embedded_problem(self):
+        # the same program with every complex-form block passed as its embedding;
+        # identity blocks are strictly feasible, and so are the slacks at y
+        rng = np.random.default_rng(np.random.Philox(49))
+        p = _complex_form_problem(rng)
+        y = rng.standard_normal(p.n_constraints)
+        cols = [_dense_column(p, k) for k in range(len(p.blocks))]
+        p = SdpProblem(
+            p.blocks,
+            [np.einsum("i,ipq->pq", y, a) + np.eye(a.shape[1]) for a in cols],
+            columns=p.columns,
+            rhs=sum(np.einsum("ipp->i", a).real * (2 if np.iscomplexobj(a) else 1) for a in cols),
+        )
+        emb = SdpProblem(
+            p.blocks,
+            [embed_complex(c) if np.iscomplexobj(c) else c for c in p.objective],
+            columns=[
+                (col.rows, col.index, embed_complex(col.mats) if np.iscomplexobj(col.mats) else col.mats)
+                for col in p.columns
+            ],
+            rhs=p.rhs,
+        )
+        sol, ref = solve(p), solve(emb)
+        assert sol.status is ref.status is SdpStatus.OPTIMAL
+        assert abs(sol.primal_value - ref.primal_value) <= 1e-7
+        assert abs(sol.iterations - ref.iterations) <= 1
+        for k in range(3):
+            assert sol.primal_blocks[k].shape == (p.blocks[k][1] // 2,) * 2
+            assert np.allclose(embed_complex(sol.primal_blocks[k]), ref.primal_blocks[k], atol=1e-6)
+
+
+def _complex_form_problem(rng):
+    """Column-form problem mixing blocks in complex form (sizes 4, 4, 6) with a real one.
+
+    The two 4 x 4 blocks share ``U0`` and ``U1`` with different supports and
+    signs; the real 2 x 2 block appears on every row.
+    """
+    u0, u1 = _rand_herm(rng, 2), _rand_herm(rng, 2)
+    columns = [
+        ([0, 1, 2, 3], [0, 1, 0, 1], [u0, u1]),
+        ([1, 2, 4, 0], [0, 1, 1, 0], [u1, -u0]),
+        ([0, 2, 3, 4], [0, 0, 1, 1], np.stack([_rand_herm(rng, 3), _rand_herm(rng, 3)])),
+        ([0, 1, 2, 3, 4], [0] * 5, [rand_sym(rng, 2)]),
+    ]
+    objective = (_rand_herm(rng, 2), _rand_herm(rng, 2), _rand_herm(rng, 3), rand_sym(rng, 2))
+    return SdpProblem(
+        blocks=(("a", 4), ("b", 4), ("c", 6), ("r", 2)),
+        objective=objective,
+        columns=columns,
+        rhs=rng.standard_normal(5),
+    )
+
 
 def _shared_matrix_problem(rng):
     """Column-form problem whose blocks reuse their matrices across rows.
@@ -359,27 +423,37 @@ def _shared_matrix_problem(rng):
 
 
 def _check_assembly(p, rng):
-    """Grouped H, A and A^T against the per-block loop over dense (m, d, d) stacks."""
+    """Grouped H, A and A^T against the per-block loop over dense (m, d, d) stacks.
+
+    Blocks given in complex form are drawn as Hermitian matrices and compared
+    through their embeddings.
+    """
     m = p.n_constraints
-    ws = [rand_spd(rng, d) for _, d in p.blocks]
-    xs = [rand_sym(rng, d) for _, d in p.blocks]
+    cplx = [sdp._complex_form(p, k) for k in range(len(p.blocks))]
+    ws = [_rand_hpd(rng, d // 2) if c else rand_spd(rng, d) for (_, d), c in zip(p.blocks, cplx)]
+    xs = [_rand_herm(rng, d // 2) if c else rand_sym(rng, d) for (_, d), c in zip(p.blocks, cplx)]
     y = rng.standard_normal(m)
+
+    def real(k, a):
+        return embed_complex(a) if cplx[k] else a
+
     h_ref = np.zeros((m, m))
     ax_ref = np.zeros(m)
     aty_ref = []
     for k, w in enumerate(ws):
-        a = _dense_column(p, k)
+        a, w = real(k, _dense_column(p, k)), real(k, w)
         h_ref += np.einsum("ipq,jpq->ij", a, np.einsum("pq,iqr,rs->ips", w, a, w))
-        ax_ref += np.einsum("ipq,pq->i", a, xs[k])
+        ax_ref += np.einsum("ipq,pq->i", a, real(k, xs[k]))
         aty_ref.append(np.einsum("ipq,i->pq", a, y))
     h = np.zeros((m, m))
     ax = np.zeros(m)
     for members in sdp._group_blocks(p):
         grp = sdp._BlockGroup(p, members)
-        grp.add_schur(np.stack([ws[k] for k in members]), h)
-        ax += grp.apply_a(np.stack([xs[k] for k in members]), m)
+        # a real block is held as a complex one with zero imaginary part
+        grp.add_schur(sdp._embed(np.stack([ws[k] for k in members]).astype(complex)), h)
+        ax += grp.apply_a(np.stack([xs[k] for k in members]).astype(complex), m)
         for k, aty in zip(members, grp.apply_at(y)):
-            assert np.allclose(aty, aty_ref[k], rtol=0, atol=1e-12)
+            assert np.allclose(real(k, aty) if cplx[k] else aty, aty_ref[k], rtol=0, atol=1e-12)
     assert np.allclose(h, h_ref, rtol=0, atol=1e-12 * np.max(np.abs(h_ref)))
     assert np.allclose(ax, ax_ref, rtol=0, atol=1e-12)
 
@@ -540,14 +614,15 @@ class TestSharedStacks:
                 assert np.allclose(res.primal_blocks[other], res.primal_blocks[x], atol=1e-6)
 
     def test_each_stack_embedded_once(self, monkeypatch):
+        # the builder checks each distinct stack once and hands it on unembedded
         calls = []
-        embed = sdp.embed_complex
+        check = sdp.hermitize
 
         def counting(h):
             calls.append(np.shape(h))
-            return embed(h)
+            return check(h)
 
-        monkeypatch.setattr(sdp, "embed_complex", counting)
+        monkeypatch.setattr(sdp, "hermitize", counting)
         self.chain([np.eye(2)] * 3, flip=True)
         # three objective matrices, then basis, neg and the identity once each
         assert calls[3:] == [(4, 2, 2), (4, 2, 2), (1, 2, 2)]
@@ -636,3 +711,81 @@ class TestComplexBuilder:
                     ref = np.array([np.kron(x, y) for x in a for y in b]).reshape(shape)
                     # bit for bit, signed zeros included
                     assert kron_stack(a, b).tobytes() == ref.tobytes(), (din, dout)
+
+
+def _rand_hpd(rng, n):
+    a = rng.standard_normal((n, n + 2)) + 1j * rng.standard_normal((n, n + 2))
+    return a @ a.conj().T + 0.1 * np.eye(n)
+
+
+def _random_complex_builder(rng, cdim, n, m):
+    """Strictly feasible builder problem: n blocks, a trace row and m random Hermitian rows."""
+    b = ComplexSdpBuilder(cdim)
+    xs = b.add_blocks(n)
+    stacks = [np.stack([np.eye(cdim)] + [_rand_herm(rng, cdim) for _ in range(m)]) for _ in xs]
+    x0 = [_rand_hpd(rng, cdim) for _ in xs]
+    s0 = [_rand_hpd(rng, cdim) for _ in xs]
+    y0 = rng.standard_normal(m + 1)
+    rhs = sum(np.einsum("kpq,qp->k", a, x).real for a, x in zip(stacks, x0))
+    b.set_objective({x: np.einsum("k,kpq->pq", y0, a) + s for x, a, s in zip(xs, stacks, s0)})
+    b.add_constraint(dict(zip(xs, stacks)), rhs)
+    return b
+
+
+def _exactly_hermitian(stack):
+    return np.array_equal(stack, stack.conj().swapaxes(-1, -2))
+
+
+class TestExactIterates:
+    """Complex blocks come back exactly Hermitian; real blocks stay real."""
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(
+        cdim=st.integers(2, 4),
+        n=st.integers(1, 3),
+        m=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_builder_blocks_exactly_hermitian(self, cdim, n, m, seed):
+        res = _random_complex_builder(np.random.default_rng(seed), cdim, n, m).solve()
+        assert res.status is SdpStatus.OPTIMAL
+        for stack in (res.primal_blocks, res.dual_slacks):
+            assert stack.shape == (n, cdim, cdim)
+            assert _exactly_hermitian(stack)
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(
+        dims=st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4), (4, 1)]),
+        n=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_best_instrument_exactly_hermitian(self, dims, n, seed):
+        din, dout = dims
+        rng = np.random.default_rng(seed)
+        zs = [_rand_herm(rng, din * dout) for _ in range(n)]
+        _, js, _ = sdp.best_instrument(zs, din, dout)
+        assert _exactly_hermitian(js)
+        res = _instrument_value(zs, din, dout, stacked=True)  # the same program, with its slacks
+        assert res.status is SdpStatus.OPTIMAL
+        assert _exactly_hermitian(res.primal_blocks) and _exactly_hermitian(res.dual_slacks)
+
+    @settings(derandomize=True, database=None, max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_real_problems_return_real_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        p = _sparse_feasible_problem(rng, GROUPED_DIMS, GROUPED_SUPPORTS, 6)
+        imag = []
+        blocks = sdp._SizeClass.blocks
+
+        def recording(cls, x):
+            imag.append(float(np.abs(x.imag).max()))
+            return blocks(cls, x)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sdp._SizeClass, "blocks", recording)
+            sol = solve(p)
+        assert sol.status is SdpStatus.OPTIMAL
+        # held as complex blocks whose imaginary parts stay exactly zero
+        assert imag and max(imag) == 0.0
+        for xb, d in zip(sol.primal_blocks + sol.dual_slacks, GROUPED_DIMS * 2):
+            assert np.isrealobj(xb) and xb.shape == (d, d)
