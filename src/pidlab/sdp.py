@@ -82,7 +82,6 @@ __all__ = [
     "kron_stack",
     "solve",
     "traceless_basis",
-    "unembed_complex",
 ]
 
 DIVERGENCE_LIMIT = 1e8
@@ -108,8 +107,8 @@ class SolveOptions:
 class BlockColumn(NamedTuple):
     """One block's constraint data: row ``rows[j]`` carries ``mats[index[j]]``.
 
-    ``mats`` ``(u, d, d)`` holds the block's distinct matrices; rows the
-    block does not appear in are absent.
+    ``mats`` ``(u, d, d)`` holds the block's distinct matrices (``d/2`` for a
+    block in complex form); rows the block does not appear in are absent.
     """
 
     rows: np.ndarray
@@ -245,17 +244,6 @@ def _embed(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def unembed_complex(x: np.ndarray) -> np.ndarray:
-    """Project ``2n x 2n`` real symmetric matrices, one or a stack, back to Hermitian ``n x n``."""
-    n2 = x.shape[-1]
-    if n2 % 2:
-        raise ValueError("embedded matrix must have even dimension")
-    n = n2 // 2
-    p = (x[..., :n, :n] + x[..., n:, n:]) / 2
-    q = (x[..., n:, :n] - x[..., :n, n:]) / 2
-    return hermitize(p + 1j * q, tol=1e-8)
-
-
 def hermitian_basis(n: int) -> np.ndarray:
     """Orthonormal (Frobenius) basis ``(n*n, n, n)`` of n x n Hermitian matrices.
 
@@ -297,13 +285,13 @@ def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _herm(a: np.ndarray) -> np.ndarray:
-    """Hermitian part ``(a + a^dag)/2``; exactly Hermitian, since ``x + y == y + x``."""
-    return (a + a.conj().swapaxes(-1, -2)) / 2
-
-
 def _ct(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    """Hermitian part ``(a + a^H)/2``; exactly Hermitian, since ``x + y == y + x``."""
+    return (a + _ct(a)) / 2
 
 
 def _pairs(a: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from pidlab.sdp import (
     kron_stack,
     solve,
     traceless_basis,
-    unembed_complex,
 )
 from pidlab.sem import sem
 
@@ -58,12 +57,6 @@ class TestEmbedComplex:
             ev_e = np.sort(np.linalg.eigvalsh(embed_complex(h)))
             assert np.allclose(ev_e, np.sort(np.repeat(ev_h, 2)), atol=1e-10)
 
-    def test_unembed_roundtrip(self):
-        rng = np.random.default_rng(np.random.Philox(32))
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        h = (a + a.conj().T) / 2
-        assert np.allclose(unembed_complex(embed_complex(h)), h, atol=1e-12)
-
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             embed_complex(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -82,16 +75,6 @@ class TestEmbedComplex:
         h = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
         with pytest.raises(ValueError):
             embed_complex(h)
-
-    def test_unembed_stack_matrix_by_matrix(self):
-        rng = np.random.default_rng(np.random.Philox(33))
-        x = rng.standard_normal((2, 3, 6, 6))
-        x = x + x.swapaxes(-1, -2)
-        stacked = unembed_complex(x)
-        assert stacked.shape == (2, 3, 3, 3)
-        for i in range(2):
-            for j in range(3):
-                assert unembed_complex(x[i, j]).tobytes() == stacked[i, j].tobytes()
 
 
 def _single_block_problem(c, a_rows, rhs):
@@ -453,7 +436,7 @@ def _check_assembly(p, rng):
         grp.add_schur(sdp._embed(np.stack([ws[k] for k in members]).astype(complex)), h)
         ax += grp.apply_a(np.stack([xs[k] for k in members]).astype(complex), m)
         for k, aty in zip(members, grp.apply_at(y)):
-            assert np.allclose(real(k, aty) if cplx[k] else aty, aty_ref[k], rtol=0, atol=1e-12)
+            assert np.allclose(real(k, aty), aty_ref[k], rtol=0, atol=1e-12)
     assert np.allclose(h, h_ref, rtol=0, atol=1e-12 * np.max(np.abs(h_ref)))
     assert np.allclose(ax, ax_ref, rtol=0, atol=1e-12)
 
