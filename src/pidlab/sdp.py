@@ -29,15 +29,20 @@ embedded blocks, whose iterates then stay exactly in the embedded subspace
   the real embedding at half width: ``E(W U W)`` is fixed by its first block
   column ``E(W) E(U) E(W)[:, :c]``, and ``<E(V), E(Z)>`` is twice the inner
   product of first block columns.  It is built per block from its ``u``
-  distinct matrices and scattered into the rows of its support (the sparsity
-  argument of Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997); ``A X`` and
-  ``A^T y`` read the same half-width form as ``(re, im)`` pairs;
+  distinct matrices, a ``u x u`` block added onto ``H`` run by run, a run
+  being a stretch of consecutive rows that carry consecutive matrices (the
+  sparsity argument of Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997).
+  A stack of matrices that every block of a group carries is held once for
+  the group.  ``A X`` and ``A^T y`` read the same half-width form as
+  ``(re, im)`` pairs;
 * the remaining matrix products, a few dozen per iteration on ``c x c``
   stacks, stay complex, since building an embedded copy of an operand costs
   more than the complex product at these sizes.
 
-``H`` is dense (a few hundred rows) and is Cholesky-factored once per
-iteration, with the smallest ridge of a short ladder at which it factors.
+``H`` is dense (a few hundred rows), is rebuilt in place each iteration and
+is Cholesky-factored once per iteration, with the smallest ridge of a short
+ladder at which it factors; the ridge is written onto its diagonal, and
+besides ``H`` only the current factor has its size.
 That one factor serves all three solves of the iteration, the predictor, the
 corrector, and the corrector's Newton correction for the primal residual
 that forming its direction leaves behind (which keeps problems near the
@@ -60,6 +65,7 @@ trace-preserving instruments.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from enum import Enum
@@ -123,8 +129,8 @@ class SdpProblem:
     ``m`` right-hand sides.  Pass either ``columns`` and ``rhs``, or
     ``constraints`` as rows of ``(per-block matrices, rhs)``, in which case
     each nonzero matrix of a block becomes its own entry of that block's
-    column.  Shapes, indices and symmetry are checked once per distinct
-    matrix.
+    column.  Shapes and symmetry are checked once per distinct stack object,
+    however many blocks carry it; rows and indices once per block.
 
     A block of size ``d`` is real symmetric.  It may instead be given in
     complex form, when its objective or its matrices are complex arrays:
@@ -149,13 +155,16 @@ class SdpProblem:
         )
         if len(self.columns) != len(dims):
             raise ValueError("columns must provide one entry per block")
+        checked = set()  # (id, size) of the stacks checked; self.columns keeps the ids alive
         for k, (d, c, (rows, index, mats)) in enumerate(zip(dims, self.objective, self.columns)):
             if _complex_form(self, k):
                 if d % 2:
                     raise ValueError(f"a block of odd size {d} cannot be given in complex form")
                 d //= 2
             _check_mats(c[None], d, "objective")
-            _check_mats(mats, d, "constraint")
+            if (id(mats), d) not in checked:
+                _check_mats(mats, d, "constraint")
+                checked.add((id(mats), d))
             if rows.ndim != 1 or rows.shape != index.shape or not np.all(
                 (0 <= rows) & (rows < len(self.rhs)) & (0 <= index) & (index < len(mats))
             ):
@@ -306,11 +315,13 @@ class _BlockGroup:
     for blocks given in complex form, ``c = d`` with zero imaginary part for
     real ones.  ``weight = d / c`` turns ``Re tr(A X)`` into the inner product
     of the ``d x d`` blocks.  ``rows`` ``(n, r)`` holds each block's support
-    rows and ``mats`` ``(n, u, c, c)`` its distinct matrices; ``members`` are
-    the blocks' positions in the problem.  Flat positions computed once per
-    solve map each row to its matrix (``mat_pos``), each pair of rows to its
-    entry of the ``u x u`` Schur block (``pair_pos``) and to its entry of H
-    (``h_pos``).
+    rows and ``members`` the blocks' positions in the problem.  ``mats`` holds
+    the distinct matrices, ``(1, u, c, c)`` when every member carries the same
+    stack object and ``(n, u, c, c)`` otherwise; every product broadcasts over
+    that leading axis, as over the embeddings derived from it.  ``mat_pos``
+    maps each support row to its entry of the ``(n, u)`` products of ``A X``
+    and ``A^T y``; ``tiles``, from :func:`_schur_tiles`, places the blocks'
+    ``u x u`` Schur blocks in H.
     """
 
     def __init__(self, problem: SdpProblem, members: list[int]):
@@ -319,23 +330,22 @@ class _BlockGroup:
         self.dim = d = problem.blocks[members[0]][1]
         self.rows = np.stack([col.rows for col in cols])
         self.complex_form = _complex_form(problem, members[0])
-        mats = np.stack([col.mats for col in cols]).astype(complex)
-        n, u, c = mats.shape[:3]
+        shared = all(col.mats is cols[0].mats for col in cols)
+        mats = cols[0].mats[None] if shared else np.stack([col.mats for col in cols])
+        self.mats = mats = np.ascontiguousarray(mats, dtype=complex)
+        nm, u, c = mats.shape[:3]
         self.cdim, self.weight = c, d // c
-        self.mats = mats
         # Re tr(A X) = A pairs . X pairs, for apply_a and apply_at
-        self.mats_pairs = mats.view(float).reshape(n, u, 2 * c * c)
+        self.mats_pairs = mats.view(float).reshape(nm, u, 2 * c * c)
         # for the Schur complement: the embedded matrices E(U) stacked into
         # (2c u, 2c), and their first block columns
         emb = _embed(mats)
-        self.mats_tall = emb.reshape(n, u * 2 * c, 2 * c)
-        self.mats_col = np.ascontiguousarray(emb[..., :c]).reshape(n, u, 2 * c * c)
+        self.mats_tall = emb.reshape(nm, u * 2 * c, 2 * c)
+        self.mats_col = np.ascontiguousarray(emb[..., :c]).reshape(nm, u, 2 * c * c)
         self.c = np.stack([problem.objective[k] for k in members]).astype(complex)
         index = np.stack([col.index for col in cols])
-        self.mat_pos = (index + u * np.arange(n)[:, None]).ravel()
-        pair = index[:, :, None] * u + index[:, None, :]
-        self.pair_pos = (pair + u * u * np.arange(n)[:, None, None]).ravel()
-        self.h_pos = (self.rows[:, :, None] * problem.n_constraints + self.rows[:, None, :]).ravel()
+        self.mat_pos = (index + u * np.arange(len(members))[:, None]).ravel()
+        self.tiles = _schur_tiles(self.rows, index)
 
     def apply_a(self, x: np.ndarray, m: int) -> np.ndarray:
         """``out[i] = sum_b <A_{i,b}, X_b>`` over this group, as an m-vector."""
@@ -345,7 +355,7 @@ class _BlockGroup:
 
     def apply_at(self, y: np.ndarray) -> np.ndarray:
         """``sum_i y_i A_{i,b}`` for each block of the group."""
-        n, u = self.mats.shape[:2]
+        n, u = len(self.members), self.mats.shape[1]
         coef = np.bincount(self.mat_pos, y[self.rows].ravel(), minlength=n * u)
         return (coef.reshape(n, 1, u) @ self.mats_pairs).view(complex).reshape(self.c.shape)
 
@@ -354,12 +364,76 @@ class _BlockGroup:
 
         ``E(W U W)`` is fixed by its first block column ``E(W) E(U) E(W)[:, :c]``,
         and ``Re tr(V W U W)`` is that column's inner product with ``V``'s.
+        The ``u x u`` blocks of these products go onto H tile by tile
+        (:func:`_schur_tiles`): each tile is summed over its blocks first,
+        in block order, and then added onto H once (numpy sums a stack of
+        ``1 x 1`` tiles pairwise instead, which differs from that order from
+        three blocks on).
         """
-        n, u, c = self.mats.shape[:3]
+        n, (u, c) = len(self.members), self.mats.shape[1:3]
         ue = (self.mats_tall @ ew[..., :c]).reshape(n, u, 2 * c, c)
-        wuw = (ew[:, None] @ ue).reshape(n, u, -1)
-        per_pair = self.weight * (self.mats_col @ wuw.swapaxes(1, 2)).ravel()[self.pair_pos]
-        h += np.bincount(self.h_pos, per_pair, minlength=h.size).reshape(h.shape)
+        wuw = (ew[:, None] @ ue).reshape(n, u, 2 * c * c)
+        per_block = self.weight * (self.mats_col @ wuw.swapaxes(1, 2))
+        for place, terms in self.tiles:
+            part = per_block[terms]  # (k, len_t, len_s), or one block's tile
+            tile = h[place]
+            np.add(tile, part if part.ndim == 2 else part.sum(axis=0), out=tile)
+
+
+def _runs(rows: np.ndarray, index: np.ndarray) -> list[list[tuple[int, int, int]]]:
+    """Per block, ``(first row, first matrix, length)`` of each maximal run of its column.
+
+    ``rows`` and ``index`` are ``(n, r)``, one block per row.  A run is a
+    maximal stretch of a block's support in which consecutive rows carry
+    consecutive matrices.
+    """
+    n, r = rows.shape
+    start = np.ones((n, r), dtype=bool)
+    start[:, 1:] = (np.diff(rows) != 1) | (np.diff(index) != 1)
+    flat = np.flatnonzero(start)  # each block's first entry starts a run
+    runs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for b, first, mat, k in zip(
+        (flat // r).tolist(),
+        rows.ravel()[flat].tolist(),
+        index.ravel()[flat].tolist(),
+        np.diff(flat, append=n * r).tolist(),
+    ):
+        runs[b].append((first, mat, k))
+    return runs
+
+
+def _schur_tiles(rows: np.ndarray, index: np.ndarray) -> list[tuple[tuple, tuple]]:
+    """``(place in H, index into the (n, u, u) Schur blocks)`` of each tile a group adds.
+
+    Each block's runs are cut wherever a run of another block of the group
+    starts or ends, so that two segments are equal or disjoint.  Each pair of
+    one block's segments gives a term, a slice of its Schur block, and terms
+    with the same place and slice form one tile, summed over its blocks in
+    block order before it goes onto H.  A tile's blocks are one index when
+    there is one, a slice when they are evenly spaced, else an index array.
+    """
+    runs = _runs(rows, index)
+    cuts = sorted({x for block in runs for first, _, k in block for x in (first, first + k)})
+    terms: dict[tuple[int, ...], list[int]] = {}
+    for b, block in enumerate(runs):
+        segments = []
+        for first, mat, k in block:
+            ends = [first, *cuts[bisect_right(cuts, first) : bisect_left(cuts, first + k)], first + k]
+            segments += [(a, mat + a - first, e - a) for a, e in zip(ends, ends[1:])]
+        for row_t, mat_t, len_t in segments:
+            for row_s, mat_s, len_s in segments:
+                terms.setdefault((row_t, row_s, mat_t, mat_s, len_t, len_s), []).append(b)
+    tiles = []
+    for (row_t, row_s, mat_t, mat_s, len_t, len_s), blocks in terms.items():
+        if len(blocks) == 1:
+            which = blocks[0]
+        else:
+            step = blocks[1] - blocks[0]
+            even = step > 0 and blocks == list(range(blocks[0], blocks[-1] + 1, step))
+            which = slice(blocks[0], blocks[-1] + 1, step) if even else np.array(blocks)
+        place = (slice(row_t, row_t + len_t), slice(row_s, row_s + len_s))
+        tiles.append((place, (which, slice(mat_t, mat_t + len_t), slice(mat_s, mat_s + len_s))))
+    return tiles
 
 
 class _SizeClass:
@@ -548,6 +622,7 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
 
     status = SdpStatus.MAX_ITER
     it = 0
+    h = np.empty((m, m))  # the Schur complement, rebuilt in place each iteration
     for it in range(1, opts.max_iter + 1):
         rp, rd, pres, dres = residuals(x, s, y)
         mu = inner(x, s) / ntot
@@ -573,15 +648,18 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             status = SdpStatus.NUMERICAL_FAILURE
             break
 
-        h = np.zeros((m, m))
+        solve_h = None  # the last iteration's factor goes before this one is made
+        h.fill(0.0)
         for cls, sc in zip(classes, nt):
             cls.add_schur(sc.w, h)
 
         # the smallest ridge at which H factors; its factor serves every solve below
         h_scale = max(np.trace(h) / m, 1e-300)
+        diag = h.diagonal().copy()
         for ridge in (1e-14, 1e-12, 1e-10, 1e-8):
+            np.fill_diagonal(h, diag + ridge * h_scale)
             try:
-                solve_h = _CholeskySolver(np.linalg.cholesky(h + ridge * h_scale * np.eye(m)))
+                solve_h = _CholeskySolver(np.linalg.cholesky(h))
             except np.linalg.LinAlgError:
                 continue
             break
@@ -725,26 +803,38 @@ class ComplexSdpBuilder:
         self._rhs.append(rhs)
         self._m += k
 
-    def _column(self, block: int) -> BlockColumn:
-        """The block's support rows and distinct matrices, in statement order."""
+    def _columns(self) -> list[BlockColumn]:
+        """Every block's support rows and distinct matrices, in statement order.
+
+        Blocks whose statements use the same stacks in the same order share
+        one ``mats`` object, which the solver then holds once.
+        """
         d = self.cdim
-        rows, index = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-        mats, offset = [np.zeros((0, d, d), dtype=complex)], {}
-        for first, key in self._terms[block]:
-            stack = self._mats[key][1]
-            if key not in offset:
-                offset[key] = sum(map(len, mats))
-                mats.append(stack)
-            rows.append(np.arange(first, first + len(stack)))
-            index.append(np.arange(offset[key], offset[key] + len(stack)))
-        return BlockColumn(np.concatenate(rows), np.concatenate(index), np.concatenate(mats))
+        joined: dict[tuple[int, ...], np.ndarray] = {}
+        columns = []
+        for terms in self._terms:
+            rows, index = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+            offset: dict[int, int] = {}
+            u = 0
+            for first, key in terms:
+                k = len(self._mats[key][1])
+                if key not in offset:
+                    offset[key], u = u, u + k
+                rows.append(np.arange(first, first + k))
+                index.append(np.arange(offset[key], offset[key] + k))
+            keys = tuple(offset)
+            if keys not in joined:
+                stacks = [self._mats[key][1] for key in keys]
+                joined[keys] = np.concatenate([np.zeros((0, d, d), dtype=complex), *stacks])
+            columns.append(BlockColumn(np.concatenate(rows), np.concatenate(index), joined[keys]))
+        return columns
 
     def solve(self, opts: SolveOptions | None = None) -> SdpSolution:
         """Solve; values and multipliers refer to the complex problem, blocks stack by handle."""
         n, d = len(self._terms), self.cdim
         zero = np.zeros((d, d), dtype=complex)
         obj = [self._sense * self._obj.get(k, zero) for k in range(n)]
-        columns = [self._column(k) for k in range(n)]
+        columns = self._columns()
         # each block stands for its embedding, which doubles traces and inner products
         rhs = 2.0 * np.concatenate([np.zeros(0), *self._rhs])
         sol = solve(SdpProblem([(k, 2 * d) for k in range(n)], obj, columns=columns, rhs=rhs), opts)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,19 @@ class TestSolveBasics:
             SdpProblem((("x", 3),), (h,), columns=[([0], [0], [h])], rhs=[1.0])
         with pytest.raises(ValueError, match="block dim"):  # a complex block of size 4 holds 2 x 2 matrices
             SdpProblem((("x", 4),), (np.eye(4, dtype=complex),), columns=[([0], [0], [h])], rhs=[1.0])
+
+    def test_block_in_no_constraint(self):
+        # an empty block column: no row constrains the block, and min <1, X> puts it at zero
+        p = SdpProblem(
+            (("x", 2), ("free", 2)),
+            (np.eye(2), np.eye(2)),
+            columns=[([0], [0], [np.eye(2)]), ([], [], np.zeros((0, 2, 2)))],
+            rhs=[1.0],
+        )
+        sol = solve(p)
+        assert sol.status is SdpStatus.OPTIMAL
+        assert abs(sol.primal_value - 1.0) <= 1e-7
+        assert np.abs(sol.primal_blocks[1]).max() <= 1e-7
 
     def test_iteration_cap_reported_as_such(self):
         p = _single_block_problem(np.diag([1.0, 2.0]), [np.eye(2)], [1.0])
@@ -441,6 +456,164 @@ def _check_assembly(p, rng):
     assert np.allclose(ax, ax_ref, rtol=0, atol=1e-12)
 
 
+@st.composite
+def _statement_problems(draw):
+    """A strictly feasible column-form problem, stated statement by statement.
+
+    Each statement carries one of a few Hermitian (or, for real blocks,
+    symmetric) stacks of 1-5 rows, on a set of blocks, over the next rows.  A
+    block's matrices are its distinct stacks in first-use order, so a block
+    on consecutive statements with new stacks has one run across them.
+    Returns the problem with one ``mats`` object per distinct stack sequence,
+    the same problem with a private copy per block, and the rng.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cplx = draw(st.booleans())
+    c, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    draw_mat = (lambda: _rand_herm(rng, c)) if cplx else (lambda: rand_sym(rng, c))
+    stacks = [np.stack([draw_mat() for _ in range(draw(st.integers(1, 5)))]) for _ in range(3)]
+    everywhere = draw(st.booleans())  # every statement covers every block
+    statements = draw(
+        st.lists(
+            st.tuples(st.integers(0, 2), st.sets(st.integers(0, n - 1), min_size=1)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    terms = [[] for _ in range(n)]
+    m = 0
+    for key, blocks in statements:
+        for k in range(n) if everywhere else sorted(blocks):
+            terms[k].append((m, key))
+        m += len(stacks[key])
+    joined, shared, private = {}, [], []
+    for block in terms:
+        rows, index, offset = [], [], {}
+        for first, key in block:
+            k = len(stacks[key])
+            offset.setdefault(key, sum(len(stacks[j]) for j in offset))
+            rows += range(first, first + k)
+            index += range(offset[key], offset[key] + k)
+        keys = tuple(offset)
+        if keys not in joined:
+            joined[keys] = np.concatenate([np.zeros((0, c, c), stacks[0].dtype)] + [stacks[j] for j in keys])
+        shared.append((rows, index, joined[keys]))
+        private.append((rows, index, joined[keys].copy()))
+    d = 2 * c if cplx else c
+    blocks = tuple((f"b{k}", d) for k in range(n))
+    dense = [_dense_column(SdpProblem(blocks, [np.eye(c)] * n, columns=shared, rhs=np.zeros(m)), k) for k in range(n)]
+    weight = 2 if cplx else 1
+    x0 = [_rand_hpd(rng, c) if cplx else rand_spd(rng, c) for _ in range(n)]
+    s0 = [_rand_hpd(rng, c) if cplx else rand_spd(rng, c) for _ in range(n)]
+    y0 = rng.standard_normal(m)
+    rhs = sum(weight * np.einsum("ipq,qp->i", a, x).real for a, x in zip(dense, x0))
+    obj = [np.einsum("i,ipq->pq", y0, a) + s for a, s in zip(dense, s0)]
+    return (
+        SdpProblem(blocks, obj, columns=shared, rhs=rhs),
+        SdpProblem(blocks, obj, columns=private, rhs=rhs),
+        rng,
+    )
+
+
+class TestRunAssembly:
+    """The Schur complement added tile by tile over runs, against dense references."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(case=_statement_problems())
+    def test_assembly_matches_dense_reference(self, case):
+        shared, private, rng = case
+        state = rng.bit_generator.state
+        _check_assembly(shared, rng)
+        rng.bit_generator.state = state
+        _check_assembly(private, rng)
+        for members in sdp._group_blocks(shared):
+            sizes = {len(sdp._BlockGroup(p, members).mats) for p in (shared, private)}
+            same = all(shared.columns[k].mats is shared.columns[members[0]].mats for k in members)
+            assert sizes == ({1, len(members)} if same else {len(members)})
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(case=_statement_problems())
+    def test_shared_stacks_solve_like_private_copies(self, case):
+        shared, private, _ = case
+        one, other = solve(shared), solve(private)
+        assert one.status is other.status is SdpStatus.OPTIMAL
+        assert one.iterations == other.iterations
+        assert one.primal_value == other.primal_value
+        assert np.array_equal(one.dual_multipliers, other.dual_multipliers)
+        for x, z in zip(one.primal_blocks, other.primal_blocks):
+            assert np.array_equal(x, z)
+
+    def test_merged_and_split_runs(self):
+        # block 0 carries U then V over adjacent statements, one run; block 1
+        # carries them over statements apart, two runs; block 2 carries U twice
+        rng = np.random.default_rng(np.random.Philox(50))
+        u, v = np.stack([rand_sym(rng, 2) for _ in range(2)]), np.stack([rand_sym(rng, 2)])
+        uv = np.concatenate([u, v])
+        columns = [([0, 1, 2], [0, 1, 2], uv), ([0, 1, 4], [0, 1, 2], uv), ([0, 1, 5, 6], [0, 1, 0, 1], u)]
+        p = SdpProblem((("a", 2), ("b", 2), ("c", 2)), [np.eye(2)] * 3, columns=columns, rhs=np.ones(7))
+        assert [sdp._runs(np.array([r]), np.array([i]))[0] for r, i, _ in columns] == [
+            [(0, 0, 3)],
+            [(0, 0, 2), (4, 2, 1)],
+            [(0, 0, 2), (5, 0, 2)],
+        ]
+        assert sdp._group_blocks(p) == [[0, 1], [2]]
+        _check_assembly(p, rng)
+
+
+class TestStackChecks:
+    def test_each_stack_object_checked_once(self, monkeypatch):
+        calls = []
+        check = sdp._check_mats
+
+        def counting(stack, dim, what):
+            calls.append((what, id(stack)))
+            return check(stack, dim, what)
+
+        monkeypatch.setattr(sdp, "_check_mats", counting)
+        h = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
+        other = h.copy()
+        columns = [([0, 1], [0, 1], h)] * 4 + [([2, 3], [0, 1], other)]
+        SdpProblem([(k, 4) for k in range(5)], [np.eye(2, dtype=complex)] * 5, columns=columns, rhs=np.ones(4))
+        assert [w for w, _ in calls].count("objective") == 5
+        assert [i for w, i in calls if w == "constraint"] == [id(h), id(other)]
+
+    def test_shared_stack_still_checked(self):
+        bad = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
+        with pytest.raises(ValueError, match="antisymmetric"):
+            SdpProblem([(0, 4), (1, 4)], [np.eye(2, dtype=complex)] * 2, columns=[([0], [0], bad)] * 2, rhs=[1.0])
+        with pytest.raises(ValueError, match="in-range"):  # rows and indices stay per block
+            SdpProblem(
+                [(0, 4), (1, 4)],
+                [np.eye(2, dtype=complex)] * 2,
+                columns=[([0], [0], np.eye(2, dtype=complex)[None]), ([0], [1], np.eye(2, dtype=complex)[None])],
+                rhs=[1.0],
+            )
+
+
+class TestMemoryBudget:
+    # peak traced memory of one robustness solve, build included, against the
+    # bytes of its m x m Schur complement
+    @pytest.mark.parametrize("dims,m", [((3, 3, 2, 2), 332), ((2, 3, 4, 2), 291)])
+    def test_roi_primal_peak(self, dims, m, monkeypatch):
+        sizes = []
+        real_solve = sdp.solve
+
+        def recording(problem, opts=None):
+            sizes.append(problem.n_constraints)
+            return real_solve(problem, opts)
+
+        monkeypatch.setattr(sdp, "solve", recording)
+        p = random_pid(*dims, seed=1)
+        tracemalloc.start()
+        try:
+            roi_primal(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [m]
+        assert peak <= 8 * (m * m * 8)
+
+
 def _haar(rng, d):
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(z)
@@ -587,8 +760,8 @@ class TestSharedStacks:
         for _ in range(5):
             cs = [_rand_herm(rng, 2) for _ in range(3)]
             b, (x, y, z) = self.chain(cs, flip)
-            assert len(b._column(x).mats) == (8 if flip else 4)
-            assert list(b._column(x).rows) == list(range(8))
+            assert len(b._columns()[x].mats) == (8 if flip else 4)
+            assert list(b._columns()[x].rows) == list(range(8))
             res = b.solve()
             assert res.status is SdpStatus.OPTIMAL
             assert abs(res.primal_value - np.linalg.eigvalsh(sum(cs))[0]) <= 1e-6
