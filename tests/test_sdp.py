@@ -496,12 +496,14 @@ def _statement_problems(draw):
             index += range(offset[key], offset[key] + k)
         keys = tuple(offset)
         if keys not in joined:
-            joined[keys] = np.concatenate([np.zeros((0, c, c), stacks[0].dtype)] + [stacks[j] for j in keys])
+            empty = np.zeros((0, c, c), stacks[0].dtype)
+            joined[keys] = np.concatenate([empty] + [stacks[j] for j in keys])
         shared.append((rows, index, joined[keys]))
         private.append((rows, index, joined[keys].copy()))
     d = 2 * c if cplx else c
     blocks = tuple((f"b{k}", d) for k in range(n))
-    dense = [_dense_column(SdpProblem(blocks, [np.eye(c)] * n, columns=shared, rhs=np.zeros(m)), k) for k in range(n)]
+    layout = SdpProblem(blocks, [np.eye(c)] * n, columns=shared, rhs=np.zeros(m))
+    dense = [_dense_column(layout, k) for k in range(n)]
     weight = 2 if cplx else 1
     x0 = [_rand_hpd(rng, c) if cplx else rand_spd(rng, c) for _ in range(n)]
     s0 = [_rand_hpd(rng, c) if cplx else rand_spd(rng, c) for _ in range(n)]
@@ -549,8 +551,12 @@ class TestRunAssembly:
         rng = np.random.default_rng(np.random.Philox(50))
         u, v = np.stack([rand_sym(rng, 2) for _ in range(2)]), np.stack([rand_sym(rng, 2)])
         uv = np.concatenate([u, v])
-        columns = [([0, 1, 2], [0, 1, 2], uv), ([0, 1, 4], [0, 1, 2], uv), ([0, 1, 5, 6], [0, 1, 0, 1], u)]
-        p = SdpProblem((("a", 2), ("b", 2), ("c", 2)), [np.eye(2)] * 3, columns=columns, rhs=np.ones(7))
+        columns = [
+            ([0, 1, 2], [0, 1, 2], uv),
+            ([0, 1, 4], [0, 1, 2], uv),
+            ([0, 1, 5, 6], [0, 1, 0, 1], u),
+        ]
+        p = SdpProblem([(k, 2) for k in range(3)], [np.eye(2)] * 3, columns=columns, rhs=np.ones(7))
         assert [sdp._runs(np.array([r]), np.array([i]))[0] for r, i, _ in columns] == [
             [(0, 0, 3)],
             [(0, 0, 2), (4, 2, 1)],
@@ -573,20 +579,20 @@ class TestStackChecks:
         h = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
         other = h.copy()
         columns = [([0, 1], [0, 1], h)] * 4 + [([2, 3], [0, 1], other)]
-        SdpProblem([(k, 4) for k in range(5)], [np.eye(2, dtype=complex)] * 5, columns=columns, rhs=np.ones(4))
+        obj = [np.eye(2, dtype=complex)] * 5
+        SdpProblem([(k, 4) for k in range(5)], obj, columns=columns, rhs=np.ones(4))
         assert [w for w, _ in calls].count("objective") == 5
         assert [i for w, i in calls if w == "constraint"] == [id(h), id(other)]
 
     def test_shared_stack_still_checked(self):
         bad = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
+        obj = [np.eye(2, dtype=complex)] * 2
         with pytest.raises(ValueError, match="antisymmetric"):
-            SdpProblem([(0, 4), (1, 4)], [np.eye(2, dtype=complex)] * 2, columns=[([0], [0], bad)] * 2, rhs=[1.0])
+            SdpProblem([(0, 4), (1, 4)], obj, columns=[([0], [0], bad)] * 2, rhs=[1.0])
+        eye = np.eye(2, dtype=complex)[None]
         with pytest.raises(ValueError, match="in-range"):  # rows and indices stay per block
             SdpProblem(
-                [(0, 4), (1, 4)],
-                [np.eye(2, dtype=complex)] * 2,
-                columns=[([0], [0], np.eye(2, dtype=complex)[None]), ([0], [1], np.eye(2, dtype=complex)[None])],
-                rhs=[1.0],
+                [(0, 4), (1, 4)], [eye[0]] * 2, columns=[([0], [0], eye), ([0], [1], eye)], rhs=[1.0]
             )
 
 
