@@ -31,7 +31,7 @@ from .compatibility import (
 )
 from .devices import Pid, Povm, pad_pid_outcomes
 from .linalg import hermitize, max_abs, min_eig
-from .sdp import SolveOptions, best_instrument, hermitian_basis
+from .sdp import SolveOptions, best_instrument, best_instruments, hermitian_basis
 
 __all__ = [
     "BoundReport",
@@ -142,19 +142,42 @@ class PguessSimpleResult:
     gap: float
 
 
+def _simple_scores(scores: list[np.ndarray], norm: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The response maps of ``scores[0]``'s shape and each score's instrument program.
+
+    The branch for response ``f`` scores ``sum_x0 score[x0, f(x0)] / norm``; the
+    program's optimum is the best simple device's value ``sum Tr[score[x0, x1]
+    J_{x1|x0}] / norm``.
+    """
+    maps = response_maps(enumerate_strategies(*scores[0].shape[:2]))
+    return maps, [gather_responses(maps, score) / norm for score in scores]
+
+
 def _best_simple(
     score: np.ndarray, norm: int, din: int, dout: int, opts: SolveOptions | None, what: str
 ) -> tuple[float, np.ndarray, float]:
     """Best simple device for the value ``sum Tr[score[x0, x1] J_{x1|x0}] / norm``.
 
-    The branch for response ``f`` scores ``sum_x0 score[x0, f(x0)] / norm``; returns the
-    optimum, the device blocks ``(n_programs, n_outcomes, d, d)`` and the relative gap.
+    Returns the optimum, the device blocks ``(n_programs, n_outcomes, d, d)`` and
+    the relative gap.
     """
-    n_programs, n_outcomes = score.shape[:2]
-    maps = response_maps(enumerate_strategies(n_programs, n_outcomes))
-    zs = gather_responses(maps, score) / norm
+    maps, (zs,) = _simple_scores([score], norm)
     value, js, gap = best_instrument(zs, din, dout, opts or GAME_OPTS, what)
-    return value, scatter_responses(maps, js, n_outcomes), gap
+    return value, scatter_responses(maps, js, score.shape[1]), gap
+
+
+def _merged_score(g: GameSpec) -> tuple[list[int], np.ndarray]:
+    """Representative labels of the merged outcome groups, and their effect columns."""
+    reps = [grp[0] for grp in _merge_groups(g.effects)]
+    return reps, g.effects[:, reps]
+
+
+def _unmerged(g: GameSpec, reps: list[int], value, merged, gap) -> PguessSimpleResult:
+    """The result for ``g`` of its merged program's solution, with zero blocks off ``reps``."""
+    d = g.d_ref * g.dout
+    blocks = np.zeros((g.n_m, g.n_n, d, d), dtype=complex)
+    blocks[:, reps] = merged
+    return PguessSimpleResult(value=value, strategy=Pid(g.d_ref, g.dout, blocks), gap=gap)
 
 
 def pguess_simple(
@@ -167,14 +190,30 @@ def pguess_simple(
     distinguishing them), which keeps witness games with many dummy outcomes
     tractable.
     """
-    reps = [grp[0] for grp in _merge_groups(g.effects)]
+    reps, score = _merged_score(g)
     value, merged, gap = _best_simple(
-        g.effects[:, reps], g.d_ref, g.d_ref, g.dout, opts, "simple-device benchmark"
+        score, g.d_ref, g.d_ref, g.dout, opts, "simple-device benchmark"
     )
-    d = g.d_ref * g.dout
-    blocks = np.zeros((g.n_m, g.n_n, d, d), dtype=complex)
-    blocks[:, reps] = merged
-    return PguessSimpleResult(value=value, strategy=Pid(g.d_ref, g.dout, blocks), gap=gap)
+    return _unmerged(g, reps, value, merged, gap)
+
+
+def _pguess_simple_batch(
+    games: list[GameSpec], opts: SolveOptions | None = None
+) -> list[PguessSimpleResult]:
+    """:func:`pguess_simple` of games of one shape, those with one merged label count solved in lockstep."""
+    merged = [_merged_score(g) for g in games]
+    by_count: dict[int, list[int]] = {}
+    for i, (reps, _) in enumerate(merged):
+        by_count.setdefault(len(reps), []).append(i)
+    out: list[PguessSimpleResult] = [None] * len(games)
+    for idx in by_count.values():
+        g = games[idx[0]]
+        maps, batch = _simple_scores([merged[i][1] for i in idx], g.d_ref)
+        sols = best_instruments(batch, g.d_ref, g.dout, opts or GAME_OPTS, "simple-device benchmark")
+        for i, (value, js, gap) in zip(idx, sols):
+            reps = merged[i][0]
+            out[i] = _unmerged(games[i], reps, value, scatter_responses(maps, js, len(reps)), gap)
+    return out
 
 
 def witness_game(cert: RoiCertificate, n_dummy: int = 64) -> GameSpec:
@@ -235,17 +274,18 @@ def verify_robustness_bound(
     itself embedded with dummy outcomes ignored, and (ii) the strongest simple
     strategy, which any device can reach; both are genuinely attainable, so
     every ratio is a certified lower bound on the advantage and can never
-    exceed ``1 + roi`` beyond numerical tolerance.
+    exceed ``1 + roi`` beyond numerical tolerance.  The schedule's simple
+    benchmarks are solved in lockstep, one batch per merged label count.
     """
     cert = roi(p, opts)
+    games = [witness_game(cert, n_dummy=n_dummy) for n_dummy in schedule]
+    simples = _pguess_simple_batch(games, opts)
     ratios = []
     lower = []
     bench = []
     violations = 0
-    for n_dummy in schedule:
-        g = witness_game(cert, n_dummy=n_dummy)
+    for g, simple in zip(games, simples):
         num = game_value(g, pad_pid_outcomes(p, g.n_n))
-        simple = pguess_simple(g, opts)
         num = max(num, simple.value)
         if use_seesaw:
             from .simulation import seesaw_pguess

@@ -22,9 +22,10 @@ embedded blocks, whose iterates then stay exactly in the embedded subspace
 2004).  Work is split by where it is cheaper:
 
 * factorizations run in complex arithmetic at size ``c``, once per stack of
-  blocks of one size and form: the Nesterov-Todd scaling (two Cholesky
-  factors, one SVD, two inverses) and the four step-length eigenvalue calls
-  of each iteration;
+  blocks of one size and form: the Nesterov-Todd scaling (one Cholesky call
+  and one inverse call for ``X`` and ``S`` stacked together, one SVD) and
+  the two step-length eigenvalue calls of each iteration, each for ``X``
+  and ``S`` together;
 * the Schur complement ``H[i, j] = sum_b <A_{i,b}, W_b A_{j,b} W_b>`` runs in
   the real embedding at half width: ``E(W U W)`` is fixed by its first block
   column ``E(W) E(U) E(W)[:, :c]``, and ``<E(V), E(Z)>`` is twice the inner
@@ -35,6 +36,17 @@ embedded blocks, whose iterates then stay exactly in the embedded subspace
   A stack of matrices that every block of a group carries is held once for
   the group.  ``A X`` and ``A^T y`` read the same half-width form as
   ``(re, im)`` pairs;
+* a group whose shared stack is ``Q_i (x) 1_o`` for a divisor ``o > 1`` of
+  ``c`` takes the structure instead of the embedding.  With ``W`` indexed by
+  pairs ``(a, o)``, ``Re tr(A_t W A_s W) = Re(q_t Phi q_s^T)`` for the
+  flattened ``Q``'s and the partial-trace contraction ``Phi[(a, b), (c, d)]
+  = sum_{o, o'} W[(b, o), (c, o')] W[(d, o'), (a, o)]``, one ``(a^2, o^2) @
+  (o^2, a^2)`` product per block; ``Phi`` is summed over each tile's blocks
+  and one basis change by ``Q`` adds the tile.  The path is chosen once per
+  solve by testing the stack for exact equality with ``Q_i (x) 1_o``, the
+  largest ``o`` first; nothing else selects it, and a stack one ulp off
+  stays on the embedded path.  The trace-preserving rows ``H_i (x) 1`` of
+  :func:`best_instrument` are such a stack;
 * the remaining matrix products, a few dozen per iteration on ``c x c``
   stacks, stay complex, since building an embedded copy of an operand costs
   more than the complex product at these sizes.
@@ -52,6 +64,17 @@ substitution; ``H^-1`` is never formed (as in SDPT3, Toh, Todd and Tutuncu,
 :attr:`SdpStatus.MAX_ITER`, with the residuals of the iterate it returns.
 Everything is deterministic, so identical inputs produce identical iterates.
 
+There is one interior-point kernel, :func:`solve_batch`: it solves problems
+of one structure, the same blocks and columns with other objectives and
+right-hand sides, in lockstep.  Iterates, ``H`` and its factor carry a
+leading batch axis, and every product, factorization and eigenvalue call
+runs once for the batch, matrix by matrix as for one problem, so each
+problem takes exactly the iterates it takes alone.  mu, sigma, step
+lengths, termination and status are per problem; a problem that stops
+(optimal, diverged, out of factorizations) leaves the batch with the
+iterate it stopped at, and the rest go on.  :func:`solve` is the batch of
+one.
+
 Complex Hermitian problems are stated through :class:`ComplexSdpBuilder`,
 over blocks of one size named by integer handles.  It passes its Hermitian
 matrices to :func:`solve` in complex form, undoes the doubling of traces
@@ -60,7 +83,9 @@ blocks as exactly Hermitian stacks indexed by handle.  Bases for matrix
 constraints come from :func:`hermitian_basis`, :func:`traceless_basis` and
 their Kronecker products, :func:`kron_stack`.  :func:`best_instrument` is
 the one instrument program built on it: maximize ``sum_k Tr[Z_k J_k]`` over
-trace-preserving instruments.
+trace-preserving instruments; :meth:`ComplexSdpBuilder.solve_batch` and
+:func:`best_instruments` solve such programs for several objectives in
+lockstep.
 """
 
 from __future__ import annotations
@@ -83,10 +108,11 @@ __all__ = [
     "SdpStatus",
     "SolveOptions",
     "best_instrument",
-    "embed_complex",
+    "best_instruments",
     "hermitian_basis",
     "kron_stack",
     "solve",
+    "solve_batch",
     "traceless_basis",
 ]
 
@@ -233,16 +259,6 @@ class SdpSolution:
         return self
 
 
-def embed_complex(h: np.ndarray) -> np.ndarray:
-    """Real symmetric embedding ``[[Re, -Im], [Im, Re]]`` of a Hermitian matrix.
-
-    ``h`` is one matrix or a stack ``(..., n, n)``, embedded matrix by matrix.
-    The embedding is PSD iff the input is, its eigenvalues are the doubled
-    multiset of the input's, and traces double.
-    """
-    return _embed(hermitize(h))
-
-
 def _embed(h: np.ndarray) -> np.ndarray:
     """``[[Re h, -Im h], [Im h, Re h]]`` of each matrix of a complex stack, unchecked."""
     c = h.shape[-1]
@@ -321,7 +337,12 @@ class _BlockGroup:
     that leading axis, as over the embeddings derived from it.  ``mat_pos``
     maps each support row to its entry of the ``(n, u)`` products of ``A X``
     and ``A^T y``; ``tiles``, from :func:`_schur_tiles`, places the blocks'
-    ``u x u`` Schur blocks in H.
+    ``u x u`` Schur blocks in H.  ``kron`` is ``(Q, a, o)`` when the shared
+    stack is ``Q_i (x) 1_o`` (:func:`_kron_factor`), and then the embeddings
+    are not built.
+
+    The methods take iterates with any leading batch axes, ``(..., n, c, c)``
+    against ``(..., m)`` vectors and ``(..., m, m)`` Schur complements.
     """
 
     def __init__(self, problem: SdpProblem, members: list[int]):
@@ -337,30 +358,34 @@ class _BlockGroup:
         self.cdim, self.weight = c, d // c
         # Re tr(A X) = A pairs . X pairs, for apply_a and apply_at
         self.mats_pairs = mats.view(float).reshape(nm, u, 2 * c * c)
-        # for the Schur complement: the embedded matrices E(U) stacked into
-        # (2c u, 2c), and their first block columns
-        emb = _embed(mats)
-        self.mats_tall = emb.reshape(nm, u * 2 * c, 2 * c)
-        self.mats_col = np.ascontiguousarray(emb[..., :c]).reshape(nm, u, 2 * c * c)
-        self.c = np.stack([problem.objective[k] for k in members]).astype(complex)
         index = np.stack([col.index for col in cols])
         self.mat_pos = (index + u * np.arange(len(members))[:, None]).ravel()
+        self.row_bins, self.mat_bins = _Bins(self.rows.ravel()), _Bins(self.mat_pos)
         self.tiles = _schur_tiles(self.rows, index)
+        self.kron = _kron_factor(mats[0]) if nm == 1 else None
+        if self.kron is None:
+            # for the Schur complement: the embedded matrices E(U) stacked
+            # into (2c u, 2c), and their first block columns
+            emb = _embed(mats)
+            self.mats_tall = emb.reshape(nm, u * 2 * c, 2 * c)
+            self.mats_col = np.ascontiguousarray(emb[..., :c]).reshape(nm, u, 2 * c * c)
 
     def apply_a(self, x: np.ndarray, m: int) -> np.ndarray:
-        """``out[i] = sum_b <A_{i,b}, X_b>`` over this group, as an m-vector."""
-        xp = _pairs(x).reshape(len(self.members), -1, 1)
-        per_mat = self.weight * (self.mats_pairs @ xp).ravel()
-        return np.bincount(self.rows.ravel(), per_mat[self.mat_pos], minlength=m)
+        """``out[i] = sum_b <A_{i,b}, X_b>`` over this group, as an m-vector per problem."""
+        xp = _pairs(x).reshape(-1, len(self.members), 2 * self.cdim**2, 1)
+        per_mat = self.weight * (self.mats_pairs @ xp).reshape(len(xp), -1)
+        return self.row_bins(per_mat.take(self.mat_pos, axis=1), m).reshape(*x.shape[:-3], m)
 
     def apply_at(self, y: np.ndarray) -> np.ndarray:
         """``sum_i y_i A_{i,b}`` for each block of the group."""
-        n, u = len(self.members), self.mats.shape[1]
-        coef = np.bincount(self.mat_pos, y[self.rows].ravel(), minlength=n * u)
-        return (coef.reshape(n, 1, u) @ self.mats_pairs).view(complex).reshape(self.c.shape)
+        (n, r), (u, c), lead = self.rows.shape, self.mats.shape[1:3], y.shape[:-1]
+        y = y.reshape(-1, y.shape[-1])
+        coef = self.mat_bins(y.take(self.rows, axis=1).reshape(len(y), n * r), n * u)
+        out = coef.reshape(len(y), n, 1, u) @ self.mats_pairs
+        return out.view(complex).reshape(*lead, n, c, c)
 
-    def add_schur(self, ew: np.ndarray, h: np.ndarray) -> None:
-        """``H[i, j] += <A_{i,b}, W_b A_{j,b} W_b>`` given the embeddings ``E(W_b)``.
+    def add_schur(self, w: np.ndarray, h: np.ndarray, ew: np.ndarray | None = None) -> None:
+        """``H[i, j] += <A_{i,b}, W_b A_{j,b} W_b>`` given the scalings ``W_b`` (and ``E(W_b)``).
 
         ``E(W U W)`` is fixed by its first block column ``E(W) E(U) E(W)[:, :c]``,
         and ``Re tr(V W U W)`` is that column's inner product with ``V``'s.
@@ -370,14 +395,84 @@ class _BlockGroup:
         ``1 x 1`` tiles pairwise instead, which differs from that order from
         three blocks on).
         """
-        n, (u, c) = len(self.members), self.mats.shape[1:3]
-        ue = (self.mats_tall @ ew[..., :c]).reshape(n, u, 2 * c, c)
-        wuw = (ew[:, None] @ ue).reshape(n, u, 2 * c * c)
-        per_block = self.weight * (self.mats_col @ wuw.swapaxes(1, 2))
-        for place, terms in self.tiles:
-            part = per_block[terms]  # (k, len_t, len_s), or one block's tile
-            tile = h[place]
-            np.add(tile, part if part.ndim == 2 else part.sum(axis=0), out=tile)
+        n, (u, c), m = len(self.members), self.mats.shape[1:3], h.shape[-1]
+        h = h.reshape(-1, m, m)
+        if self.kron is not None:
+            self._add_schur_kron(w.reshape(-1, n, c, c), h)
+            return
+        ew = (_embed(w) if ew is None else ew).reshape(-1, n, 2 * c, 2 * c)
+        nb = len(ew)
+        ue = (self.mats_tall @ ew[..., :c]).reshape(nb, n, u, 2 * c, c)
+        wuw = (ew[:, :, None] @ ue).reshape(nb, n, u, 2 * c * c)
+        per_block = self.weight * (self.mats_col @ wuw.swapaxes(2, 3))
+        for (rows_t, rows_s), (which, mats_t, mats_s) in self.tiles:
+            part = per_block[:, which, mats_t, mats_s]
+            tile = h[:, rows_t, rows_s]
+            np.add(tile, part if isinstance(which, int) else part.sum(axis=1), out=tile)
+
+    def _add_schur_kron(self, w: np.ndarray, h: np.ndarray) -> None:
+        """:meth:`add_schur` for matrices ``A_i = Q_i (x) 1_o``, through a partial trace.
+
+        With ``W`` indexed by pairs ``(a, o)``, ``Re tr(A_t W A_s W)`` is
+        ``Re(q_t Phi q_s^T)`` for the flattened ``q = Q.reshape(u, a*a)`` and
+        ``Phi[(a, b), (c, d)] = sum_{o, o'} W[(b, o), (c, o')] W[(d, o'), (a, o)]``,
+        one ``(a^2, o^2) @ (o^2, a^2)`` product per block.  ``Phi`` is summed
+        over each tile's blocks in block order, and the basis change
+        ``q_t Phi q_s^T`` adds the whole tile onto H.  ``w`` is ``(B, n, c, c)``
+        and ``h`` ``(B, m, m)``.
+        """
+        q, a, o = self.kron
+        nb, n = w.shape[:2]
+        w6 = w.reshape(nb, n, a, o, a, o)
+        left = w6.transpose(0, 1, 2, 4, 3, 5).reshape(nb, n, a * a, o * o)
+        right = w6.transpose(0, 1, 5, 3, 2, 4).reshape(nb, n, o * o, a * a)
+        prod = left @ right  # prod[(b, c), (d, a)] = Phi[(a, b), (c, d)]
+        for (rows_t, rows_s), (which, mats_t, mats_s) in self.tiles:
+            part = prod[:, which]
+            part = part if isinstance(which, int) else part.sum(axis=1)
+            phi = part.reshape(nb, a, a, a, a).transpose(0, 4, 1, 2, 3).reshape(nb, a * a, a * a)
+            tile = h[:, rows_t, rows_s]
+            np.add(tile, self.weight * (q[mats_t] @ phi @ q[mats_s].T).real, out=tile)
+
+
+def _kron_factor(mats: np.ndarray) -> tuple[np.ndarray, int, int] | None:
+    """``(Q, a, o)`` when every matrix of a ``(u, c, c)`` stack is exactly ``Q_i (x) 1_o``.
+
+    ``o`` is the largest divisor ``o > 1`` of ``c`` that fits, ``a = c / o``,
+    and ``Q`` is ``(u, a*a)``, each ``Q_i`` flattened row-major.  ``None``
+    when no divisor fits or the stack is empty.
+    """
+    u, c = mats.shape[:2]
+    for o in range(c, 1, -1):
+        if c % o or not u:
+            continue
+        a = c // o
+        split = mats.reshape(u, a, o, a, o)
+        q = split[:, :, 0, :, 0]
+        if np.array_equal(split, q[:, :, None, :, None] * np.eye(o)[:, None, :]):
+            return np.ascontiguousarray(q).reshape(u, a * a), a, o
+    return None
+
+
+class _Bins:
+    """``np.bincount`` over a fixed index, of each row of ``(B, k)`` weights, as ``(B, size)``.
+
+    The rows go through one call, each binned past the previous rows' bins,
+    so every row is summed in the order of the index as on its own.
+    """
+
+    def __init__(self, index: np.ndarray):
+        self.index = index
+        self.offset: dict[tuple[int, int], np.ndarray] = {}  # (B, size) -> the index, row by row
+
+    def __call__(self, weights: np.ndarray, size: int) -> np.ndarray:
+        rows = len(weights)
+        if rows == 1:
+            return np.bincount(self.index, weights.ravel(), minlength=size).reshape(1, size)
+        index = self.offset.get((rows, size))
+        if index is None:
+            index = self.offset[rows, size] = (self.index + size * np.arange(rows)[:, None]).ravel()
+        return np.bincount(index, weights.ravel(), minlength=rows * size).reshape(rows, size)
 
 
 def _runs(rows: np.ndarray, index: np.ndarray) -> list[list[tuple[int, int, int]]]:
@@ -440,7 +535,8 @@ class _SizeClass:
     """Groups whose blocks share size and form; the iterates of all their blocks form one stack.
 
     Factorizations and matrix products run once per class; ``A``, ``A^T``
-    and the Schur complement go group by group, over consecutive slices.
+    and the Schur complement go group by group, over consecutive slices of
+    the block axis, which follows the batch axis.
     """
 
     def __init__(self, groups: list[_BlockGroup]):
@@ -450,19 +546,19 @@ class _SizeClass:
         ends = np.cumsum([len(grp.members) for grp in groups])
         self.slices = [slice(e - len(grp.members), e) for grp, e in zip(groups, ends)]
         self.members = [k for grp in groups for k in grp.members]
-        self.c = np.concatenate([grp.c for grp in groups])
+        self.embeds = any(grp.kron is None for grp in groups)
 
     def apply_a(self, x: np.ndarray, m: int) -> np.ndarray:
-        return sum(grp.apply_a(x[sl], m) for grp, sl in zip(self.groups, self.slices))
+        return sum(grp.apply_a(x[:, sl], m) for grp, sl in zip(self.groups, self.slices))
 
     def apply_at(self, y: np.ndarray) -> np.ndarray:
         parts = [grp.apply_at(y) for grp in self.groups]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     def add_schur(self, w: np.ndarray, h: np.ndarray) -> None:
-        ew = _embed(w)
+        ew = _embed(w) if self.embeds else None
         for grp, sl in zip(self.groups, self.slices):
-            grp.add_schur(ew[sl], h)
+            grp.add_schur(w[:, sl], h, None if ew is None else ew[:, sl])
 
     def blocks(self, x: np.ndarray) -> list[np.ndarray]:
         """One matrix per member; real for blocks given in real form, whose imaginary parts are zero."""
@@ -472,8 +568,8 @@ class _SizeClass:
 class _NtScaling(NamedTuple):
     """Nesterov-Todd scaling of a class: ``W = G G^H``, ``G^-1 X G^-H = G^H S G = diag(d)``.
 
-    ``gh`` is ``G^H``; ``lx_inv`` and ``ls_inv`` invert the Cholesky factors
-    of ``X`` and ``S``.
+    ``gh`` is ``G^H``; ``l_inv`` stacks the inverses of the Cholesky factors
+    of ``X`` and ``S``, in that order.
     """
 
     g: np.ndarray
@@ -481,29 +577,42 @@ class _NtScaling(NamedTuple):
     ginv: np.ndarray
     d: np.ndarray
     w: np.ndarray
-    lx_inv: np.ndarray
-    ls_inv: np.ndarray
+    l_inv: np.ndarray
 
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray) -> _NtScaling:
-    lx = np.linalg.cholesky(x)
-    ls = np.linalg.cholesky(s)
+    # X and S factor and invert in one call each
+    lx, ls = l = np.linalg.cholesky(_pair(x, s))
     _, sv, vh = np.linalg.svd(_ct(ls) @ lx)
     sv = np.maximum(sv, 1e-300)
-    lx_inv = np.linalg.inv(lx)
-    g = lx @ _ct(vh) * (sv**-0.5)[:, None, :]
+    l_inv = np.linalg.inv(l)
+    g = lx @ _ct(vh) * (sv**-0.5)[..., None, :]
     gh = _ct(g)
-    ginv = (sv**0.5)[:, :, None] * (vh @ lx_inv)
-    return _NtScaling(g, gh, ginv, sv, g @ gh, lx_inv, np.linalg.inv(ls))
+    ginv = (sv**0.5)[..., :, None] * (vh @ l_inv[0])
+    return _NtScaling(g, gh, ginv, sv, g @ gh, l_inv)
 
 
-def _max_step(l_inv: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha with X + alpha*Delta >= 0 on every block, given X = L L^H."""
-    t = l_inv @ delta @ _ct(l_inv)
-    lam = float(np.min(np.linalg.eigvalsh(_herm(t))[:, 0]))
-    if lam >= -1e-13:
-        return np.inf
-    return 1.0 / (-lam)
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.stack((a, b))`` of two arrays of one shape and type."""
+    out = np.empty((2, *a.shape), dtype=a.dtype)
+    out[0], out[1] = a, b
+    return out
+
+
+def _max_steps(nt: list[_NtScaling], dx: list[np.ndarray], ds: list[np.ndarray]) -> tuple[list, list]:
+    """Per problem, the largest steps along ``dX`` and ``dS`` that keep every block PSD.
+
+    A step ``alpha`` keeps ``X + alpha dX`` PSD while the smallest eigenvalue
+    ``lam`` of ``L^-1 dX L^-H`` is above ``-1/alpha`` (``X = L L^H``), and so
+    for any ``alpha`` once ``lam >= -1e-13``; ``S`` likewise.  Both sides go
+    through one eigenvalue call per class.
+    """
+    lams = []
+    for sc, dxc, dsc in zip(nt, dx, ds):
+        t = sc.l_inv @ _pair(dxc, dsc) @ _ct(sc.l_inv)
+        lams.append(np.linalg.eigvalsh(_herm(t))[..., 0].min(axis=-1))
+    lam_x, lam_s = np.min(lams, axis=0).tolist()
+    return tuple([np.inf if lam >= -1e-13 else 1.0 / (-lam) for lam in side] for side in (lam_x, lam_s))
 
 
 @lru_cache(maxsize=32)
@@ -533,40 +642,122 @@ class _CholeskySolver:
     solve is then matrix-vector products with those inverses and with
     ``L``'s off-diagonal panels.  The panel layout is built once per size,
     and the first panel of each sweep needs no off-diagonal product.
-    ``H^-1`` is never formed.
+    ``H^-1`` is never formed.  A stack of factors ``(B, m, m)`` solves
+    right-hand sides ``(B, m)``, each with its own factor.
     """
 
     def __init__(self, l: np.ndarray):
-        self.l = l
-        self.spans, index, keep, pad = _panel_layout(len(l))
-        inv = np.linalg.inv(l.ravel()[index] * keep + pad)
+        m = l.shape[-1]
+        self.l = l = l.reshape(-1, m, m)
+        self.spans, index, keep, pad = _panel_layout(m)
+        inv = np.linalg.inv(l.reshape(len(l), m * m).take(index, axis=1) * keep + pad)
         a, e = self.spans[-1]
-        self.diag_inv = [*inv[:-1], inv[-1, : e - a, : e - a]]
+        self.diag_inv = [inv[:, p] for p in range(len(self.spans) - 1)]
+        self.diag_inv.append(inv[:, -1, : e - a, : e - a])
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         l, spans, inv = self.l, self.spans, self.diag_inv
+        shape = r.shape
+        r = r.reshape(len(l), -1, 1)  # columns, so that the products stay matrix-vector
         z = np.empty_like(r)
         e = spans[0][1]
-        z[:e] = inv[0] @ r[:e]
+        z[:, :e] = inv[0] @ r[:, :e]
         for (a, e), d in zip(spans[1:], inv[1:]):
-            z[a:e] = d @ (r[a:e] - l[a:e, :a] @ z[:a])
+            z[:, a:e] = d @ (r[:, a:e] - l[:, a:e, :a] @ z[:, :a])
         v = np.empty_like(r)
         a = spans[-1][0]
-        v[a:] = inv[-1].T @ z[a:]
+        v[:, a:] = inv[-1].swapaxes(1, 2) @ z[:, a:]
         for (a, e), d in zip(spans[-2::-1], inv[-2::-1]):
-            v[a:e] = d.T @ (z[a:e] - l[e:, a:e].T @ v[e:])
-        return v
+            v[:, a:e] = d.swapaxes(1, 2) @ (z[:, a:e] - l[:, e:, a:e].swapaxes(1, 2) @ v[:, e:])
+        return v.reshape(shape)
 
 
-def _initial_point(classes, b, m):
+def _initial_point(classes, c, b, m):
+    """Each problem's starting iterate; ``c`` holds each class's ``(B, n, cdim, cdim)`` objectives."""
     # primal blocks: identity scaled to roughly satisfy trace-like constraints
-    eye = [np.broadcast_to(np.eye(cls.cdim, dtype=complex), cls.c.shape) for cls in classes]
-    tr = sum(cls.apply_a(e, m) for cls, e in zip(classes, eye))
+    eye = [np.broadcast_to(np.eye(cls.cdim, dtype=complex), cc.shape[1:]) for cls, cc in zip(classes, c)]
+    tr = sum(cls.apply_a(e[None], m)[0] for cls, e in zip(classes, eye))
     big = np.abs(tr) > 1e-9
-    cands = np.abs(b[big]) / np.abs(tr[big])
-    xi = float(np.clip(cands.max() if cands.size else 1.0, 1.0, 1e4))
-    eta = float(np.clip(max(max_abs(_pairs(cls.c)) for cls in classes), 1.0, 1e4))
-    return [xi * e for e in eye], [eta * e for e in eye], np.zeros(m)
+    xi, eta = [], []
+    for k, bk in enumerate(b):
+        cands = np.abs(bk[big]) / np.abs(tr[big])
+        xi.append(float(np.clip(cands.max() if cands.size else 1.0, 1.0, 1e4)))
+        eta.append(float(np.clip(max(max_abs(_pairs(cc[k])) for cc in c), 1.0, 1e4)))
+    xi, eta = _col(np.array(xi)), _col(np.array(eta))
+    return [xi * e[None] for e in eye], [eta * e[None] for e in eye], np.zeros(b.shape)
+
+
+def _col(v: np.ndarray, axes: int = 3) -> np.ndarray:
+    """Per-problem scalars ``(B,)`` against stacks with ``axes`` more axes; for one problem, its scalar."""
+    return v[0] if len(v) == 1 else v.reshape(-1, *(1,) * axes)
+
+
+def _max_abs_each(stacks: list[np.ndarray]) -> np.ndarray:
+    """Largest entry magnitude of each problem over a list of ``(B, ...)`` complex stacks."""
+    out = np.abs(_pairs(stacks[0])).reshape(len(stacks[0]), -1).max(axis=1)
+    for a in stacks[1:]:
+        np.maximum(out, np.abs(_pairs(a)).reshape(len(a), -1).max(axis=1), out=out)
+    return out
+
+
+def _take(tree, keep: np.ndarray):
+    """The problems ``keep`` selects, from every array of a nested list, tuple or NamedTuple."""
+    if isinstance(tree, np.ndarray):
+        return tree[keep]
+    if isinstance(tree, tuple) and hasattr(tree, "_fields"):
+        return type(tree)(*(_take(t, keep) for t in tree))
+    return type(tree)(_take(t, keep) for t in tree)
+
+
+def _scalings(x: list[np.ndarray], s: list[np.ndarray]) -> tuple[list[_NtScaling] | None, list[int]]:
+    """Each class's NT scaling for the problems whose ``X`` and ``S`` factor, and those that do not."""
+    try:
+        return [_nt_scaling(xc, sc) for xc, sc in zip(x, s)], []
+    except np.linalg.LinAlgError:
+        pass
+    failed = []
+    for j in range(len(x[0])):
+        try:
+            for xc, sc in zip(x, s):
+                _nt_scaling(xc[j], sc[j])
+        except np.linalg.LinAlgError:
+            failed.append(j)
+    keep = np.ones(len(x[0]), dtype=bool)
+    keep[failed] = False
+    if not keep.any():
+        return None, failed
+    return [_nt_scaling(xc[keep], sc[keep]) for xc, sc in zip(x, s)], failed
+
+
+def _schur_factors(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Cholesky factors of each ``H`` of a ``(B, m, m)`` stack, and the problems none fits.
+
+    Each ``H`` gets the smallest ridge of the ladder at which it factors,
+    written onto its diagonal; the ladder restarts problem by problem only
+    when some ``H`` of the stack fails at the first ridge.
+    """
+    m = h.shape[-1]
+    scale = np.array([max(np.trace(hk) / m, 1e-300) for hk in h])
+    diag = h.diagonal(axis1=-2, axis2=-1).copy()
+    on_diag = h.reshape(len(h), m * m)[:, :: m + 1]
+    ladder = (1e-14, 1e-12, 1e-10, 1e-8)
+    on_diag[...] = diag + ladder[0] * scale[:, None]
+    try:
+        return np.linalg.cholesky(h), []
+    except np.linalg.LinAlgError:
+        pass
+    factors, failed = [], []
+    for j, hj in enumerate(h):
+        for ridge in ladder:
+            on_diag[j] = diag[j] + ridge * scale[j]
+            try:
+                factors.append(np.linalg.cholesky(hj))
+            except np.linalg.LinAlgError:
+                continue
+            break
+        else:
+            failed.append(j)
+    return (np.stack(factors) if factors else None), failed
 
 
 def _complex_form(problem: SdpProblem, k: int) -> bool:
@@ -591,81 +782,134 @@ def _size_classes(problem: SdpProblem) -> list[_SizeClass]:
     return [_SizeClass(groups) for groups in classes.values()]
 
 
+def _same_structure(p: SdpProblem, q: SdpProblem) -> bool:
+    """Whether two problems have the same blocks (sizes and forms) and the same columns."""
+    if p.n_constraints != q.n_constraints or [d for _, d in p.blocks] != [d for _, d in q.blocks]:
+        return False
+    return all(
+        _complex_form(p, k) == _complex_form(q, k)
+        and np.array_equal(a.rows, b.rows)
+        and np.array_equal(a.index, b.index)
+        and (a.mats is b.mats or np.array_equal(a.mats, b.mats))
+        for k, (a, b) in enumerate(zip(p.columns, q.columns))
+    )
+
+
 def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
     """Run the interior-point iteration and return a primal-dual certificate."""
+    return solve_batch([problem], opts)[0]
+
+
+def solve_batch(problems, opts: SolveOptions | None = None) -> list[SdpSolution]:
+    """Solve problems of one structure in lockstep; one :class:`SdpSolution` per problem.
+
+    The problems share block sizes and forms and their columns, and differ in
+    objective and right-hand side.  Each follows the iteration it would follow
+    alone, with its own mu, sigma, step lengths, termination and status; a
+    problem that stops leaves the batch with the iterate it stopped at, and
+    the others go on.
+    """
     opts = opts or SolveOptions()
-    m = problem.n_constraints
+    problems = list(problems)
+    if not problems:
+        return []
+    first = problems[0]
+    m = first.n_constraints
     if m == 0:
         raise ValueError("problems without equality constraints are not supported")
-    ntot = sum(d for _, d in problem.blocks)
-    b = problem.rhs
-    classes = _size_classes(problem)
+    if not all(_same_structure(first, p) for p in problems[1:]):
+        raise ValueError("a batch needs problems with the same blocks and columns")
+    ntot = sum(d for _, d in first.blocks)
+    classes = _size_classes(first)
+    nb = len(problems)
 
     def apply_a(xs):
         return sum(cls.apply_a(xc, m) for cls, xc in zip(classes, xs))
 
     def inner(us, vs):
-        return sum(
-            cls.weight * float(np.vdot(_pairs(u), _pairs(v))) for cls, u, v in zip(classes, us, vs)
-        )
+        """``sum_b <U_b, V_b>`` of each problem."""
+        return [
+            sum(
+                cls.weight * float(np.vdot(_pairs(u[k]), _pairs(v[k])))
+                for cls, u, v in zip(classes, us, vs)
+            )
+            for k in range(len(us[0]))
+        ]
 
-    x, s, y = _initial_point(classes, b, m)
-    b_scale = 1.0 + float(np.max(np.abs(b)))
-    c_scale = 1.0 + max(max_abs(_pairs(cls.c)) for cls in classes)
-
-    def residuals(x, s, y):
-        """Primal and dual residuals of an iterate, and their scaled maxima."""
+    def residuals(x, s, y, c, b, b_scale, c_scale):
+        """Primal and dual residuals of each iterate, and their scaled maxima."""
         rp = b - apply_a(x)
-        rd = [cls.c - cls.apply_at(y) - sc for cls, sc in zip(classes, s)]
-        dres = max(max_abs(_pairs(r)) for r in rd) / c_scale
-        return rp, rd, float(np.max(np.abs(rp))) / b_scale, dres
+        rd = [cc - cls.apply_at(y) - sc for cls, cc, sc in zip(classes, c, s)]
+        return rp, rd, np.abs(rp).max(axis=1) / b_scale, _max_abs_each(rd) / c_scale
 
-    status = SdpStatus.MAX_ITER
+    # everything per problem carries a leading batch axis; the objectives
+    # stack each class's blocks, (B, n, c, c)
+    c_all = [np.array([[p.objective[k] for k in cls.members] for p in problems], dtype=complex) for cls in classes]
+    b_all = np.array([p.rhs for p in problems])
+    scales_all = (1.0 + np.abs(b_all).max(axis=1), 1.0 + _max_abs_each(c_all))
+    x, s, y = _initial_point(classes, c_all, b_all, m)
+    c, b, scales = c_all, b_all, scales_all
+
+    status = [SdpStatus.MAX_ITER] * nb
+    iterations = [0] * nb
+    final: list = [None] * nb  # each problem's returned (x, s, y)
+    active = np.arange(nb)  # the problems still iterating, by position in the batch
+
+    def retire(stops: dict[int, SdpStatus], it: int, live: tuple) -> tuple | None:
+        """Record the problems at the positions of ``stops`` as stopped with the iterates
+        ``live[:3]``; the rest of each array of ``live``, or ``None`` when no problem is left."""
+        nonlocal active
+        keep = np.ones(len(active), dtype=bool)
+        for j, why in stops.items():
+            k = active[j]
+            status[k], iterations[k], keep[j] = why, it, False
+            final[k] = ([xc[j] for xc in live[0]], [sc[j] for sc in live[1]], live[2][j])
+        active = active[keep]
+        return _take(live, keep) if keep.any() else None
+
     it = 0
-    h = np.empty((m, m))  # the Schur complement, rebuilt in place each iteration
+    h_all = np.empty((nb, m, m))  # the Schur complements, rebuilt in place each iteration
     for it in range(1, opts.max_iter + 1):
-        rp, rd, pres, dres = residuals(x, s, y)
-        mu = inner(x, s) / ntot
-        pobj = inner((cls.c for cls in classes), x)
-        dobj = float(b @ y)
-        gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-
-        if pres <= opts.feas_tol and dres <= opts.feas_tol and (
-            gap_rel <= opts.gap_tol or mu * ntot <= opts.gap_tol
-        ):
-            status = SdpStatus.OPTIMAL
-            break
-        if dobj > DIVERGENCE_LIMIT:
-            status = SdpStatus.INFEASIBLE
-            break
-        if pobj < -DIVERGENCE_LIMIT:
-            status = SdpStatus.UNBOUNDED
-            break
-
-        try:
-            nt = [_nt_scaling(xc, sc) for xc, sc in zip(x, s)]
-        except np.linalg.LinAlgError:
-            status = SdpStatus.NUMERICAL_FAILURE
-            break
+        rp, rd, pres, dres = residuals(x, s, y, c, b, *scales)
+        mu = np.array(inner(x, s)) / ntot
+        pobj = inner(c, x)
+        dobj = [float(bk @ yk) for bk, yk in zip(b, y)]
+        stops = {}
+        for j, (pj, dj) in enumerate(zip(pobj, dobj)):
+            gap_rel = abs(pj - dj) / (1.0 + abs(pj) + abs(dj))
+            if pres[j] <= opts.feas_tol and dres[j] <= opts.feas_tol and (
+                gap_rel <= opts.gap_tol or mu[j] * ntot <= opts.gap_tol
+            ):
+                stops[j] = SdpStatus.OPTIMAL
+            elif dj > DIVERGENCE_LIMIT:
+                stops[j] = SdpStatus.INFEASIBLE
+            elif pj < -DIVERGENCE_LIMIT:
+                stops[j] = SdpStatus.UNBOUNDED
+        live = (x, s, y, c, b, scales, rp, rd, mu)
+        if stops:
+            live = retire(stops, it, live)
+            if live is None:
+                break
+        nt, failed = _scalings(live[0], live[1])
+        if failed:
+            live = retire(dict.fromkeys(failed, SdpStatus.NUMERICAL_FAILURE), it, live)
+            if live is None:
+                break
 
         solve_h = None  # the last iteration's factor goes before this one is made
+        h = h_all[: len(active)]
         h.fill(0.0)
         for cls, sc in zip(classes, nt):
             cls.add_schur(sc.w, h)
-
         # the smallest ridge at which H factors; its factor serves every solve below
-        h_scale = max(np.trace(h) / m, 1e-300)
-        diag = h.diagonal().copy()
-        for ridge in (1e-14, 1e-12, 1e-10, 1e-8):
-            np.fill_diagonal(h, diag + ridge * h_scale)
-            try:
-                solve_h = _CholeskySolver(np.linalg.cholesky(h))
-            except np.linalg.LinAlgError:
-                continue
-            break
-        else:
-            status = SdpStatus.NUMERICAL_FAILURE
-            break
+        factor, failed = _schur_factors(h)
+        if failed:
+            live = retire(dict.fromkeys(failed, SdpStatus.NUMERICAL_FAILURE), it, (*live, nt))
+            if live is None:
+                break
+            *live, nt = live
+        x, s, y, c, b, scales, rp, rd, mu = live
+        solve_h = _CholeskySolver(factor)
 
         wrdw = [sc.w @ r @ sc.w for sc, r in zip(nt, rd)]
 
@@ -677,22 +921,26 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
             return dx, dy, ds
 
         # predictor (affine scaling): Rc = -D in scaled space, divided by L_D
-        dx_a, dy_a, ds_a = newton_step([-(sc.g * sc.d[:, None, :]) @ sc.gh for sc in nt])
-        ap = min([_max_step(sc.lx_inv, d) for sc, d in zip(nt, dx_a)] + [1.0])
-        ad = min([_max_step(sc.ls_inv, d) for sc, d in zip(nt, ds_a)] + [1.0])
+        dx_a, dy_a, ds_a = newton_step([-(sc.g * sc.d[..., None, :]) @ sc.gh for sc in nt])
+        ap, ad = (_col(np.minimum(np.array(v), 1.0)) for v in _max_steps(nt, dx_a, ds_a))
         mu_aff = inner(
             [xc + ap * d for xc, d in zip(x, dx_a)], [sc + ad * d for sc, d in zip(s, ds_a)]
-        ) / ntot
-        sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-8, 1.0))
+        )
+        sigma_mu = []
+        for v, mu_j in zip(mu_aff, mu.tolist()):
+            sigma = float(np.clip((max(v / ntot, 0.0) / mu_j) ** 3, 1e-8, 1.0))
+            sigma_mu.append(sigma * mu_j)
+        sigma_mu = np.array(sigma_mu)
 
         # corrector: Rc = L_D^{-1}(sigma*mu*I - D^2 - H(dXhat dShat))
         grcg = []
         for cls, sc, dxc, dsc in zip(classes, nt, dx_a, ds_a):
             d = sc.d
+            eye = np.eye(cls.cdim)
             dxh = sc.ginv @ dxc @ _ct(sc.ginv)
             dsh = sc.gh @ dsc @ sc.g
-            rhs_mat = sigma * mu * np.eye(cls.cdim) - (d * d)[:, None, :] * np.eye(cls.cdim)
-            rc = (rhs_mat - _herm(dxh @ dsh)) / ((d[:, :, None] + d[:, None, :]) / 2)
+            rhs_mat = _col(sigma_mu) * eye - (d * d)[..., None, :] * eye
+            rc = (rhs_mat - _herm(dxh @ dsh)) / ((d[..., :, None] + d[..., None, :]) / 2)
             grcg.append(sc.g @ rc @ sc.gh)
         dx, dy, ds = newton_step(grcg)
         # forming dx cancels terms of size |W|^2 |dy|, which leaves A dx off rp
@@ -703,39 +951,47 @@ def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         dx = [_herm(d + sc.w @ a @ sc.w) for d, sc, a in zip(dx, nt, aty_c)]
         ds = [d - a for d, a in zip(ds, aty_c)]
         dy = dy + dy_c
-        ap = min(_max_step(sc.lx_inv, d) for sc, d in zip(nt, dx))
-        ad = min(_max_step(sc.ls_inv, d) for sc, d in zip(nt, ds))
-        ap = min(1.0, opts.step_frac * ap)
-        ad = min(1.0, opts.step_frac * ad)
+        ap, ad = (np.minimum(1.0, opts.step_frac * np.array(v)) for v in _max_steps(nt, dx, ds))
         # x stays exactly Hermitian, as dx is; s is made so
-        x = [xc + ap * d for xc, d in zip(x, dx)]
-        s = [_herm(sc + ad * d) for sc, d in zip(s, ds)]
-        y = y + ad * dy
+        x = [xc + _col(ap) * d for xc, d in zip(x, dx)]
+        s = [_herm(sc + _col(ad) * d) for sc, d in zip(s, ds)]
+        y = y + _col(ad, 1) * dy
+    else:
+        for j, k in enumerate(active):  # out of iterations, with the iterate moved on
+            iterations[k] = it
+            final[k] = ([xc[j] for xc in x], [sc[j] for sc in s], y[j])
 
-    # reported for the iterate returned, which has moved on if the loop ran out
-    _, _, pres, dres = residuals(x, s, y)
-    pobj = inner((cls.c for cls in classes), x)
-    dobj = float(b @ y)
-    gap = abs(pobj - dobj) / (1.0 + abs(pobj))
-    primal_blocks: list[np.ndarray] = [None] * len(problem.blocks)
-    slacks: list[np.ndarray] = [None] * len(problem.blocks)
-    for cls, xc in zip(classes, x):
-        zc = _herm(cls.c - cls.apply_at(y))
-        for k, xb, zb in zip(cls.members, cls.blocks(xc), cls.blocks(zc)):
-            primal_blocks[k] = xb
-            slacks[k] = zb
-    return SdpSolution(
-        status=status,
-        primal_value=pobj,
-        dual_value=dobj,
-        primal_blocks=primal_blocks,
-        dual_multipliers=y,
-        dual_slacks=slacks,
-        gap=gap,
-        iterations=it,
-        primal_residual=pres,
-        dual_residual=dres,
-    )
+    # reported for the iterates returned
+    x = [np.stack([final[k][0][i] for k in range(nb)]) for i in range(len(classes))]
+    s = [np.stack([final[k][1][i] for k in range(nb)]) for i in range(len(classes))]
+    y = np.stack([final[k][2] for k in range(nb)])
+    _, _, pres, dres = residuals(x, s, y, c_all, b_all, *scales_all)
+    pobj = inner(c_all, x)
+    z = [_herm(cc - cls.apply_at(y)) for cls, cc in zip(classes, c_all)]
+    out = []
+    for k, problem in enumerate(problems):
+        dobj = float(b_all[k] @ y[k])
+        primal_blocks: list[np.ndarray] = [None] * len(problem.blocks)
+        slacks: list[np.ndarray] = [None] * len(problem.blocks)
+        for cls, xc, zc in zip(classes, x, z):
+            for i, xb, zb in zip(cls.members, cls.blocks(xc[k]), cls.blocks(zc[k])):
+                primal_blocks[i] = xb
+                slacks[i] = zb
+        out.append(
+            SdpSolution(
+                status=status[k],
+                primal_value=pobj[k],
+                dual_value=dobj,
+                primal_blocks=primal_blocks,
+                dual_multipliers=y[k],
+                dual_slacks=slacks,
+                gap=abs(pobj[k] - dobj) / (1.0 + abs(pobj[k])),
+                iterations=iterations[k],
+                primal_residual=float(pres[k]),
+                dual_residual=float(dres[k]),
+            )
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -785,9 +1041,14 @@ class ComplexSdpBuilder:
     def set_objective(
         self, coeffs: dict[int, np.ndarray], constant: float = 0.0, sense: str = "min"
     ) -> None:
-        self._obj = {self._block(k): hermitize(v) for k, v in coeffs.items()}
+        if sense not in ("min", "max"):
+            raise ValueError(f"sense must be 'min' or 'max', not {sense!r}")
+        self._obj = self._objective(coeffs)
         self._constant = constant
         self._sense = -1.0 if sense == "max" else 1.0
+
+    def _objective(self, coeffs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+        return {self._block(k): hermitize(v) for k, v in coeffs.items()}
 
     def add_constraint(self, coeffs: dict[int, np.ndarray], rhs) -> None:
         """State one row per entry of ``rhs``; a ``(cdim, cdim)`` coefficient takes a scalar."""
@@ -829,15 +1090,21 @@ class ComplexSdpBuilder:
             columns.append(BlockColumn(np.concatenate(rows), np.concatenate(index), joined[keys]))
         return columns
 
-    def solve(self, opts: SolveOptions | None = None) -> SdpSolution:
-        """Solve; values and multipliers refer to the complex problem, blocks stack by handle."""
+    def _problems(self, objectives: list[dict[int, np.ndarray]]) -> list[SdpProblem]:
+        """One problem per objective, all over this builder's blocks, columns and rows."""
         n, d = len(self._terms), self.cdim
         zero = np.zeros((d, d), dtype=complex)
-        obj = [self._sense * self._obj.get(k, zero) for k in range(n)]
+        blocks = [(k, 2 * d) for k in range(n)]
         columns = self._columns()
         # each block stands for its embedding, which doubles traces and inner products
         rhs = 2.0 * np.concatenate([np.zeros(0), *self._rhs])
-        sol = solve(SdpProblem([(k, 2 * d) for k in range(n)], obj, columns=columns, rhs=rhs), opts)
+        return [
+            SdpProblem(blocks, [self._sense * obj.get(k, zero) for k in range(n)], columns=columns, rhs=rhs)
+            for obj in objectives
+        ]
+
+    def _result(self, sol: SdpSolution) -> SdpSolution:
+        """A solver result with values and multipliers of the complex problem, blocks stacked."""
         return replace(
             sol,
             primal_value=self._sense * sol.primal_value / 2.0 + self._constant,
@@ -846,6 +1113,40 @@ class ComplexSdpBuilder:
             dual_multipliers=self._sense * sol.dual_multipliers,
             dual_slacks=self._sense * np.stack(sol.dual_slacks),
         )
+
+    def solve(self, opts: SolveOptions | None = None) -> SdpSolution:
+        """Solve; values and multipliers refer to the complex problem, blocks stack by handle."""
+        (problem,) = self._problems([self._obj])
+        return self._result(solve(problem, opts))
+
+    def solve_batch(self, objectives, opts: SolveOptions | None = None) -> list[SdpSolution]:
+        """Solve once per objective, in lockstep (:func:`solve_batch`), as :meth:`solve` would.
+
+        Each objective is a coefficient dict keyed by handle, in place of the
+        one :meth:`set_objective` gave; its sense and constant still hold.
+        """
+        problems = self._problems([self._objective(obj) for obj in objectives])
+        return [self._result(sol) for sol in solve_batch(problems, opts)]
+
+
+@lru_cache(maxsize=32)
+def _instrument_stack(din: int, dout: int) -> tuple[np.ndarray, np.ndarray]:
+    """The trace-preserving rows of instruments ``din -> dout``: ``H_i (x) 1`` and ``Tr H_i``."""
+    h = hermitian_basis(din)
+    tp, rhs = kron_stack(h, np.eye(dout)[None]), np.trace(h, axis1=1, axis2=2).real
+    for a in (tp, rhs):
+        a.flags.writeable = False
+    return tp, rhs
+
+
+def _instrument_builder(n: int, din: int, dout: int) -> tuple[ComplexSdpBuilder, np.ndarray]:
+    """A maximizing builder over ``n`` branches of an instrument ``din -> dout``, and their handles."""
+    builder = ComplexSdpBuilder(din * dout)
+    js = builder.add_blocks(n)
+    builder.set_objective({}, sense="max")
+    tp, rhs = _instrument_stack(din, dout)
+    builder.add_constraint(dict.fromkeys(js, tp), rhs)
+    return builder, js
 
 
 def best_instrument(
@@ -856,11 +1157,23 @@ def best_instrument(
     Returns the optimum, the branch Choi matrices ``(n, din*dout, din*dout)`` and the
     relative gap; raises ``ArithmeticError`` naming ``what`` unless the solve is optimal.
     """
-    builder = ComplexSdpBuilder(din * dout)
-    js = builder.add_blocks(len(zs))
+    builder, js = _instrument_builder(len(zs), din, dout)
     builder.set_objective(dict(zip(js, zs)), sense="max")
-    h = hermitian_basis(din)
-    tp = kron_stack(h, np.eye(dout)[None])
-    builder.add_constraint(dict.fromkeys(js, tp), np.trace(h, axis1=1, axis2=2).real)
     res = builder.solve(opts).require_optimal(what)
     return res.primal_value, res.primal_blocks, res.gap
+
+
+def best_instruments(
+    batch, din: int, dout: int, opts: SolveOptions | None = None, what: str = "instrument"
+) -> list[tuple[float, np.ndarray, float]]:
+    """:func:`best_instrument` for each score stack of ``batch``, solved in lockstep.
+
+    The stacks have one length.  Raises ``ArithmeticError`` naming ``what``
+    unless every solve is optimal.
+    """
+    builder, js = _instrument_builder(len(batch[0]), din, dout)
+    sols = builder.solve_batch([dict(zip(js, zs)) for zs in batch], opts)
+    return [
+        (res.primal_value, res.primal_blocks, res.gap)
+        for res in (sol.require_optimal(what) for sol in sols)
+    ]

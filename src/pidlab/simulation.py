@@ -36,7 +36,7 @@ from .linalg import (
     choi_trace_map,
     link_product,
 )
-from .sdp import SolveOptions, best_instrument
+from .sdp import SolveOptions, best_instruments
 
 __all__ = [
     "SeesawResult",
@@ -476,7 +476,14 @@ def seesaw_pguess(
     fixing the quantum parts, each routing column is an argmax.  The value is
     nondecreasing over iterations and every iterate is a genuine
     transformation, so the result is always a valid lower bound.
+
+    The restarts run in lockstep: each quantum step is one batched program
+    (:func:`pidlab.sdp.best_instruments`) over the restarts still running,
+    which follow the paths they would follow one by one.  Raises
+    ``ValueError`` unless ``restarts`` and ``iters`` are at least 1.
     """
+    if restarts < 1 or iters < 1:
+        raise ValueError("seesaw_pguess needs restarts >= 1 and iters >= 1")
     opts = opts or SolveOptions(feas_tol=1e-8, gap_tol=1e-8)
     side = side_dim if side_dim is not None else p.din * p.dout
     flags = n_flags if n_flags is not None else game.n_n
@@ -494,52 +501,58 @@ def seesaw_pguess(
         n_flags=flags,
     )
     rng = rng_from_seed(seed)
-    best_value = -np.inf
-    best_sim = None
-    for restart in range(restarts):
-        f = random_free_simulation(shape, seed=int(rng.integers(2**62)))
-        value = -np.inf
-        for _ in range(iters):
-            grad_w = _seesaw_grad(p, game, f, "routing")
-            # routing updates: per-column argmax on the affine score
-            pt = f.p_table()
-            qt = f.q_table()
-            coef_q = np.einsum("wgxyk,xlwk->gyl", grad_w, pt, optimize=True)
-            new_q = np.zeros_like(qt)
-            idx = np.argmax(coef_q, axis=0)
-            for y in range(shape.source_outcomes):
-                for l in range(shape.n_flags):
-                    new_q[idx[y, l], y, l] = 1.0
-            f = _replace_tables(f, q_t=new_q)
-            coef_p = np.einsum("wgxyk,gyl->xlwk", grad_w, f.q_table(), optimize=True)
-            new_p = np.zeros_like(pt)
-            flat = coef_p.reshape(shape.source_programs * shape.n_flags, -1)
-            arg = np.argmax(flat, axis=0)
-            for col, row in enumerate(arg):
-                new_p.reshape(shape.source_programs * shape.n_flags, -1)[row, col] = 1.0
-            f = _replace_tables(f, p_t=new_p)
-            # quantum updates
-            zf = _grad_to_score_matrix_pre(_seesaw_grad(p, game, f, "pre"), shape)
-            _, j_pre, _ = best_instrument(
-                [zf], shape.target_din, shape.source_din * side, opts, "channel step"
-            )
-            f = _replace_pre(f, j_pre[0])
-            zks = _grad_to_score_matrices_post(_seesaw_grad(p, game, f, "post"), shape)
-            _, jks, _ = best_instrument(
-                zks, shape.source_dout * side, shape.target_dout, opts, "instrument step"
-            )
-            f = _replace_post(f, jks)
-            new_value = game_value(game, apply_free_simulation(f, p))
-            if new_value <= value + 1e-8:
-                value = max(value, new_value)
-                break
-            value = new_value
-        if value > best_value:
-            best_value = value
-            best_sim = f
-    assert best_sim is not None
-    achieved = game_value(game, apply_free_simulation(best_sim, p))
-    return SeesawResult(value=achieved, simulation=best_sim, restarts_used=restarts)
+    # every restart's seed is drawn first, in restart order; the restarts then
+    # sweep in lockstep, each quantum step one batched program over those
+    # still running, and a restart stops on its own when its value stalls
+    sims = [random_free_simulation(shape, seed=int(rng.integers(2**62))) for _ in range(restarts)]
+    values = [-np.inf] * restarts
+    running = list(range(restarts))
+    for _ in range(iters):
+        for r in running:
+            sims[r] = _best_routing(p, game, sims[r])
+        zfs = [[_grad_to_score_matrix_pre(_seesaw_grad(p, game, sims[r], "pre"), shape)] for r in running]
+        steps = best_instruments(zfs, shape.target_din, shape.source_din * side, opts, "channel step")
+        for r, (_, j_pre, _) in zip(running, steps):
+            sims[r] = _replace_pre(sims[r], j_pre[0])
+        zks = [_grad_to_score_matrices_post(_seesaw_grad(p, game, sims[r], "post"), shape) for r in running]
+        steps = best_instruments(zks, shape.source_dout * side, shape.target_dout, opts, "instrument step")
+        still = []
+        for r, (_, jks, _) in zip(running, steps):
+            sims[r] = _replace_post(sims[r], jks)
+            new_value = game_value(game, apply_free_simulation(sims[r], p))
+            if new_value <= values[r] + 1e-8:
+                values[r] = max(values[r], new_value)
+            else:
+                values[r] = new_value
+                still.append(r)
+        running = still
+        if not running:
+            break
+    best = int(np.argmax(values))  # the first restart of the highest value
+    achieved = game_value(game, apply_free_simulation(sims[best], p))
+    return SeesawResult(value=achieved, simulation=sims[best], restarts_used=restarts)
+
+
+def _best_routing(p: Pid, game: GameSpec, f: FreeSimulation) -> FreeSimulation:
+    """Both routing tables of ``f`` set to their per-column argmax on the affine score."""
+    s = f.shape
+    grad_w = _seesaw_grad(p, game, f, "routing")
+    pt = f.p_table()
+    qt = f.q_table()
+    coef_q = np.einsum("wgxyk,xlwk->gyl", grad_w, pt, optimize=True)
+    new_q = np.zeros_like(qt)
+    idx = np.argmax(coef_q, axis=0)
+    for y in range(s.source_outcomes):
+        for l in range(s.n_flags):
+            new_q[idx[y, l], y, l] = 1.0
+    f = _replace_tables(f, q_t=new_q)
+    coef_p = np.einsum("wgxyk,gyl->xlwk", grad_w, f.q_table(), optimize=True)
+    new_p = np.zeros_like(pt)
+    flat = coef_p.reshape(s.source_programs * s.n_flags, -1)
+    arg = np.argmax(flat, axis=0)
+    for col, row in enumerate(arg):
+        new_p.reshape(s.source_programs * s.n_flags, -1)[row, col] = 1.0
+    return _replace_tables(f, p_t=new_p)
 
 
 def _grad_to_score_matrix_pre(grad_f: np.ndarray, s: SimulationShape) -> np.ndarray:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,18 +9,23 @@ from hypothesis import strategies as st
 from pidlab import sdp
 from pidlab.compatibility import roi_dual, roi_primal
 from pidlab.devices import Pid, pid_from_pmd, random_pid
+from pidlab.linalg import hermitize
 from pidlab.sdp import (
     ComplexSdpBuilder,
     SdpProblem,
     SdpStatus,
     SolveOptions,
-    embed_complex,
     hermitian_basis,
     kron_stack,
     solve,
     traceless_basis,
 )
 from pidlab.sem import sem
+
+
+def embed_complex(h):
+    """Real symmetric embedding ``[[Re, -Im], [Im, Re]]`` of a Hermitian matrix or stack, checked."""
+    return sdp._embed(hermitize(h))
 
 
 def rand_sym(rng, n):
@@ -448,7 +454,7 @@ def _check_assembly(p, rng):
     for members in sdp._group_blocks(p):
         grp = sdp._BlockGroup(p, members)
         # a real block is held as a complex one with zero imaginary part
-        grp.add_schur(sdp._embed(np.stack([ws[k] for k in members]).astype(complex)), h)
+        grp.add_schur(np.stack([ws[k] for k in members]).astype(complex), h)
         ax += grp.apply_a(np.stack([xs[k] for k in members]).astype(complex), m)
         for k, aty in zip(members, grp.apply_at(y)):
             assert np.allclose(real(k, aty), aty_ref[k], rtol=0, atol=1e-12)
@@ -951,3 +957,264 @@ class TestExactIterates:
         assert imag and max(imag) == 0.0
         for xb, d in zip(sol.primal_blocks + sol.dual_slacks, GROUPED_DIMS * 2):
             assert np.isrealobj(xb) and xb.shape == (d, d)
+
+
+# ---------------------------------------------------------------------------
+# Schur blocks of Q (x) 1 stacks through a partial trace
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _kron_problems(draw):
+    """A column-form problem whose blocks share one stack ``Q_i (x) 1_o``, with the rng.
+
+    ``Q`` is a Hermitian basis of size ``a`` or a few random Hermitian
+    matrices; the 1-3 blocks carry it on the same rows or on rows and in
+    orders of their own.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, o, n = draw(st.integers(1, 4)), draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        q = hermitian_basis(a)
+    else:
+        q = np.stack([_rand_herm(rng, a) for _ in range(draw(st.integers(1, 4)))])
+    mats = kron_stack(q, np.eye(o)[None])
+    u = len(mats)
+    if draw(st.booleans()):
+        columns = [(np.arange(u), np.arange(u), mats)] * n
+        m = u
+    else:
+        m = u + draw(st.integers(0, 3))
+        columns = [
+            (np.sort(rng.choice(m, u, replace=False)), rng.permutation(u), mats) for _ in range(n)
+        ]
+    c = a * o
+    problem = SdpProblem(
+        [(k, 2 * c) for k in range(n)],
+        [_rand_herm(rng, c) for _ in range(n)],
+        columns=columns,
+        rhs=rng.standard_normal(m),
+    )
+    return problem, (a, o), rng
+
+
+def _group_schur(problem, w):
+    """``H`` of ``problem``'s one block group at scalings ``w`` ``(B, n, c, c)``, and the group."""
+    (members,) = sdp._group_blocks(problem)
+    grp = sdp._BlockGroup(problem, members)
+    h = np.zeros((len(w), problem.n_constraints, problem.n_constraints))
+    grp.add_schur(w, h)
+    return h, grp
+
+
+class TestPartialTraceSchur:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(case=_kron_problems())
+    def test_matches_generic_assembly(self, case):
+        problem, (a, o), rng = case
+        n, c = len(problem.blocks), a * o
+        w = np.stack([np.stack([_rand_hpd(rng, c) for _ in range(n)]) for _ in range(2)])
+        h, grp = _group_schur(problem, w)
+        assert grp.kron is not None and grp.kron[1:] == (a, o)
+        assert not hasattr(grp, "mats_tall") and not hasattr(grp, "mats_col")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sdp, "_kron_factor", lambda mats: None)
+            ref, generic = _group_schur(problem, w)
+        assert generic.kron is None
+        assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(case=_kron_problems())
+    def test_one_ulp_off_takes_the_generic_path(self, case):
+        problem, _, rng = case
+        rows, index, mats = problem.columns[0]
+        bent = mats.copy()
+        bent[0, 0, 0] = np.nextafter(bent[0, 0, 0].real, np.inf)
+        columns = [(r, i, bent) for r, i, _ in problem.columns]
+        problem = SdpProblem(problem.blocks, problem.objective, columns=columns, rhs=problem.rhs)
+        w = np.stack([_rand_hpd(rng, bent.shape[-1]) for _ in problem.blocks])[None]
+        h, grp = _group_schur(problem, w)
+        assert grp.kron is None and hasattr(grp, "mats_tall")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sdp, "_kron_factor", lambda mats: None)
+            ref, _ = _group_schur(problem, w)
+        assert np.array_equal(h, ref)
+
+    @pytest.mark.parametrize("din,dout", [(2, 2), (2, 8), (8, 2), (3, 1), (1, 3)])
+    def test_instrument_stack_is_detected(self, din, dout):
+        tp, _ = sdp._instrument_stack(din, dout)
+        assert not tp.flags.writeable
+        if dout == 1:  # no factor to trace out
+            assert sdp._kron_factor(tp) is None
+        else:
+            q, a, o = sdp._kron_factor(tp)
+            assert (a, o) == (din, dout)
+            assert np.array_equal(q, hermitian_basis(din).reshape(din * din, -1))
+
+    def test_robustness_groups_are_not_detected(self):
+        groups = []
+        real_init = sdp._BlockGroup.__init__
+
+        def recording(grp, problem, members):
+            real_init(grp, problem, members)
+            groups.append(grp)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sdp._BlockGroup, "__init__", recording)
+            for dims in ((2, 2, 2, 2), (1, 3, 2, 3), (2, 3, 4, 2)):
+                p = random_pid(*dims, seed=1)
+                roi_primal(p)
+                roi_dual(p)
+        assert groups and all(grp.kron is None for grp in groups)
+
+
+# ---------------------------------------------------------------------------
+# Problems of one structure solved in lockstep
+# ---------------------------------------------------------------------------
+
+
+def _recorded_batches(run):
+    """The problem lists and options every ``solve_batch`` call of ``run()`` receives."""
+    calls = []
+    real = sdp.solve_batch
+
+    def recording(problems, opts=None):
+        calls.append((list(problems), opts))
+        return real(problems, opts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "solve_batch", recording)
+        run()
+    return calls
+
+
+def _assert_batch_matches_solves(problems, opts=None):
+    """Each problem of a lockstep batch against its own ``solve``, to 1e-12."""
+    batch = sdp.solve_batch(problems, opts)
+    alone = [solve(p, opts) for p in problems]
+    for one, other in zip(batch, alone):
+        assert one.status is other.status
+        assert one.iterations == other.iterations
+        assert abs(one.primal_value - other.primal_value) <= 1e-12 * (1 + abs(other.primal_value))
+        assert abs(one.dual_value - other.dual_value) <= 1e-12 * (1 + abs(other.dual_value))
+        assert np.allclose(one.dual_multipliers, other.dual_multipliers, rtol=0, atol=1e-12)
+        for x, z in zip(one.primal_blocks + one.dual_slacks, other.primal_blocks + other.dual_slacks):
+            assert np.allclose(x, z, rtol=0, atol=1e-12)
+    return batch
+
+
+def _rotations(base, count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        w = np.kron(_haar(rng, base.din).T, _haar(rng, base.dout))
+        out.append(Pid(base.din, base.dout, w @ base.blocks @ w.conj().T))
+    return out
+
+
+def _mixed_devices():
+    """Rotations of a non-simple and of a simple qubit device; their programs share one structure."""
+    from pidlab.devices import random_simple_pid
+
+    return _rotations(random_pid(2, 2, 2, 2, seed=1), 2, 11) + _rotations(
+        random_simple_pid(2, 2, 2, 2, seed=1).pid, 2, 12
+    )
+
+
+def _roi_primal_problems(devices):
+    calls = []
+    real = sdp.solve
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "solve", lambda problem, opts=None: calls.append((problem, opts)) or real(problem, opts))
+        for p in devices:
+            roi_primal(p)
+    return [problem for problem, _ in calls], calls[0][1]
+
+
+class TestSolveBatch:
+    def test_seesaw_steps(self):
+        from pidlab.compatibility import roi
+        from pidlab.games import witness_game
+        from pidlab.simulation import seesaw_pguess
+
+        p = random_pid(2, 2, 2, 2, seed=1)
+        game = witness_game(roi(p), n_dummy=8)
+        calls = _recorded_batches(lambda: seesaw_pguess(p, game, restarts=3, iters=2, seed=7))
+        sizes = {(problems[0].n_constraints, len(problems)) for problems, _ in calls}
+        assert {(4, 3), (64, 3)} <= sizes  # channel and instrument steps, three restarts each
+        for problems, opts in calls:
+            _assert_batch_matches_solves(problems, opts)
+
+    def test_pguess_simple_programs(self):
+        from pidlab.games import verify_robustness_bound
+
+        p = random_pid(2, 2, 2, 2, seed=3)
+        calls = _recorded_batches(lambda: verify_robustness_bound(p, schedule=(8, 64, 512)))
+        # roi() solves one problem; the three games' benchmarks go as one batch
+        assert [len(problems) for problems, _ in calls] == [1, 3]
+        problems, opts = calls[1]
+        assert len(problems[0].blocks) == 9
+        _assert_batch_matches_solves(problems, opts)
+
+    def test_roi_primal_programs_stopping_apart(self):
+        problems, opts = _roi_primal_problems(_mixed_devices())
+        batch = _assert_batch_matches_solves(problems, opts)
+        assert len({sol.iterations for sol in batch}) > 1
+        assert all(sol.status is SdpStatus.OPTIMAL for sol in batch)
+
+    def test_one_problem_out_of_iterations(self):
+        problems, opts = _roi_primal_problems(_mixed_devices())
+        counts = [sol.iterations for sol in sdp.solve_batch(problems, opts)]
+        short = replace(opts, max_iter=max(counts) - 1)
+        batch = _assert_batch_matches_solves(problems, short)
+        statuses = {sol.status for sol in batch}
+        assert statuses == {SdpStatus.OPTIMAL, SdpStatus.MAX_ITER}
+        for sol, count in zip(batch, counts):
+            assert sol.iterations == min(count, short.max_iter)
+
+    def test_rejects_mixed_structures(self):
+        a, _ = _roi_primal_problems([random_pid(2, 2, 2, 2, seed=1)])
+        b, _ = _roi_primal_problems([random_pid(2, 2, 3, 3, seed=1)])
+        with pytest.raises(ValueError, match="same blocks and columns"):
+            sdp.solve_batch(a + b)
+        assert sdp.solve_batch([]) == []
+
+    def test_callers_match_sequential_solves(self):
+        from pidlab import games, simulation
+        from pidlab.compatibility import roi
+
+        def one_by_one(batch, din, dout, opts=None, what="instrument"):
+            return [sdp.best_instrument(zs, din, dout, opts, what) for zs in batch]
+
+        p = random_pid(2, 2, 2, 2, seed=2)
+        game = games.witness_game(roi(p), n_dummy=8)
+
+        def run():
+            report = games.verify_robustness_bound(p, schedule=(8, 64))
+            seesaw = simulation.seesaw_pguess(p, game, restarts=3, iters=3, seed=5)
+            return report, seesaw
+
+        report, seesaw = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(games, "best_instruments", one_by_one)
+            mp.setattr(simulation, "best_instruments", one_by_one)
+            ref_report, ref_seesaw = run()
+        for a, b in zip(
+            report.ratios + report.lower_bounds + report.benchmarks + (seesaw.value,),
+            ref_report.ratios + ref_report.lower_bounds + ref_report.benchmarks + (ref_seesaw.value,),
+        ):
+            assert abs(a - b) <= 1e-12
+        f, g = seesaw.simulation, ref_seesaw.simulation
+        assert np.array_equal(f.p_cc.table, g.p_cc.table) and np.array_equal(f.q_cc.table, g.q_cc.table)
+        assert np.allclose(f.pre.mat, g.pre.mat, rtol=0, atol=1e-12)
+        for x, z in zip(f.post.branches, g.post.branches):
+            assert np.allclose(x.mat, z.mat, rtol=0, atol=1e-12)
+
+
+class TestObjectiveSense:
+    @pytest.mark.parametrize("sense", ["maximize", "MAX", "", None])
+    def test_unknown_sense_rejected(self, sense):
+        b = ComplexSdpBuilder(2)
+        (x,) = b.add_blocks(1)
+        with pytest.raises(ValueError, match="sense"):
+            b.set_objective({x: np.eye(2)}, sense=sense)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from pidlab.compatibility import is_simple_pid, roi_primal
 from pidlab.devices import (
@@ -305,3 +306,11 @@ class TestSeesaw:
         res = seesaw_pguess(p, g, restarts=2, iters=6, seed=2, side_dim=2, n_branches=1)
         bench = pguess_simple(g).value
         assert res.value <= (1.0 + cert.r) * bench + 1e-5
+
+
+@pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"iters": 0}, {"restarts": -1, "iters": 3}])
+def test_seesaw_rejects_empty_search(kwargs):
+    p = random_pid(2, 2, 2, 2, seed=1)
+    game = witness_game(roi_primal(p), n_dummy=2)
+    with pytest.raises(ValueError, match="restarts >= 1 and iters >= 1"):
+        seesaw_pguess(p, game, **kwargs)
