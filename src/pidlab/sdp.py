@@ -360,7 +360,7 @@ class _BlockGroup:
         self.mats_pairs = mats.view(float).reshape(nm, u, 2 * c * c)
         index = np.stack([col.index for col in cols])
         self.mat_pos = (index + u * np.arange(len(members))[:, None]).ravel()
-        self.row_bins, self.mat_bins = _Bins(self.rows.ravel()), _Bins(self.mat_pos)
+        self.batch_index: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.tiles = _schur_tiles(self.rows, index)
         self.kron = _kron_factor(mats[0]) if nm == 1 else None
         if self.kron is None:
@@ -369,19 +369,44 @@ class _BlockGroup:
             emb = _embed(mats)
             self.mats_tall = emb.reshape(nm, u * 2 * c, 2 * c)
             self.mats_col = np.ascontiguousarray(emb[..., :c]).reshape(nm, u, 2 * c * c)
+            # the tiles with the batch axis in front, and whether each sums blocks
+            every = slice(None)
+            self.batch_tiles = [
+                ((every, *place), (every, *terms), not isinstance(terms[0], int))
+                for place, terms in self.tiles
+            ]
+
+    def _batch_index(self, nb: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each support row's place among the ``nb * m`` rows and among the ``nb * n * u``
+        per-matrix products of a batch of ``nb`` problems, flattened problem by problem.
+
+        For one problem they are ``rows`` and ``mat_pos``; each batch size is built once.
+        """
+        index = self.batch_index.get((nb, m))
+        if index is None:
+            n, u = len(self.members), self.mats.shape[1]
+            shift = np.arange(nb)[:, None]
+            index = ((self.rows.ravel() + m * shift).ravel(), (self.mat_pos + n * u * shift).ravel())
+            self.batch_index[nb, m] = index
+        return index
 
     def apply_a(self, x: np.ndarray, m: int) -> np.ndarray:
-        """``out[i] = sum_b <A_{i,b}, X_b>`` over this group, as an m-vector per problem."""
+        """``out[i] = sum_b <A_{i,b}, X_b>`` over this group, as an m-vector per problem.
+
+        The bins of each problem follow its rows in the order one problem alone takes.
+        """
         xp = _pairs(x).reshape(-1, len(self.members), 2 * self.cdim**2, 1)
-        per_mat = self.weight * (self.mats_pairs @ xp).reshape(len(xp), -1)
-        return self.row_bins(per_mat.take(self.mat_pos, axis=1), m).reshape(*x.shape[:-3], m)
+        rows, pos = self._batch_index(len(xp), m)
+        per_mat = self.weight * (self.mats_pairs @ xp).ravel()
+        return np.bincount(rows, per_mat[pos], minlength=len(xp) * m).reshape(*x.shape[:-3], m)
 
     def apply_at(self, y: np.ndarray) -> np.ndarray:
         """``sum_i y_i A_{i,b}`` for each block of the group."""
-        (n, r), (u, c), lead = self.rows.shape, self.mats.shape[1:3], y.shape[:-1]
-        y = y.reshape(-1, y.shape[-1])
-        coef = self.mat_bins(y.take(self.rows, axis=1).reshape(len(y), n * r), n * u)
-        out = coef.reshape(len(y), n, 1, u) @ self.mats_pairs
+        (n, u, c), lead, m = (len(self.members), *self.mats.shape[1:3]), y.shape[:-1], y.shape[-1]
+        nb = y.size // m
+        rows, pos = self._batch_index(nb, m)
+        coef = np.bincount(pos, y.ravel()[rows], minlength=nb * n * u)
+        out = coef.reshape(nb, n, 1, u) @ self.mats_pairs
         return out.view(complex).reshape(*lead, n, c, c)
 
     def add_schur(self, w: np.ndarray, h: np.ndarray, ew: np.ndarray | None = None) -> None:
@@ -405,10 +430,10 @@ class _BlockGroup:
         ue = (self.mats_tall @ ew[..., :c]).reshape(nb, n, u, 2 * c, c)
         wuw = (ew[:, :, None] @ ue).reshape(nb, n, u, 2 * c * c)
         per_block = self.weight * (self.mats_col @ wuw.swapaxes(2, 3))
-        for (rows_t, rows_s), (which, mats_t, mats_s) in self.tiles:
-            part = per_block[:, which, mats_t, mats_s]
-            tile = h[:, rows_t, rows_s]
-            np.add(tile, part if isinstance(which, int) else part.sum(axis=1), out=tile)
+        for place, terms, summed in self.batch_tiles:
+            part = per_block[terms]
+            tile = h[place]
+            np.add(tile, part.sum(axis=1) if summed else part, out=tile)
 
     def _add_schur_kron(self, w: np.ndarray, h: np.ndarray) -> None:
         """:meth:`add_schur` for matrices ``A_i = Q_i (x) 1_o``, through a partial trace.
@@ -418,10 +443,11 @@ class _BlockGroup:
         ``Phi[(a, b), (c, d)] = sum_{o, o'} W[(b, o), (c, o')] W[(d, o'), (a, o)]``,
         one ``(a^2, o^2) @ (o^2, a^2)`` product per block.  ``Phi`` is summed
         over each tile's blocks in block order, and the basis change
-        ``q_t Phi q_s^T`` adds the whole tile onto H.  ``w`` is ``(B, n, c, c)``
-        and ``h`` ``(B, m, m)``.
+        ``q_t Phi q_s^T`` adds the whole tile onto H, reading only the nonzero
+        entries of each ``q_t`` (at most two for a Hermitian basis).  ``w`` is
+        ``(B, n, c, c)`` and ``h`` ``(B, m, m)``.
         """
-        q, a, o = self.kron
+        (cols, vals), a, o = self.kron
         nb, n = w.shape[:2]
         w6 = w.reshape(nb, n, a, o, a, o)
         left = w6.transpose(0, 1, 2, 4, 3, 5).reshape(nb, n, a * a, o * o)
@@ -431,16 +457,20 @@ class _BlockGroup:
             part = prod[:, which]
             part = part if isinstance(which, int) else part.sum(axis=1)
             phi = part.reshape(nb, a, a, a, a).transpose(0, 4, 1, 2, 3).reshape(nb, a * a, a * a)
+            # q_t Phi, then (q_t Phi) q_s^T, each q row by its nonzero entries
+            q_phi = (vals[mats_t, :, None] * phi[:, cols[mats_t]]).sum(axis=2)
+            tile_h = (vals[mats_s] * q_phi[:, :, cols[mats_s]]).sum(axis=3)
             tile = h[:, rows_t, rows_s]
-            np.add(tile, self.weight * (q[mats_t] @ phi @ q[mats_s].T).real, out=tile)
+            np.add(tile, self.weight * tile_h.real, out=tile)
 
 
-def _kron_factor(mats: np.ndarray) -> tuple[np.ndarray, int, int] | None:
-    """``(Q, a, o)`` when every matrix of a ``(u, c, c)`` stack is exactly ``Q_i (x) 1_o``.
+def _kron_factor(mats: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], int, int] | None:
+    """``((cols, vals), a, o)`` when every matrix of a ``(u, c, c)`` stack is exactly ``Q_i (x) 1_o``.
 
-    ``o`` is the largest divisor ``o > 1`` of ``c`` that fits, ``a = c / o``,
-    and ``Q`` is ``(u, a*a)``, each ``Q_i`` flattened row-major.  ``None``
-    when no divisor fits or the stack is empty.
+    ``o`` is the largest divisor ``o > 1`` of ``c`` that fits and ``a = c / o``.
+    Row ``i`` of the flattened ``Q`` ``(u, a*a)`` is ``vals[i]`` at the columns
+    ``cols[i]``, its nonzero entries in column order, padded with zeros to the
+    longest row.  ``None`` when no divisor fits or the stack is empty.
     """
     u, c = mats.shape[:2]
     for o in range(c, 1, -1):
@@ -450,29 +480,12 @@ def _kron_factor(mats: np.ndarray) -> tuple[np.ndarray, int, int] | None:
         split = mats.reshape(u, a, o, a, o)
         q = split[:, :, 0, :, 0]
         if np.array_equal(split, q[:, :, None, :, None] * np.eye(o)[:, None, :]):
-            return np.ascontiguousarray(q).reshape(u, a * a), a, o
+            q = q.reshape(u, a * a)
+            nonzero = q != 0
+            width = max(int(nonzero.sum(axis=1).max()), 1)
+            cols = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
+            return (cols, np.take_along_axis(q, cols, axis=1)), a, o
     return None
-
-
-class _Bins:
-    """``np.bincount`` over a fixed index, of each row of ``(B, k)`` weights, as ``(B, size)``.
-
-    The rows go through one call, each binned past the previous rows' bins,
-    so every row is summed in the order of the index as on its own.
-    """
-
-    def __init__(self, index: np.ndarray):
-        self.index = index
-        self.offset: dict[tuple[int, int], np.ndarray] = {}  # (B, size) -> the index, row by row
-
-    def __call__(self, weights: np.ndarray, size: int) -> np.ndarray:
-        rows = len(weights)
-        if rows == 1:
-            return np.bincount(self.index, weights.ravel(), minlength=size).reshape(1, size)
-        index = self.offset.get((rows, size))
-        if index is None:
-            index = self.offset[rows, size] = (self.index + size * np.arange(rows)[:, None]).ravel()
-        return np.bincount(index, weights.ravel(), minlength=rows * size).reshape(rows, size)
 
 
 def _runs(rows: np.ndarray, index: np.ndarray) -> list[list[tuple[int, int, int]]]:
@@ -729,12 +742,14 @@ def _scalings(x: list[np.ndarray], s: list[np.ndarray]) -> tuple[list[_NtScaling
     return [_nt_scaling(xc[keep], sc[keep]) for xc, sc in zip(x, s)], failed
 
 
-def _schur_factors(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Cholesky factors of each ``H`` of a ``(B, m, m)`` stack, and the problems none fits.
+def _schur_factors(h: np.ndarray) -> tuple[_CholeskySolver | None, list[int]]:
+    """A solver with the Cholesky factor of each ``H`` of a ``(B, m, m)`` stack, and the
+    problems none fits (``None`` when no ``H`` factors).
 
     Each ``H`` gets the smallest ridge of the ladder at which it factors,
     written onto its diagonal; the ladder restarts problem by problem only
-    when some ``H`` of the stack fails at the first ridge.
+    when some ``H`` of the stack fails at the first ridge.  The solver holds
+    the only reference to the factors.
     """
     m = h.shape[-1]
     scale = np.array([max(np.trace(hk) / m, 1e-300) for hk in h])
@@ -743,7 +758,7 @@ def _schur_factors(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
     ladder = (1e-14, 1e-12, 1e-10, 1e-8)
     on_diag[...] = diag + ladder[0] * scale[:, None]
     try:
-        return np.linalg.cholesky(h), []
+        return _CholeskySolver(np.linalg.cholesky(h)), []
     except np.linalg.LinAlgError:
         pass
     factors, failed = [], []
@@ -757,7 +772,7 @@ def _schur_factors(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
             break
         else:
             failed.append(j)
-    return (np.stack(factors) if factors else None), failed
+    return (_CholeskySolver(np.stack(factors)) if factors else None), failed
 
 
 def _complex_form(problem: SdpProblem, k: int) -> bool:
@@ -902,14 +917,13 @@ def solve_batch(problems, opts: SolveOptions | None = None) -> list[SdpSolution]
         for cls, sc in zip(classes, nt):
             cls.add_schur(sc.w, h)
         # the smallest ridge at which H factors; its factor serves every solve below
-        factor, failed = _schur_factors(h)
+        solve_h, failed = _schur_factors(h)
         if failed:
             live = retire(dict.fromkeys(failed, SdpStatus.NUMERICAL_FAILURE), it, (*live, nt))
             if live is None:
                 break
             *live, nt = live
         x, s, y, c, b, scales, rp, rd, mu = live
-        solve_h = _CholeskySolver(factor)
 
         wrdw = [sc.w @ r @ sc.w for sc, r in zip(nt, rd)]
 

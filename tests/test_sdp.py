@@ -1047,9 +1047,12 @@ class TestPartialTraceSchur:
         if dout == 1:  # no factor to trace out
             assert sdp._kron_factor(tp) is None
         else:
-            q, a, o = sdp._kron_factor(tp)
+            (cols, vals), a, o = sdp._kron_factor(tp)
             assert (a, o) == (din, dout)
+            q = np.zeros((din * din, din * din), dtype=complex)
+            np.put_along_axis(q, cols, vals, axis=1)
             assert np.array_equal(q, hermitian_basis(din).reshape(din * din, -1))
+            assert cols.shape[1] == min(2, din * din)  # a Hermitian basis element has 1 or 2 entries
 
     def test_robustness_groups_are_not_detected(self):
         groups = []
