@@ -42,11 +42,13 @@ embedded blocks, whose iterates then stay exactly in the embedded subspace
   flattened ``Q``'s and the partial-trace contraction ``Phi[(a, b), (c, d)]
   = sum_{o, o'} W[(b, o), (c, o')] W[(d, o'), (a, o)]``, one ``(a^2, o^2) @
   (o^2, a^2)`` product per block; ``Phi`` is summed over each tile's blocks
-  and one basis change by ``Q`` adds the tile.  The path is chosen once per
-  solve by testing the stack for exact equality with ``Q_i (x) 1_o``, the
-  largest ``o`` first; nothing else selects it, and a stack one ulp off
-  stays on the embedded path.  The trace-preserving rows ``H_i (x) 1`` of
-  :func:`best_instrument` are such a stack;
+  and the basis change ``q_t Phi q_s^T`` adds the tile, read from the
+  nonzero entries of the ``q``'s (at most two per element of a Hermitian
+  basis).  The path is chosen once per solve by testing the stack for exact
+  equality with ``Q_i (x) 1_o``, the largest ``o`` first; nothing else
+  selects it, and a stack one ulp off stays on the embedded path.  The
+  trace-preserving rows ``H_i (x) 1`` of :func:`best_instrument` are such a
+  stack;
 * the remaining matrix products, a few dozen per iteration on ``c x c``
   stacks, stay complex, since building an embedded copy of an operand costs
   more than the complex product at these sizes.
@@ -336,13 +338,14 @@ class _BlockGroup:
     stack object and ``(n, u, c, c)`` otherwise; every product broadcasts over
     that leading axis, as over the embeddings derived from it.  ``mat_pos``
     maps each support row to its entry of the ``(n, u)`` products of ``A X``
-    and ``A^T y``; ``tiles``, from :func:`_schur_tiles`, places the blocks'
-    ``u x u`` Schur blocks in H.  ``kron`` is ``(Q, a, o)`` when the shared
-    stack is ``Q_i (x) 1_o`` (:func:`_kron_factor`), and then the embeddings
-    are not built.
+    and ``A^T y``; the tiles of :func:`_schur_tiles` place the blocks'
+    ``u x u`` Schur blocks in H.  ``kron`` is ``((cols, vals), a, o)`` when
+    the shared stack is ``Q_i (x) 1_o`` (:func:`_kron_factor`), and then no
+    embedding is built.
 
-    The methods take iterates with any leading batch axes, ``(..., n, c, c)``
-    against ``(..., m)`` vectors and ``(..., m, m)`` Schur complements.
+    The methods take a batch of problems, ``(B, n, c, c)`` iterates against
+    ``(B, m)`` vectors and ``(B, m, m)`` Schur complements, or one problem's
+    arrays without the batch axis.
     """
 
     def __init__(self, problem: SdpProblem, members: list[int]):
@@ -361,19 +364,26 @@ class _BlockGroup:
         index = np.stack([col.index for col in cols])
         self.mat_pos = (index + u * np.arange(len(members))[:, None]).ravel()
         self.batch_index: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self.tiles = _schur_tiles(self.rows, index)
+        tiles = _schur_tiles(self.rows, index)
         self.kron = _kron_factor(mats[0]) if nm == 1 else None
-        if self.kron is None:
+        every = slice(None)
+        if self.kron is not None:
+            (q_cols, q_vals), a, _ = self.kron
+            self.kron_tiles = [
+                ((every, *place), which, not isinstance(which, int),
+                 *_kron_terms((q_cols[mats_t], q_cols[mats_s]), (q_vals[mats_t], q_vals[mats_s]), a))
+                for place, (which, mats_t, mats_s) in tiles
+            ]
+        else:
             # for the Schur complement: the embedded matrices E(U) stacked
             # into (2c u, 2c), and their first block columns
             emb = _embed(mats)
             self.mats_tall = emb.reshape(nm, u * 2 * c, 2 * c)
             self.mats_col = np.ascontiguousarray(emb[..., :c]).reshape(nm, u, 2 * c * c)
             # the tiles with the batch axis in front, and whether each sums blocks
-            every = slice(None)
             self.batch_tiles = [
                 ((every, *place), (every, *terms), not isinstance(terms[0], int))
-                for place, terms in self.tiles
+                for place, terms in tiles
             ]
 
     def _batch_index(self, nb: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -441,27 +451,42 @@ class _BlockGroup:
         With ``W`` indexed by pairs ``(a, o)``, ``Re tr(A_t W A_s W)`` is
         ``Re(q_t Phi q_s^T)`` for the flattened ``q = Q.reshape(u, a*a)`` and
         ``Phi[(a, b), (c, d)] = sum_{o, o'} W[(b, o), (c, o')] W[(d, o'), (a, o)]``,
-        one ``(a^2, o^2) @ (o^2, a^2)`` product per block.  ``Phi`` is summed
-        over each tile's blocks in block order, and the basis change
-        ``q_t Phi q_s^T`` adds the whole tile onto H, reading only the nonzero
-        entries of each ``q_t`` (at most two for a Hermitian basis).  ``w`` is
-        ``(B, n, c, c)`` and ``h`` ``(B, m, m)``.
+        one ``(a^2, o^2) @ (o^2, a^2)`` product per block.  The products are
+        summed over each tile's blocks in block order, and the basis change
+        ``q_t Phi q_s^T`` (:func:`_kron_terms`) adds the whole tile onto H.
+        ``w`` is ``(B, n, c, c)`` and ``h`` ``(B, m, m)``.
         """
-        (cols, vals), a, o = self.kron
+        _, a, o = self.kron
         nb, n = w.shape[:2]
         w6 = w.reshape(nb, n, a, o, a, o)
         left = w6.transpose(0, 1, 2, 4, 3, 5).reshape(nb, n, a * a, o * o)
         right = w6.transpose(0, 1, 5, 3, 2, 4).reshape(nb, n, o * o, a * a)
-        prod = left @ right  # prod[(b, c), (d, a)] = Phi[(a, b), (c, d)]
-        for (rows_t, rows_s), (which, mats_t, mats_s) in self.tiles:
-            part = prod[:, which]
-            part = part if isinstance(which, int) else part.sum(axis=1)
-            phi = part.reshape(nb, a, a, a, a).transpose(0, 4, 1, 2, 3).reshape(nb, a * a, a * a)
-            # q_t Phi, then (q_t Phi) q_s^T, each q row by its nonzero entries
-            q_phi = (vals[mats_t, :, None] * phi[:, cols[mats_t]]).sum(axis=2)
-            tile_h = (vals[mats_s] * q_phi[:, :, cols[mats_s]]).sum(axis=3)
-            tile = h[:, rows_t, rows_s]
+        prod = (left @ right).reshape(nb, n, a**4)  # prod[(b, c), (d, a)] = Phi[(a, b), (c, d)]
+        for place, which, summed, at, coef in self.kron_tiles:
+            part = prod[:, which].sum(axis=1) if summed else prod[:, which]
+            tile_h = coef[0] * part.take(at[0], axis=1)
+            for at_k, coef_k in zip(at[1:], coef[1:]):
+                tile_h += coef_k * part.take(at_k, axis=1)
+            tile = h[place]
             np.add(tile, self.weight * tile_h.real, out=tile)
+
+
+def _kron_terms(cols: np.ndarray, vals: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """``at`` and ``coef``, ``(k*k, lt, ls)``, with ``(q_t Phi q_s^T)[t, s] = sum_j coef[j, t, s] P[at[j, t, s]]``.
+
+    ``cols`` and ``vals`` hold the nonzero entries of the tile's rows ``q_t``
+    and columns ``q_s`` (``(lt, k)`` and ``(ls, k)`` pairs, from
+    :func:`_kron_factor`), and ``P`` is the flattened product
+    ``P[(b, c), (d, a)] = Phi[(a, b), (c, d)]``.
+    """
+    (cols_t, cols_s), (vals_t, vals_s) = cols, vals
+    (ra, rb), (rc, rd) = np.divmod(cols_t, a), np.divmod(cols_s, a)
+    # term (j, l) of entry (t, s): q_t's j-th entry, Phi row (ra, rb), and q_s's l-th, column (rc, rd)
+    at = ((rb.T[:, None, :, None] * a + rc.T[None, :, None, :]) * a + rd.T[None, :, None, :]) * a
+    at = at + ra.T[:, None, :, None]
+    coef = vals_t.T[:, None, :, None] * vals_s.T[None, :, None, :]
+    k, lt, ls = len(vals_t.T), len(vals_t), len(vals_s)
+    return at.reshape(k * k, lt, ls), coef.reshape(k * k, lt, ls)
 
 
 def _kron_factor(mats: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], int, int] | None:
