@@ -94,7 +94,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from enum import Enum
 from typing import NamedTuple
 
@@ -649,7 +649,7 @@ def _max_steps(nt: list[_NtScaling], dx: list[np.ndarray], ds: list[np.ndarray])
     for sc, dxc, dsc in zip(nt, dx, ds):
         t = sc.l_inv @ _pair(dxc, dsc) @ _ct(sc.l_inv)
         lams.append(np.linalg.eigvalsh(_herm(t))[..., 0].min(axis=-1))
-    lam_x, lam_s = np.min(lams, axis=0).tolist()
+    lam_x, lam_s = reduce(np.minimum, lams).tolist()
     return tuple([np.inf if lam >= -1e-13 else 1.0 / (-lam) for lam in side] for side in (lam_x, lam_s))
 
 
@@ -681,7 +681,9 @@ class _CholeskySolver:
     ``L``'s off-diagonal panels.  The panel layout is built once per size,
     and the first panel of each sweep needs no off-diagonal product.
     ``H^-1`` is never formed.  A stack of factors ``(B, m, m)`` solves
-    right-hand sides ``(B, m)``, each with its own factor.
+    right-hand sides ``(B, m)`` problem by problem, each with its own
+    factor and two-dimensional products, which cost numpy less than
+    products with a batch axis at these sizes.
     """
 
     def __init__(self, l: np.ndarray):
@@ -690,24 +692,23 @@ class _CholeskySolver:
         self.spans, index, keep, pad = _panel_layout(m)
         inv = np.linalg.inv(l.reshape(len(l), m * m).take(index, axis=1) * keep + pad)
         a, e = self.spans[-1]
-        self.diag_inv = [inv[:, p] for p in range(len(self.spans) - 1)]
-        self.diag_inv.append(inv[:, -1, : e - a, : e - a])
+        self.diag_inv = [[*inv_k[:-1], inv_k[-1, : e - a, : e - a]] for inv_k in inv]
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        l, spans, inv = self.l, self.spans, self.diag_inv
-        shape = r.shape
-        r = r.reshape(len(l), -1, 1)  # columns, so that the products stay matrix-vector
-        z = np.empty_like(r)
-        e = spans[0][1]
-        z[:, :e] = inv[0] @ r[:, :e]
-        for (a, e), d in zip(spans[1:], inv[1:]):
-            z[:, a:e] = d @ (r[:, a:e] - l[:, a:e, :a] @ z[:, :a])
-        v = np.empty_like(r)
-        a = spans[-1][0]
-        v[:, a:] = inv[-1].swapaxes(1, 2) @ z[:, a:]
-        for (a, e), d in zip(spans[-2::-1], inv[-2::-1]):
-            v[:, a:e] = d.swapaxes(1, 2) @ (z[:, a:e] - l[:, e:, a:e].swapaxes(1, 2) @ v[:, e:])
-        return v.reshape(shape)
+        spans, shape = self.spans, r.shape
+        rs = r.reshape(len(self.l), -1)
+        vs = np.empty_like(rs)
+        for l, inv, r, v in zip(self.l, self.diag_inv, rs, vs):
+            z = np.empty_like(r)
+            e = spans[0][1]
+            z[:e] = inv[0] @ r[:e]
+            for (a, e), d in zip(spans[1:], inv[1:]):
+                z[a:e] = d @ (r[a:e] - l[a:e, :a] @ z[:a])
+            a = spans[-1][0]
+            v[a:] = inv[-1].T @ z[a:]
+            for (a, e), d in zip(spans[-2::-1], inv[-2::-1]):
+                v[a:e] = d.T @ (z[a:e] - l[e:, a:e].T @ v[e:])
+        return vs.reshape(shape)
 
 
 def _initial_point(classes, c, b, m):
@@ -721,13 +722,13 @@ def _initial_point(classes, c, b, m):
         cands = np.abs(bk[big]) / np.abs(tr[big])
         xi.append(float(np.clip(cands.max() if cands.size else 1.0, 1.0, 1e4)))
         eta.append(float(np.clip(max(max_abs(_pairs(cc[k])) for cc in c), 1.0, 1e4)))
-    xi, eta = _col(np.array(xi)), _col(np.array(eta))
+    xi, eta = _col(xi), _col(eta)
     return [xi * e[None] for e in eye], [eta * e[None] for e in eye], np.zeros(b.shape)
 
 
-def _col(v: np.ndarray, axes: int = 3) -> np.ndarray:
-    """Per-problem scalars ``(B,)`` against stacks with ``axes`` more axes; for one problem, its scalar."""
-    return v[0] if len(v) == 1 else v.reshape(-1, *(1,) * axes)
+def _col(v: list[float], axes: int = 3) -> np.ndarray | float:
+    """Per-problem scalars against stacks with ``axes`` more axes; for one problem, its scalar."""
+    return v[0] if len(v) == 1 else np.array(v).reshape(-1, *(1,) * axes)
 
 
 def _max_abs_each(stacks: list[np.ndarray]) -> np.ndarray:
@@ -961,7 +962,7 @@ def solve_batch(problems, opts: SolveOptions | None = None) -> list[SdpSolution]
 
         # predictor (affine scaling): Rc = -D in scaled space, divided by L_D
         dx_a, dy_a, ds_a = newton_step([-(sc.g * sc.d[..., None, :]) @ sc.gh for sc in nt])
-        ap, ad = (_col(np.minimum(np.array(v), 1.0)) for v in _max_steps(nt, dx_a, ds_a))
+        ap, ad = (_col([min(step, 1.0) for step in side]) for side in _max_steps(nt, dx_a, ds_a))
         mu_aff = inner(
             [xc + ap * d for xc, d in zip(x, dx_a)], [sc + ad * d for sc, d in zip(s, ds_a)]
         )
@@ -969,7 +970,6 @@ def solve_batch(problems, opts: SolveOptions | None = None) -> list[SdpSolution]
         for v, mu_j in zip(mu_aff, mu.tolist()):
             sigma = float(np.clip((max(v / ntot, 0.0) / mu_j) ** 3, 1e-8, 1.0))
             sigma_mu.append(sigma * mu_j)
-        sigma_mu = np.array(sigma_mu)
 
         # corrector: Rc = L_D^{-1}(sigma*mu*I - D^2 - H(dXhat dShat))
         grcg = []
@@ -990,7 +990,7 @@ def solve_batch(problems, opts: SolveOptions | None = None) -> list[SdpSolution]
         dx = [_herm(d + sc.w @ a @ sc.w) for d, sc, a in zip(dx, nt, aty_c)]
         ds = [d - a for d, a in zip(ds, aty_c)]
         dy = dy + dy_c
-        ap, ad = (np.minimum(1.0, opts.step_frac * np.array(v)) for v in _max_steps(nt, dx, ds))
+        ap, ad = ([min(1.0, opts.step_frac * step) for step in side] for side in _max_steps(nt, dx, ds))
         # x stays exactly Hermitian, as dx is; s is made so
         x = [xc + _col(ap) * d for xc, d in zip(x, dx)]
         s = [_herm(sc + _col(ad) * d) for sc, d in zip(s, ds)]
