@@ -70,7 +70,8 @@ There is one interior-point kernel, :func:`solve_batch`: it solves problems
 of one structure, the same blocks and columns with other objectives and
 right-hand sides, in lockstep.  Iterates, ``H`` and its factor carry a
 leading batch axis, and every product, factorization and eigenvalue call
-runs once for the batch, matrix by matrix as for one problem, so each
+runs once for the batch, matrix by matrix as for one problem (the
+substitutions with the Schur factor run problem by problem), so each
 problem takes exactly the iterates it takes alone.  mu, sigma, step
 lengths, termination and status are per problem; a problem that stops
 (optimal, diverged, out of factorizations) leaves the batch with the
