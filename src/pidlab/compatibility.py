@@ -146,7 +146,7 @@ def roi_primal(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
     builder = ComplexSdpBuilder(d)
     etas = builder.add_blocks(len(maps))
     slacks = builder.add_blocks(p.n_programs * p.n_outcomes).reshape(p.n_programs, p.n_outcomes)
-    builder.set_objective(dict.fromkeys(etas, np.eye(d, dtype=complex) / din), constant=-1.0)
+    builder.set_objective(dict.fromkeys(etas, np.eye(d, dtype=complex) / din))
     # one statement per (x0, x1): the covering response blocks minus the
     # slack equal J_{x1|x0}, over the whole Hermitian basis
     basis = hermitian_basis(d)
@@ -206,11 +206,8 @@ def roi_dual(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
     builder = ComplexSdpBuilder(d)
     alphas = builder.add_blocks(p.n_programs * p.n_outcomes).reshape(p.n_programs, p.n_outcomes)
     ws = builder.add_blocks(len(maps))
-    builder.set_objective(
-        dict(zip(alphas.ravel(), p.blocks.reshape(-1, d, d) / (din * p.n_programs))),
-        constant=-1.0,
-        sense="max",
-    )
+    scores = p.blocks.reshape(-1, d, d) / (din * p.n_programs)
+    builder.set_objective(dict(zip(alphas.ravel(), scores)), sense="max")
     # W_f + sum_x0 alpha_{f(x0)|x0} is the same for every f: each row states
     # W_f - W_f0 plus the alphas where f and f0 differ, over the Hermitian basis
     basis = hermitian_basis(d)
@@ -234,9 +231,9 @@ def roi_dual(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
     t0 = res.primal_blocks[ws[0]] + gather_responses(maps[:1], alpha)[0]
     b_op = partial_trace(t0, (din, dout), keep=(0,)) / dout
     beta = np.stack([b_op / p.n_programs for _ in range(p.n_programs)])
+    r = res.primal_value - 1.0
     return RoiCertificate(
-        r=res.primal_value, gap=res.gap, alpha=alpha, beta=beta, dual_r=res.primal_value,
-        din=p.din, dout=p.dout,
+        r=r, gap=res.gap, alpha=alpha, beta=beta, dual_r=r, din=p.din, dout=p.dout
     )
 
 

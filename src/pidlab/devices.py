@@ -532,11 +532,9 @@ def random_instrument(
     din: int,
     dout: int,
     n_branches: int,
-    env_per_branch: int | None = None,
 ) -> Instrument:
-    if env_per_branch is None:
-        # smallest ancilla making a Stinespring isometry possible
-        env_per_branch = max(1, -(-din // (dout * n_branches)))
+    # smallest ancilla making a Stinespring isometry possible
+    env_per_branch = max(1, -(-din // (dout * n_branches)))
     v = random_isometry(rng, din, dout * n_branches * env_per_branch)
     resh = v.reshape(dout, n_branches, env_per_branch, din)
     branches = []
@@ -581,14 +579,13 @@ def random_simple_pid(
     n_programs: int,
     n_outcomes: int,
     seed: int,
-    n_mother: int | None = None,
 ) -> SimplePidSample:
-    """Mixture of a random mother instrument through a random classical channel."""
+    """Mixture of a random mother instrument, one branch per outcome, through a random
+    classical channel."""
     rng = rng_from_seed(seed)
-    n_g = n_mother if n_mother is not None else n_outcomes
-    mother = random_instrument(rng, din, dout, n_g)
+    mother = random_instrument(rng, din, dout, n_outcomes)
     table = np.stack(
-        [random_stochastic(rng, n_outcomes, n_programs) for _ in range(n_g)], axis=2
+        [random_stochastic(rng, n_outcomes, n_programs) for _ in range(n_outcomes)], axis=2
     )
     pid = simple_pid_from_mixture(mother, table)
     return SimplePidSample(pid=pid, mother=mother, table=table)

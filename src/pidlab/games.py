@@ -265,8 +265,6 @@ def verify_robustness_bound(
     p: Pid,
     schedule: tuple[int, ...] = (8, 64, 512),
     opts: SolveOptions | None = None,
-    use_seesaw: bool = False,
-    seesaw_kwargs: dict | None = None,
 ) -> BoundReport:
     """Witness-game ratio schedule converging upward to ``1 + robustness``.
 
@@ -287,11 +285,6 @@ def verify_robustness_bound(
     for g, simple in zip(games, simples):
         num = game_value(g, pad_pid_outcomes(p, g.n_n))
         num = max(num, simple.value)
-        if use_seesaw:
-            from .simulation import seesaw_pguess
-
-            kw = seesaw_kwargs or {}
-            num = max(num, seesaw_pguess(p, g, **kw).value)
         ratio = num / simple.value
         ratios.append(ratio)
         lower.append(num)
@@ -462,14 +455,14 @@ def ic_dual_frame(povm: Povm) -> DualFrameSolver:
     return DualFrameSolver(povm)
 
 
-def witness_ensemble(frame: DualFrame, povm: Povm | None = None) -> PiGameSpec:
+def witness_ensemble(frame: DualFrame) -> PiGameSpec:
     """Shifted, normalized frame operators as a post-information game ensemble.
 
     Each operator's transpose is offset by the largest frame norm so all
     states are positive, and the whole family is scaled to total probability
     one.  A zero frame degenerates to the uniform maximally mixed ensemble.
     """
-    pv = povm or frame.povm
+    pv = frame.povm
     mu = frame.operators
     if mu.ndim != 5:
         raise ValueError("expected frame operators indexed (m, n, l)")

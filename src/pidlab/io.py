@@ -47,14 +47,22 @@ def _encode_matrix(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
-def _decode_matrix(data: Any, rows: int, cols: int, what: str) -> np.ndarray:
+def _decode_matrices(data: Any, counts: tuple[int, ...], dim: int, what: str) -> np.ndarray:
+    """A ``(*counts, dim, dim)`` stack of matrices nested in lists of the lengths ``counts``."""
+    if counts:
+        if not isinstance(data, list) or len(data) != counts[0]:
+            got = f"{len(data)} entries" if isinstance(data, list) else type(data).__name__
+            raise DeviceFileError(f"{what}: expected a list of {counts[0]} entries, got {got}")
+        return np.stack(
+            [_decode_matrices(v, counts[1:], dim, f"{what}[{k}]") for k, v in enumerate(data)]
+        )
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DeviceFileError(f"{what}: not a numeric matrix") from exc
-    if arr.shape != (rows, cols, 2):
+    if arr.shape != (dim, dim, 2):
         raise DeviceFileError(
-            f"{what}: expected shape {(rows, cols, 2)} of [re, im] pairs, got {arr.shape}"
+            f"{what}: expected shape {(dim, dim, 2)} of [re, im] pairs, got {arr.shape}"
         )
     return arr[..., 0] + 1j * arr[..., 1]
 
@@ -180,116 +188,68 @@ def from_document(data: dict):
         dout = _int_field(data, "dout", kind)
         n0 = _int_field(data, "n_programs", kind)
         n1 = _int_field(data, "n_outcomes", kind)
-        d = din * dout
-        raw = _require(data, "blocks", kind)
-        blocks = np.stack(
-            [
-                np.stack(
-                    [_decode_matrix(raw[x0][x1], d, d, f"blocks[{x0}][{x1}]") for x1 in range(n1)]
-                )
-                for x0 in range(n0)
-            ]
-        )
+        blocks = _decode_matrices(_require(data, "blocks", kind), (n0, n1), din * dout, "blocks")
         return Pid(din, dout, blocks)
     if kind == "pmd":
         dim = _int_field(data, "dim", kind)
         n0 = _int_field(data, "n_programs", kind)
         n1 = _int_field(data, "n_outcomes", kind)
-        raw = _require(data, "effects", kind)
-        eff = np.stack(
-            [
-                np.stack(
-                    [_decode_matrix(raw[x0][x1], dim, dim, f"effects[{x0}][{x1}]") for x1 in range(n1)]
-                )
-                for x0 in range(n0)
-            ]
-        )
-        return Pmd(eff)
+        return Pmd(_decode_matrices(_require(data, "effects", kind), (n0, n1), dim, "effects"))
     if kind == "povm":
         dim = _int_field(data, "dim", kind)
         n = _int_field(data, "n_outcomes", kind)
-        raw = _require(data, "effects", kind)
-        eff = np.stack([_decode_matrix(raw[k], dim, dim, f"effects[{k}]") for k in range(n)])
+        eff = _decode_matrices(_require(data, "effects", kind), (n,), dim, "effects")
         fd = data.get("factor_dims")
+        if fd is not None and not (
+            isinstance(fd, list)
+            and all(isinstance(f, int) and f >= 1 for f in fd)
+            and int(np.prod(fd)) == dim
+        ):
+            raise DeviceFileError(
+                f"povm field 'factor_dims' must be null or positive integers multiplying to {dim}"
+            )
         return Povm(eff, factor_dims=tuple(fd) if fd else None)
     if kind == "instrument":
         din = _int_field(data, "din", kind)
         dout = _int_field(data, "dout", kind)
         nb = _int_field(data, "n_branches", kind)
-        raw = _require(data, "branches", kind)
-        d = din * dout
-        return Instrument(
-            tuple(
-                ChoiMatrix(din, dout, _decode_matrix(raw[k], d, d, f"branches[{k}]"))
-                for k in range(nb)
-            )
-        )
+        branches = _decode_matrices(_require(data, "branches", kind), (nb,), din * dout, "branches")
+        return Instrument(tuple(ChoiMatrix(din, dout, b) for b in branches))
     if kind == "game":
         d_ref = _int_field(data, "d_ref", kind)
         dout = _int_field(data, "dout", kind)
         n_m = _int_field(data, "n_m", kind)
         n_n = _int_field(data, "n_n", kind)
-        d = d_ref * dout
-        raw = _require(data, "effects", kind)
-        eff = np.stack(
-            [
-                np.stack(
-                    [_decode_matrix(raw[m][n], d, d, f"effects[{m}][{n}]") for n in range(n_n)]
-                )
-                for m in range(n_m)
-            ]
-        )
+        eff = _decode_matrices(_require(data, "effects", kind), (n_m, n_n), d_ref * dout, "effects")
         return GameSpec(effects=eff, d_ref=d_ref, dout=dout)
     if kind == "pigame":
         din = _int_field(data, "din", kind)
         n_m = _int_field(data, "n_m", kind)
         n_n = _int_field(data, "n_n", kind)
         n_l = _int_field(data, "n_l", kind)
-        raw = _require(data, "ensemble", kind)
-        ens = np.stack(
-            [
-                np.stack(
-                    [
-                        np.stack(
-                            [
-                                _decode_matrix(raw[m][n][l], din, din, f"ensemble[{m}][{n}][{l}]")
-                                for l in range(n_l)
-                            ]
-                        )
-                        for n in range(n_n)
-                    ]
-                )
-                for m in range(n_m)
-            ]
-        )
+        ens = _decode_matrices(_require(data, "ensemble", kind), (n_m, n_n, n_l), din, "ensemble")
         povm = from_document(_require(data, "povm_l", kind))
         if not isinstance(povm, Povm):
             raise DeviceFileError("pigame field 'povm_l' must hold a povm document")
         return PiGameSpec(ensemble=ens, povm_l=povm)
     # simulation
     shape_raw = _require(data, "shape", kind)
+    if not isinstance(shape_raw, dict):
+        raise DeviceFileError("simulation field 'shape' must be an object")
     try:
         shape = SimulationShape(**{k: int(v) for k, v in shape_raw.items()})
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise DeviceFileError(f"bad simulation shape: {exc}") from exc
     d_pre = shape.target_din * shape.source_din * shape.side_dim
     pre = ChoiMatrix(
         shape.target_din,
         shape.source_din * shape.side_dim,
-        _decode_matrix(_require(data, "pre", kind), d_pre, d_pre, "pre"),
+        _decode_matrices(_require(data, "pre", kind), (), d_pre, "pre"),
     )
     d_post = shape.source_dout * shape.side_dim * shape.target_dout
-    raw_post = _require(data, "post", kind)
-    post = Instrument(
-        tuple(
-            ChoiMatrix(
-                shape.source_dout * shape.side_dim,
-                shape.target_dout,
-                _decode_matrix(raw_post[k], d_post, d_post, f"post[{k}]"),
-            )
-            for k in range(shape.n_branches)
-        )
-    )
+    branches = _decode_matrices(_require(data, "post", kind), (shape.n_branches,), d_post, "post")
+    d_mid = shape.source_dout * shape.side_dim
+    post = Instrument(tuple(ChoiMatrix(d_mid, shape.target_dout, b) for b in branches))
     try:
         p_cc = ClassicalChannel(np.asarray(_require(data, "p_table", kind), dtype=float))
         q_cc = ClassicalChannel(np.asarray(_require(data, "q_table", kind), dtype=float))

@@ -19,6 +19,7 @@ import numpy as np
 
 HERMITIZE_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-8
+_MAG_TOL = 1e-8  # entries at most this large carry no phase in eig_hermitian's tie-breaks
 
 __all__ = [
     "ChoiMatrix",
@@ -113,12 +114,12 @@ def min_eig(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((h + h.conj().swapaxes(-1, -2)) / 2)[..., 0].min())
 
 
-def _canonical_phase(vecs: np.ndarray, mag_tol: float = 1e-8) -> np.ndarray:
+def _canonical_phase(vecs: np.ndarray) -> np.ndarray:
     """Fix each column's global phase so its first sizable entry is real positive."""
     out = vecs.copy()
     for j in range(out.shape[1]):
         col = out[:, j]
-        idx = np.flatnonzero(np.abs(col) > mag_tol)
+        idx = np.flatnonzero(np.abs(col) > _MAG_TOL)
         if idx.size == 0:
             continue
         ph = col[idx[0]] / abs(col[idx[0]])
@@ -126,12 +127,12 @@ def _canonical_phase(vecs: np.ndarray, mag_tol: float = 1e-8) -> np.ndarray:
     return out
 
 
-def _lex_key(col: np.ndarray, mag_tol: float = 1e-8) -> tuple:
+def _lex_key(col: np.ndarray) -> tuple:
     key = []
     for c in col:
         mag = abs(c)
         key.append(round(mag, 10))
-        key.append(round(float(np.angle(c)), 10) if mag > mag_tol else 0.0)
+        key.append(round(float(np.angle(c)), 10) if mag > _MAG_TOL else 0.0)
     return tuple(key)
 
 
@@ -195,8 +196,8 @@ class ChoiMatrix:
     def dim(self) -> int:
         return self.din * self.dout
 
-    def cp_defect(self, tol_scale: float = 1.0) -> float:
-        return max(0.0, -min_eig(self.mat)) * tol_scale
+    def cp_defect(self) -> float:
+        return max(0.0, -min_eig(self.mat))
 
     def tp_defect(self) -> float:
         marg = partial_trace(self.mat, (self.din, self.dout), keep=(0,))

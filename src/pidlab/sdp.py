@@ -10,10 +10,11 @@ Nesterov-Todd scaling.  A block of even size may be given in complex form,
 as Hermitian matrices ``H = P + iQ`` of half its size that stand for their
 real embeddings ``E(H) = [[P, -Q], [Q, P]]``.
 
-Constraints are stored by block column: a block keeps the rows it appears
-in (its support), its distinct matrices, and per row an index into them, so
-a matrix equality stated once over a Hermitian basis shares that basis with
-every block it covers.  The solver holds every block's iterates ``X`` and
+Constraints are stated by block column, the one form :class:`SdpProblem`
+takes: a block keeps the rows it appears in (its support), its distinct
+matrices, and per row an index into them, so a matrix equality stated once
+over a Hermitian basis shares that basis with every block it covers.
+The solver holds every block's iterates ``X`` and
 ``S`` as complex Hermitian ``(n, c, c)`` stacks, ``c`` the complex size; a
 real block is the zero-imaginary case, and its imaginary parts stay exactly
 zero.  ``E`` maps products to products, so the iteration is the one on the
@@ -120,6 +121,7 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e8
+STEP_FRAC = 0.98  # share of the largest step that keeps the iterates PSD
 _PANEL = 32  # rows per panel of the Schur factor's substitution
 
 
@@ -136,7 +138,6 @@ class SolveOptions:
     feas_tol: float = 1e-8
     gap_tol: float = 1e-7
     max_iter: int = 200
-    step_frac: float = 0.98
 
 
 class BlockColumn(NamedTuple):
@@ -155,11 +156,9 @@ class SdpProblem:
     """Block SDP data, held one block column at a time.
 
     ``columns[k]`` is block ``k``'s :class:`BlockColumn` and ``rhs`` the
-    ``m`` right-hand sides.  Pass either ``columns`` and ``rhs``, or
-    ``constraints`` as rows of ``(per-block matrices, rhs)``, in which case
-    each nonzero matrix of a block becomes its own entry of that block's
-    column.  Shapes and symmetry are checked once per distinct stack object,
-    however many blocks carry it; rows and indices once per block.
+    ``m`` right-hand sides.  Shapes and symmetry are checked once per
+    distinct stack object, however many blocks carry it; rows and indices
+    once per block.
 
     A block of size ``d`` is real symmetric.  It may instead be given in
     complex form, when its objective or its matrices are complex arrays:
@@ -167,16 +166,12 @@ class SdpProblem:
     ``[[Re H, -Im H], [Im H, Re H]]``, so ``<A, X>`` reads ``2 Re tr(A X)``.
     """
 
-    def __init__(self, blocks, objective, constraints=None, *, columns=None, rhs=None):
+    def __init__(self, blocks, objective, *, columns, rhs):
         self.blocks = tuple(blocks)
         self.objective = tuple(_as_mats(c) for c in objective)
         dims = [d for _, d in self.blocks]
         if len(self.objective) != len(dims):
             raise ValueError("objective must provide one matrix per block")
-        if (constraints is None) == (columns is None):
-            raise ValueError("pass either constraints or columns and rhs")
-        if constraints is not None:
-            columns, rhs = _row_form_columns(constraints, dims)
         self.rhs = np.asarray(rhs, dtype=float).reshape(-1)
         self.columns = tuple(
             BlockColumn(np.asarray(r, np.intp), np.asarray(i, np.intp), _as_mats(a))
@@ -202,21 +197,6 @@ class SdpProblem:
     @property
     def n_constraints(self) -> int:
         return len(self.rhs)
-
-
-def _row_form_columns(constraints, dims: list[int]):
-    """Block columns and right-hand sides of ``(per-block matrices, rhs)`` rows."""
-    if any(len(row) != len(dims) for row, _ in constraints):
-        raise ValueError("constraint row must cover every block")
-    columns = []
-    for k, d in enumerate(dims):
-        bad = {np.shape(row[k]) for row, _ in constraints} - {(d, d)}
-        if bad:
-            raise ValueError(f"constraint matrix shape {bad.pop()} does not match block dim {d}")
-        col = np.array([row[k] for row, _ in constraints], dtype=float).reshape(-1, d, d)
-        rows = np.flatnonzero(col.reshape(len(col), -1).any(axis=1))
-        columns.append((rows, np.arange(len(rows)), col[rows]))
-    return columns, [rhs for _, rhs in constraints]
 
 
 def _as_mats(a) -> np.ndarray:
@@ -519,7 +499,9 @@ def _runs(rows: np.ndarray, index: np.ndarray) -> list[list[tuple[int, int, int]
 
     ``rows`` and ``index`` are ``(n, r)``, one block per row.  A run is a
     maximal stretch of a block's support in which consecutive rows carry
-    consecutive matrices.
+    consecutive matrices, so the rows of one :class:`ComplexSdpBuilder`
+    statement lie in one run, and a stack that a block carries in several
+    statements starts a run in each.
     """
     n, r = rows.shape
     start = np.ones((n, r), dtype=bool)
@@ -991,7 +973,7 @@ def solve_batch(problems, opts: SolveOptions | None = None) -> list[SdpSolution]
         dx = [_herm(d + sc.w @ a @ sc.w) for d, sc, a in zip(dx, nt, aty_c)]
         ds = [d - a for d, a in zip(ds, aty_c)]
         dy = dy + dy_c
-        ap, ad = ([min(1.0, opts.step_frac * step) for step in side] for side in _max_steps(nt, dx, ds))
+        ap, ad = ([min(1.0, STEP_FRAC * step) for step in side] for side in _max_steps(nt, dx, ds))
         # x stays exactly Hermitian, as dx is; s is made so
         x = [xc + _col(ap) * d for xc, d in zip(x, dx)]
         s = [_herm(sc + _col(ad) * d) for sc, d in zip(s, ds)]
@@ -1046,8 +1028,9 @@ class ComplexSdpBuilder:
     constraints are dicts keyed by handle.  Blocks go to :func:`solve` in
     complex form, each standing for its real embedding of size ``2 cdim``;
     right-hand sides and the reported optimum are rescaled so values refer to
-    the complex problem.  ``minimize`` is the default
-    sense; pass ``sense="max"`` to flip.
+    the complex problem.  ``minimize`` is the default sense; pass
+    ``sense="max"`` to flip.  The objective has no constant term: a caller
+    whose value carries one adds it to the result.
 
     A constraint statement states ``k`` rows at once: each block's
     coefficient is a ``(k, cdim, cdim)`` stack, row ``i`` reading
@@ -1064,7 +1047,6 @@ class ComplexSdpBuilder:
         self._terms: list[list[tuple[int, int]]] = []
         self._rhs: list[np.ndarray] = []
         self._m = 0
-        self._constant = 0.0
         self._sense = 1.0
 
     def add_blocks(self, n: int) -> np.ndarray:
@@ -1078,13 +1060,10 @@ class ComplexSdpBuilder:
             raise ValueError(f"unknown block handle {handle!r}")
         return int(handle)
 
-    def set_objective(
-        self, coeffs: dict[int, np.ndarray], constant: float = 0.0, sense: str = "min"
-    ) -> None:
+    def set_objective(self, coeffs: dict[int, np.ndarray], sense: str = "min") -> None:
         if sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', not {sense!r}")
         self._obj = self._objective(coeffs)
-        self._constant = constant
         self._sense = -1.0 if sense == "max" else 1.0
 
     def _objective(self, coeffs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -1147,8 +1126,8 @@ class ComplexSdpBuilder:
         """A solver result with values and multipliers of the complex problem, blocks stacked."""
         return replace(
             sol,
-            primal_value=self._sense * sol.primal_value / 2.0 + self._constant,
-            dual_value=self._sense * sol.dual_value / 2.0 + self._constant,
+            primal_value=self._sense * sol.primal_value / 2.0,
+            dual_value=self._sense * sol.dual_value / 2.0,
             primal_blocks=np.stack(sol.primal_blocks),
             dual_multipliers=self._sense * sol.dual_multipliers,
             dual_slacks=self._sense * np.stack(sol.dual_slacks),
@@ -1163,7 +1142,7 @@ class ComplexSdpBuilder:
         """Solve once per objective, in lockstep (:func:`solve_batch`), as :meth:`solve` would.
 
         Each objective is a coefficient dict keyed by handle, in place of the
-        one :meth:`set_objective` gave; its sense and constant still hold.
+        one :meth:`set_objective` gave; its sense still holds.
         """
         problems = self._problems([self._objective(obj) for obj in objectives])
         return [self._result(sol) for sol in solve_batch(problems, opts)]
@@ -1209,8 +1188,10 @@ def best_instruments(
     """:func:`best_instrument` for each score stack of ``batch``, solved in lockstep.
 
     The stacks have one length.  Raises ``ArithmeticError`` naming ``what``
-    unless every solve is optimal.
+    unless every solve is optimal.  An empty batch gives ``[]``.
     """
+    if not batch:
+        return []
     builder, js = _instrument_builder(len(batch[0]), din, dout)
     sols = builder.solve_batch([dict(zip(js, zs)) for zs in batch], opts)
     return [

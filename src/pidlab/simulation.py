@@ -466,7 +466,6 @@ def seesaw_pguess(
     seed: int = 0,
     side_dim: int | None = None,
     n_branches: int = 2,
-    n_flags: int | None = None,
     opts: SolveOptions | None = None,
 ) -> SeesawResult:
     """Alternating lower-bound search for the best freely-reachable game score.
@@ -486,7 +485,6 @@ def seesaw_pguess(
         raise ValueError("seesaw_pguess needs restarts >= 1 and iters >= 1")
     opts = opts or SolveOptions(feas_tol=1e-8, gap_tol=1e-8)
     side = side_dim if side_dim is not None else p.din * p.dout
-    flags = n_flags if n_flags is not None else game.n_n
     shape = SimulationShape(
         source_din=p.din,
         source_dout=p.dout,
@@ -498,7 +496,7 @@ def seesaw_pguess(
         target_outcomes=game.n_n,
         side_dim=side,
         n_branches=n_branches,
-        n_flags=flags,
+        n_flags=game.n_n,
     )
     rng = rng_from_seed(seed)
     # every restart's seed is drawn first, in restart order; the restarts then

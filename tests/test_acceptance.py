@@ -342,10 +342,12 @@ def test_criterion_8_solver_suite():
         c = tuple(
             sum(y0[i] * a_rows[i][k] for i in range(m)) + s0[k] for k in range(nblk)
         )
+        rows = np.arange(m)
         p = SdpProblem(
             blocks=tuple((f"b{k}", dims[k]) for k in range(nblk)),
             objective=c,
-            constraints=tuple((a_rows[i], b[i]) for i in range(m)),
+            columns=[(rows, rows, np.array([row[k] for row in a_rows])) for k in range(nblk)],
+            rhs=b,
         )
         sol = solve(p, opts)
         if (
@@ -358,28 +360,22 @@ def test_criterion_8_solver_suite():
             failures.append(trial)
     # grid oracle on two-parameter 2x2 feasible sets
     grid_dev = 0.0
-    e00 = np.diag([1.0, 0.0])
-    e01 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    zero = np.zeros((2, 2))
+    # rows 0-2: unit traces; rows 3-4 and 5-6: the e00 and e01 entries of
+    # blocks 1 and 2 equal block 0's; each block carries its own matrices
+    eye, pair = np.eye(2)[None], np.stack([np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]])])
     for _ in range(3):
         cs = [
             (lambda a: (a + a.T) / 2)(rng.standard_normal((2, 2))) for _ in range(3)
         ]
-        rows = []
-        for k in range(3):
-            row = [zero, zero, zero]
-            row[k] = np.eye(2)
-            rows.append((tuple(row), 1.0))
-        for k in (1, 2):
-            for mat in (e00, e01):
-                row = [zero, zero, zero]
-                row[0] = mat
-                row[k] = -mat
-                rows.append((tuple(row), 0.0))
         prob = SdpProblem(
             blocks=(("x1", 2), ("x2", 2), ("x3", 2)),
             objective=tuple(cs),
-            constraints=tuple(rows),
+            columns=[
+                ([0, 3, 4, 5, 6], np.arange(5), np.concatenate([eye, pair, pair])),
+                ([1, 3, 4], np.arange(3), np.concatenate([eye, -pair])),
+                ([2, 5, 6], np.arange(3), np.concatenate([eye, -pair])),
+            ],
+            rhs=[1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
         )
         sol = solve(prob, opts)
         ctot = cs[0] + cs[1] + cs[2]

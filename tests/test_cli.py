@@ -127,6 +127,30 @@ class TestRoundTrip:
         assert main(["validate", str(p)]) == 2
         assert "metadata must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fixture, field, edit",
+        [
+            ("steered_device.json", "blocks", {"n_programs": 3}),
+            ("steered_device.json", "blocks", {"n_programs": 1}),
+            ("steered_device.json", "blocks", {"blocks": {"0": [], "1": []}}),
+            ("tetrahedron_povm.json", "factor_dims", {"factor_dims": "ab"}),
+            ("random_transformation.json", "shape", {"shape": [2] * 11}),
+        ],
+        ids=["n_programs-above-list", "n_programs-below-list", "blocks-object", "factor_dims-str", "shape-list"],
+    )
+    def test_malformed_field_named(self, fixture, field, edit, tmp_path, capsys):
+        # the fixture has two programs, and its other fields stay as they are
+        path = os.path.join(os.path.dirname(__file__), "fixtures", fixture)
+        data = json.load(open(path, encoding="utf-8"))
+        data.update(edit)
+        p = tmp_path / fixture
+        p.write_text(json.dumps(data))
+        with pytest.raises(io.DeviceFileError, match=field):
+            io.read_device(str(p))
+        assert main(["validate", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
 
 class TestCommands:
     def test_validate_good_and_bad(self, files, capsys):

@@ -86,11 +86,13 @@ class TestEmbedComplex:
 
 
 def _single_block_problem(c, a_rows, rhs):
-    dim = c.shape[0]
+    """One block carrying ``a_rows[i]`` on row ``i``, each row its own matrix."""
+    rows = np.arange(len(a_rows))
     return SdpProblem(
-        blocks=(("x", dim),),
+        blocks=(("x", c.shape[0]),),
         objective=(c,),
-        constraints=tuple(((a,), r) for a, r in zip(a_rows, rhs)),
+        columns=[(rows, rows, np.array(a_rows, dtype=float))],
+        rhs=rhs,
     )
 
 
@@ -119,8 +121,6 @@ class TestSolveBasics:
                 SdpProblem((("x", 2),), (eye,), columns=[(rows, index, [eye])], rhs=[1.0, 2.0])
         with pytest.raises(ValueError, match="block dim"):
             SdpProblem((("x", 2),), (eye,), columns=[([0], [0], [np.eye(3)])], rhs=[1.0])
-        with pytest.raises(ValueError, match="either"):
-            SdpProblem((("x", 2),), (eye,), [((eye,), 1.0)], columns=[([0], [0], [eye])], rhs=[1.0])
 
     def test_rejects_complex_form_of_odd_size(self):
         h = np.eye(1, dtype=complex)
@@ -170,6 +170,17 @@ class TestSolveBasics:
         assert np.array_equal(s1.dual_multipliers, s2.dual_multipliers)
 
 
+def _equal_unit_trace_columns():
+    """Three 2x2 blocks of unit trace (rows 0-2) whose ``e00`` and ``e01`` entries
+    equal block 0's (rows 3-4 for block 1, 5-6 for block 2), each block with its own matrices."""
+    eye, pair = np.eye(2)[None], np.stack([np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    return [
+        ([0, 3, 4, 5, 6], np.arange(5), np.concatenate([eye, pair, pair])),
+        ([1, 3, 4], np.arange(3), np.concatenate([eye, -pair])),
+        ([2, 5, 6], np.arange(3), np.concatenate([eye, -pair])),
+    ]
+
+
 class TestGridOracle:
     def test_three_block_grid(self):
         # Three 2x2 blocks constrained to be equal with unit trace, so the
@@ -177,27 +188,11 @@ class TestGridOracle:
         rng = np.random.default_rng(np.random.Philox(34))
         for _ in range(5):
             cs = [rand_sym(rng, 2) for _ in range(3)]
-            e01 = np.array([[0.0, 1.0], [1.0, 0.0]])
-            e00 = np.diag([1.0, 0.0])
-            zero = np.zeros((2, 2))
-            rows = []
-            for k in range(3):
-                row = [zero, zero, zero]
-                row[k] = np.eye(2)
-                rows.append((tuple(row), 1.0))
-            for k in (1, 2):
-                row_a = [zero, zero, zero]
-                row_a[0] = e00
-                row_a[k] = -e00
-                rows.append((tuple(row_a), 0.0))
-                row_b = [zero, zero, zero]
-                row_b[0] = e01
-                row_b[k] = -e01
-                rows.append((tuple(row_b), 0.0))
             p = SdpProblem(
                 blocks=(("x1", 2), ("x2", 2), ("x3", 2)),
                 objective=tuple(cs),
-                constraints=tuple(rows),
+                columns=_equal_unit_trace_columns(),
+                rhs=[1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
             )
             sol = solve(p)
             assert sol.status is SdpStatus.OPTIMAL
@@ -229,10 +224,12 @@ class TestRandomFeasibleSuite:
             c = tuple(
                 sum(y0[i] * a_rows[i][k] for i in range(m)) + s0[k] for k in range(nblk)
             )
+            rows = np.arange(m)
             p = SdpProblem(
                 blocks=tuple((f"b{k}", dims[k]) for k in range(nblk)),
                 objective=c,
-                constraints=tuple((a_rows[i], b[i]) for i in range(m)),
+                columns=[(rows, rows, np.array([row[k] for row in a_rows])) for k in range(nblk)],
+                rhs=b,
             )
             sol = solve(p, opts)
             assert sol.status is SdpStatus.OPTIMAL, f"trial {trial}"
@@ -259,10 +256,12 @@ def _sparse_feasible_problem(rng, dims, supports, m):
     c = tuple(
         sum(y0[i] * a_rows[i][k] for i in range(m)) + s0[k] for k in range(len(dims))
     )
+    columns = []
+    for k, rows in enumerate(supports):
+        rows = sorted(rows)
+        columns.append((rows, np.arange(len(rows)), np.array([a_rows[i][k] for i in rows])))
     return SdpProblem(
-        blocks=tuple((f"b{k}", d) for k, d in enumerate(dims)),
-        objective=c,
-        constraints=tuple((tuple(row), bi) for row, bi in zip(a_rows, b)),
+        blocks=tuple((f"b{k}", d) for k, d in enumerate(dims)), objective=c, columns=columns, rhs=b
     )
 
 
@@ -1207,7 +1206,7 @@ class TestSolveBatch:
         b, _ = _roi_primal_problems([random_pid(2, 2, 3, 3, seed=1)])
         with pytest.raises(ValueError, match="same blocks and columns"):
             sdp.solve_batch(a + b)
-        assert sdp.solve_batch([]) == []
+        assert sdp.solve_batch([]) == sdp.best_instruments([], 2, 2) == []
 
     def test_callers_match_sequential_solves(self):
         from pidlab import games, simulation
