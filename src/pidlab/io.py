@@ -236,9 +236,10 @@ def from_document(data: dict):
     shape_raw = _require(data, "shape", kind)
     if not isinstance(shape_raw, dict):
         raise DeviceFileError("simulation field 'shape' must be an object")
+    sizes = {k: _int_field(shape_raw, k, "simulation shape") for k in shape_raw}
     try:
-        shape = SimulationShape(**{k: int(v) for k, v in shape_raw.items()})
-    except (TypeError, ValueError) as exc:
+        shape = SimulationShape(**sizes)
+    except TypeError as exc:
         raise DeviceFileError(f"bad simulation shape: {exc}") from exc
     d_pre = shape.target_din * shape.source_din * shape.side_dim
     pre = ChoiMatrix(
@@ -250,10 +251,15 @@ def from_document(data: dict):
     branches = _decode_matrices(_require(data, "post", kind), (shape.n_branches,), d_post, "post")
     d_mid = shape.source_dout * shape.side_dim
     post = Instrument(tuple(ChoiMatrix(d_mid, shape.target_dout, b) for b in branches))
+    tables = []
+    for key in ("p_table", "q_table"):
+        raw = _require(data, key, kind)
+        try:
+            tables.append(ClassicalChannel(np.asarray(raw, dtype=float)))
+        except (TypeError, ValueError) as exc:
+            raise DeviceFileError(f"{kind} field {key!r}: {exc}") from exc
     try:
-        p_cc = ClassicalChannel(np.asarray(_require(data, "p_table", kind), dtype=float))
-        q_cc = ClassicalChannel(np.asarray(_require(data, "q_table", kind), dtype=float))
-        return FreeSimulation(shape=shape, pre=pre, post=post, p_cc=p_cc, q_cc=q_cc)
+        return FreeSimulation(shape=shape, pre=pre, post=post, p_cc=tables[0], q_cc=tables[1])
     except ValueError as exc:
         raise DeviceFileError(str(exc)) from exc
 

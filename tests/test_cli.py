@@ -135,11 +135,15 @@ class TestRoundTrip:
             ("steered_device.json", "blocks", {"blocks": {"0": [], "1": []}}),
             ("tetrahedron_povm.json", "factor_dims", {"factor_dims": "ab"}),
             ("random_transformation.json", "shape", {"shape": [2] * 11}),
+            ("random_transformation.json", "side_dim",
+             {"shape": {**dict.fromkeys(SimulationShape.__dataclass_fields__, 2), "side_dim": 2.5}}),
+            ("random_transformation.json", "p_table", {"p_table": {"0": [1.0]}}),
         ],
-        ids=["n_programs-above-list", "n_programs-below-list", "blocks-object", "factor_dims-str", "shape-list"],
+        ids=["n_programs-above-list", "n_programs-below-list", "blocks-object", "factor_dims-str",
+             "shape-list", "shape-float", "p_table-object"],
     )
     def test_malformed_field_named(self, fixture, field, edit, tmp_path, capsys):
-        # the fixture has two programs, and its other fields stay as they are
+        # each fixture has two programs and every simulation size 2; the other fields stay
         path = os.path.join(os.path.dirname(__file__), "fixtures", fixture)
         data = json.load(open(path, encoding="utf-8"))
         data.update(edit)
