@@ -64,8 +64,8 @@ def _fmt(x: float) -> str:
 def _load(path: str, want=None):
     try:
         obj = io.read_device(path)
-    except FileNotFoundError:
-        raise _CliError(f"no such file: {path}", USAGE_ERROR)
+    except OSError as exc:
+        raise _CliError(f"cannot read {path}: {exc.strerror or exc}", USAGE_ERROR)
     except io.DeviceFileError as exc:
         raise _CliError(f"{path}: {exc}", USAGE_ERROR)
     if want is not None and not isinstance(obj, want):
@@ -96,16 +96,7 @@ def _cmd_validate(args) -> int:
         }
         _emit(payload, args.json)
         return 0 if rep.ok(args.tol) else 1
-    checks = {
-        Pmd: lambda m: m.is_valid(args.tol),
-        Instrument: lambda i: i.is_valid(args.tol),
-    }
-    for cls, fn in checks.items():
-        if isinstance(obj, cls):
-            ok = fn(obj)
-            _emit({"kind": cls.__name__.lower(), "valid": ok}, args.json)
-            return 0 if ok else 1
-    ok = obj.is_valid(args.tol) if hasattr(obj, "is_valid") else True
+    ok = obj.is_valid(args.tol)
     _emit({"kind": type(obj).__name__.lower(), "valid": ok}, args.json)
     return 0 if ok else 1
 
@@ -134,18 +125,10 @@ def _cmd_roi(args) -> int:
     payload["certificate_residual"] = max(residuals.values()) if residuals else 0.0
     _emit(payload, args.json)
     if args.certificate:
-        doc = {
-            "roi": cert.r,
-            "alpha": [
-                [io._encode_matrix(cert.alpha[x0, x1]) for x1 in range(pid.n_outcomes)]
-                for x0 in range(pid.n_programs)
-            ]
-            if cert.alpha is not None
-            else None,
-            "beta": [io._encode_matrix(cert.beta[x0]) for x0 in range(pid.n_programs)]
-            if cert.beta is not None
-            else None,
-        }
+        doc = {"roi": cert.r}
+        for key in ("alpha", "beta"):
+            value = getattr(cert, key)
+            doc[key] = None if value is None else io._encode(value)
         with open(args.certificate, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
@@ -342,91 +325,73 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a device file's invariants")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
-    _add_common_flags(p, top=False)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("simplicity", help="decide simplicity of a device")
+    p = command("validate", _cmd_validate, "check a device file's invariants")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_simplicity)
-    _add_common_flags(p, top=False)
 
-    p = sub.add_parser("roi", help="robustness of incompatibility")
+    p = command("simplicity", _cmd_simplicity, "decide simplicity of a device")
+    p.add_argument("file")
+
+    p = command("roi", _cmd_roi, "robustness of incompatibility")
     p.add_argument("file")
     p.add_argument("--dual", action="store_true", help="solve the dual program")
     p.add_argument("--certificate", help="write the dual functionals to a JSON file")
-    p.set_defaults(func=_cmd_roi)
-    _add_common_flags(p, top=False)
 
-    p = sub.add_parser("sem", help="compress a device to its measurement family")
+    p = command("sem", _cmd_sem, "compress a device to its measurement family")
     p.add_argument("file")
     p.add_argument("--out", help="write the family as a pmd file")
-    p.set_defaults(func=_cmd_sem)
-    _add_common_flags(p, top=False)
 
-    p = sub.add_parser("steer", help="steer a broadcast channel with a measurement family")
+    p = command("steer", _cmd_steer, "steer a broadcast channel with a measurement family")
     p.add_argument("channel", help="single-branch instrument file for the broadcast channel")
     p.add_argument("pmd")
     p.add_argument("--out", help="write the induced device")
-    p.set_defaults(func=_cmd_steer)
-    _add_common_flags(p, top=False)
 
-    p = sub.add_parser("simulate", help="apply a transformation file to a device")
+    p = command("simulate", _cmd_simulate, "apply a transformation file to a device")
     p.add_argument("simulation")
     p.add_argument("pid")
     p.add_argument("--out", help="write the transformed device")
-    p.set_defaults(func=_cmd_simulate)
-    _add_common_flags(p, top=False)
 
-    p = sub.add_parser("game-value", help="score of a device in a guessing game")
+    p = command("game-value", _cmd_game_value, "score of a device in a guessing game")
     p.add_argument("game")
     p.add_argument("pid")
-    p.set_defaults(func=_cmd_game_value)
-    _add_common_flags(p, top=False)
 
-    p = sub.add_parser("pguess-simple", help="best simple-device score of a game")
+    p = command("pguess-simple", _cmd_pguess_simple, "best simple-device score of a game")
     p.add_argument("game")
-    p.set_defaults(func=_cmd_pguess_simple)
-    _add_common_flags(p, top=False)
 
-    p = sub.add_parser("witness", help="build a witness game from the robustness dual")
+    p = command("witness", _cmd_witness, "build a witness game from the robustness dual")
     p.add_argument("file")
     p.add_argument("--dummy", type=int, default=64, help="dummy outcome count")
     p.add_argument("--out", help="write the witness game")
-    p.set_defaults(func=_cmd_witness)
-    _add_common_flags(p, top=False)
 
-    p = sub.add_parser("verify-bound", help="witness-game ratio schedule")
+    p = command("verify-bound", _cmd_verify_bound, "witness-game ratio schedule")
     p.add_argument("file")
     p.add_argument("--schedule", default="8,64,512")
     p.add_argument("--csv", help="write schedule points as CSV")
-    p.set_defaults(func=_cmd_verify_bound)
-    _add_common_flags(p, top=False)
 
-    p = sub.add_parser("sample", help="generate a random device or transformation")
+    p = command("sample", _cmd_sample, "generate a random device or transformation")
     p.add_argument("what", choices=("pid", "simple-pid", "simulation"))
     p.add_argument("--din", type=int, default=2)
     p.add_argument("--dout", type=int, default=2)
     p.add_argument("--programs", type=int, default=2)
     p.add_argument("--outcomes", type=int, default=2)
     p.add_argument("--out", help="write to a file instead of stdout")
-    p.set_defaults(func=_cmd_sample)
-    _add_common_flags(p, top=False)
 
-    p = sub.add_parser("pi-value", help="score in a post-information game")
+    p = command("pi-value", _cmd_pi_value, "score in a post-information game")
     p.add_argument("pigame")
     p.add_argument("pid")
-    p.set_defaults(func=_cmd_pi_value)
-    _add_common_flags(p, top=False)
 
-    p = sub.add_parser("pi-witness", help="witness ensemble over an IC POVM")
+    p = command("pi-witness", _cmd_pi_witness, "witness ensemble over an IC POVM")
     p.add_argument("file", help="pid or pmd device file")
     p.add_argument("--ic-povm", required=True, help="informationally complete povm file")
     p.add_argument("--out", help="write the ensemble game")
-    p.set_defaults(func=_cmd_pi_witness)
-    _add_common_flags(p, top=False)
 
+    # after each command's own arguments, so --help lists them first
+    for p in sub.choices.values():
+        _add_common_flags(p, top=False)
     return parser
 
 

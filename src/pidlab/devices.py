@@ -387,16 +387,14 @@ def validate_pid(p: Pid) -> PidValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def steer(e: ChoiMatrix, m: Pmd, env_dim: int | None = None) -> Pid:
+def steer(e: ChoiMatrix, m: Pmd) -> Pid:
     """Device induced on the retained wing of a broadcast channel.
 
     ``e`` is the Choi matrix of a channel ``A0 -> A1 (x) E`` with the
     environment factor last; measuring ``E`` with the effects of ``m`` leaves
     the block family ``Tr_E[(1 (x) M_{x1|x0}) E[.]]`` on ``A0 -> A1``.
     """
-    d_env = env_dim if env_dim is not None else m.dim
-    if d_env != m.dim:
-        raise ValueError(f"environment dim {d_env} does not match measurement dim {m.dim}")
+    d_env = m.dim
     if e.dout % d_env:
         raise ValueError(
             f"broadcast output dim {e.dout} has no factor matching environment {d_env}"

@@ -11,6 +11,7 @@ on files this module wrote.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -35,16 +36,28 @@ __all__ = [
     "write_device",
 ]
 
-KINDS = ("pid", "pmd", "povm", "instrument", "game", "pigame", "simulation")
+# Each kind stored as one stack of matrices: its type, the field holding the
+# stack, the sizes indexing the stack and the sizes whose product is the
+# matrix dimension.  Sizes are attributes of the object under the same name.
+_STACKS = {
+    "pid": (Pid, "blocks", ("n_programs", "n_outcomes"), ("din", "dout")),
+    "pmd": (Pmd, "effects", ("n_programs", "n_outcomes"), ("dim",)),
+    "povm": (Povm, "effects", ("n_outcomes",), ("dim",)),
+    "instrument": (Instrument, "branches", ("n_branches",), ("din", "dout")),
+    "game": (GameSpec, "effects", ("n_m", "n_n"), ("d_ref", "dout")),
+    "pigame": (PiGameSpec, "ensemble", ("n_m", "n_n", "n_l"), ("din",)),
+}
+KINDS = (*_STACKS, "simulation")
 
 
 class DeviceFileError(ValueError):
     """Malformed device file: wrong schema, shapes, or values."""
 
 
-def _encode_matrix(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+def _encode(a) -> list:
+    """Complex matrices, under any leading shape, as nested ``[re, im]`` pairs."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def _decode_matrices(data: Any, counts: tuple[int, ...], dim: int, what: str) -> np.ndarray:
@@ -73,9 +86,13 @@ def _require(data: dict, key: str, kind: str) -> Any:
     return data[key]
 
 
+def _positive_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 def _int_field(data: dict, key: str, kind: str) -> int:
     v = _require(data, key, kind)
-    if not isinstance(v, int) or v < 1:
+    if not _positive_int(v):
         raise DeviceFileError(f"{kind} field {key!r} must be a positive integer")
     return v
 
@@ -90,86 +107,30 @@ def _metadata(data: dict) -> dict:
 def to_document(obj, metadata: dict | None = None) -> dict:
     """Encode a supported object as a JSON-ready document."""
     doc: dict[str, Any] = {"layout": "row-major", "metadata": metadata or {}}
-    if isinstance(obj, Pid):
-        d = obj.block_dim
-        doc.update(
-            kind="pid",
-            din=obj.din,
-            dout=obj.dout,
-            n_programs=obj.n_programs,
-            n_outcomes=obj.n_outcomes,
-            blocks=[
-                [_encode_matrix(obj.blocks[x0, x1]) for x1 in range(obj.n_outcomes)]
-                for x0 in range(obj.n_programs)
-            ],
-        )
-    elif isinstance(obj, Pmd):
-        doc.update(
-            kind="pmd",
-            dim=obj.dim,
-            n_programs=obj.n_programs,
-            n_outcomes=obj.n_outcomes,
-            effects=[
-                [_encode_matrix(obj.effects[x0, x1]) for x1 in range(obj.n_outcomes)]
-                for x0 in range(obj.n_programs)
-            ],
-        )
-    elif isinstance(obj, Povm):
-        doc.update(
-            kind="povm",
-            dim=obj.dim,
-            n_outcomes=obj.n_outcomes,
-            effects=[_encode_matrix(e) for e in obj.effects],
-            factor_dims=list(obj.factor_dims) if obj.factor_dims else None,
-        )
-    elif isinstance(obj, Instrument):
-        doc.update(
-            kind="instrument",
-            din=obj.din,
-            dout=obj.dout,
-            n_branches=obj.n_branches,
-            branches=[_encode_matrix(b.mat) for b in obj.branches],
-        )
-    elif isinstance(obj, GameSpec):
-        doc.update(
-            kind="game",
-            d_ref=obj.d_ref,
-            dout=obj.dout,
-            n_m=obj.n_m,
-            n_n=obj.n_n,
-            effects=[
-                [_encode_matrix(obj.effects[m, n]) for n in range(obj.n_n)]
-                for m in range(obj.n_m)
-            ],
-        )
-    elif isinstance(obj, PiGameSpec):
-        doc.update(
-            kind="pigame",
-            din=obj.din,
-            n_m=obj.n_m,
-            n_n=obj.n_n,
-            n_l=obj.n_l,
-            ensemble=[
-                [
-                    [_encode_matrix(obj.ensemble[m, n, l]) for l in range(obj.n_l)]
-                    for n in range(obj.n_n)
-                ]
-                for m in range(obj.n_m)
-            ],
-            povm_l=to_document(obj.povm_l),
-        )
-    elif isinstance(obj, FreeSimulation):
+    if isinstance(obj, FreeSimulation):
         s = obj.shape
         doc.update(
             kind="simulation",
             shape={k: getattr(s, k) for k in s.__dataclass_fields__},
-            pre=_encode_matrix(obj.pre.mat),
-            post=[_encode_matrix(b.mat) for b in obj.post.branches],
-            p_table=[[float(v) for v in row] for row in obj.p_cc.table],
-            q_table=[[float(v) for v in row] for row in obj.q_cc.table],
+            pre=_encode(obj.pre.mat),
+            post=_encode([b.mat for b in obj.post.branches]),
+            p_table=obj.p_cc.table.tolist(),
+            q_table=obj.q_cc.table.tolist(),
         )
-    else:
+        return doc
+    kind = next((k for k, v in _STACKS.items() if isinstance(obj, v[0])), None)
+    if kind is None:
         raise TypeError(f"cannot serialize objects of type {type(obj).__name__}")
+    _, field, counts, dims = _STACKS[kind]
+    stack = getattr(obj, field)
+    if kind == "instrument":
+        stack = [b.mat for b in stack]
+    elif kind == "povm":
+        doc["factor_dims"] = list(obj.factor_dims) if obj.factor_dims else None
+    elif kind == "pigame":
+        doc["povm_l"] = to_document(obj.povm_l)
+    doc.update({k: getattr(obj, k) for k in dims + counts}, kind=kind)
+    doc[field] = _encode(stack)
     return doc
 
 
@@ -183,64 +144,48 @@ def from_document(data: dict):
     if data.get("layout", "row-major") != "row-major":
         raise DeviceFileError("only row-major layout is supported")
     _metadata(data)
-    if kind == "pid":
-        din = _int_field(data, "din", kind)
-        dout = _int_field(data, "dout", kind)
-        n0 = _int_field(data, "n_programs", kind)
-        n1 = _int_field(data, "n_outcomes", kind)
-        blocks = _decode_matrices(_require(data, "blocks", kind), (n0, n1), din * dout, "blocks")
-        return Pid(din, dout, blocks)
-    if kind == "pmd":
-        dim = _int_field(data, "dim", kind)
-        n0 = _int_field(data, "n_programs", kind)
-        n1 = _int_field(data, "n_outcomes", kind)
-        return Pmd(_decode_matrices(_require(data, "effects", kind), (n0, n1), dim, "effects"))
-    if kind == "povm":
-        dim = _int_field(data, "dim", kind)
-        n = _int_field(data, "n_outcomes", kind)
-        eff = _decode_matrices(_require(data, "effects", kind), (n,), dim, "effects")
+    if kind == "simulation":
+        return _simulation(data)
+    cls, field, counts, dims = _STACKS[kind]
+    sizes = {k: _int_field(data, k, kind) for k in dims + counts}
+    stack = _decode_matrices(
+        _require(data, field, kind),
+        tuple(sizes[k] for k in counts),
+        math.prod(sizes[k] for k in dims),
+        field,
+    )
+    # the constructor takes the stack and the sizes it cannot read off the stack
+    kwargs = {k: v for k, v in sizes.items() if k in cls.__dataclass_fields__}
+    if kind == "instrument":
+        stack = tuple(ChoiMatrix(sizes["din"], sizes["dout"], b) for b in stack)
+    elif kind == "povm":
         fd = data.get("factor_dims")
         if fd is not None and not (
-            isinstance(fd, list)
-            and all(isinstance(f, int) and f >= 1 for f in fd)
-            and int(np.prod(fd)) == dim
+            isinstance(fd, list) and all(map(_positive_int, fd)) and math.prod(fd) == sizes["dim"]
         ):
             raise DeviceFileError(
-                f"povm field 'factor_dims' must be null or positive integers multiplying to {dim}"
+                "povm field 'factor_dims' must be null or positive integers "
+                f"multiplying to {sizes['dim']}"
             )
-        return Povm(eff, factor_dims=tuple(fd) if fd else None)
-    if kind == "instrument":
-        din = _int_field(data, "din", kind)
-        dout = _int_field(data, "dout", kind)
-        nb = _int_field(data, "n_branches", kind)
-        branches = _decode_matrices(_require(data, "branches", kind), (nb,), din * dout, "branches")
-        return Instrument(tuple(ChoiMatrix(din, dout, b) for b in branches))
-    if kind == "game":
-        d_ref = _int_field(data, "d_ref", kind)
-        dout = _int_field(data, "dout", kind)
-        n_m = _int_field(data, "n_m", kind)
-        n_n = _int_field(data, "n_n", kind)
-        eff = _decode_matrices(_require(data, "effects", kind), (n_m, n_n), d_ref * dout, "effects")
-        return GameSpec(effects=eff, d_ref=d_ref, dout=dout)
-    if kind == "pigame":
-        din = _int_field(data, "din", kind)
-        n_m = _int_field(data, "n_m", kind)
-        n_n = _int_field(data, "n_n", kind)
-        n_l = _int_field(data, "n_l", kind)
-        ens = _decode_matrices(_require(data, "ensemble", kind), (n_m, n_n, n_l), din, "ensemble")
+        kwargs["factor_dims"] = tuple(fd) if fd else None
+    elif kind == "pigame":
         povm = from_document(_require(data, "povm_l", kind))
         if not isinstance(povm, Povm):
             raise DeviceFileError("pigame field 'povm_l' must hold a povm document")
-        return PiGameSpec(ensemble=ens, povm_l=povm)
-    # simulation
+        kwargs["povm_l"] = povm
+    return cls(**kwargs, **{field: stack})
+
+
+def _simulation(data: dict) -> FreeSimulation:
+    kind = "simulation"
     shape_raw = _require(data, "shape", kind)
     if not isinstance(shape_raw, dict):
         raise DeviceFileError("simulation field 'shape' must be an object")
-    sizes = {k: _int_field(shape_raw, k, "simulation shape") for k in shape_raw}
-    try:
-        shape = SimulationShape(**sizes)
-    except TypeError as exc:
-        raise DeviceFileError(f"bad simulation shape: {exc}") from exc
+    fields = SimulationShape.__dataclass_fields__
+    unknown = sorted(shape_raw.keys() - fields.keys())
+    if unknown:
+        raise DeviceFileError(f"simulation field 'shape' has unknown sizes {unknown}")
+    shape = SimulationShape(**{k: _int_field(shape_raw, k, "simulation shape") for k in fields})
     d_pre = shape.target_din * shape.source_din * shape.side_dim
     pre = ChoiMatrix(
         shape.target_din,

@@ -5,21 +5,25 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pidlab import io
 from pidlab.cli import main
 from pidlab.devices import (
     Instrument,
     Pid,
+    Pmd,
+    Povm,
     SimulationShape,
     pad_pid_outcomes,
     random_free_simulation,
     random_pid,
     random_simple_pid,
 )
-from pidlab.games import witness_game
+from pidlab.games import GameSpec, PiGameSpec, ic_dual_frame, witness_ensemble, witness_game
 from pidlab.compatibility import roi
-from pidlab.linalg import choi_from_kraus, kron
+from pidlab.linalg import ChoiMatrix, choi_from_kraus, kron
 from pidlab.presets import (
     maximally_entangled_assemblage,
     pauli_tetrahedron_povm,
@@ -55,6 +59,7 @@ def files(tmp_path_factory):
     put("sim", random_free_simulation(shape, seed=7), seed=7)
     cert = roi(maximally_entangled_assemblage(xz_pmd()))
     put("game", witness_game(cert, n_dummy=8))
+    put("pigame", witness_ensemble(ic_dual_frame(pauli_tetrahedron_povm()).solve(cert.alpha)))
     bad = random_pid(2, 2, 2, 2, seed=3).blocks.copy()
     bad[0, 0] = -bad[0, 0]
     put("broken", Pid(2, 2, bad))
@@ -62,9 +67,44 @@ def files(tmp_path_factory):
     return paths
 
 
+def _hermitian(lead: tuple[int, ...], dim: int):
+    """Hermitian matrices of the shape ``(*lead, dim, dim)`` with arbitrary finite entries."""
+    def build(pairs):
+        m = pairs[..., 0] + 1j * pairs[..., 1]
+        return (m + m.conj().swapaxes(-1, -2)) / 2
+
+    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    return arrays(np.float64, (*lead, dim, dim, 2), elements=entries).map(build)
+
+
+@st.composite
+def _device_objects(draw):
+    """One object of any of the seven device-file kinds, sizes 1 or 2."""
+    size = lambda: draw(st.integers(1, 2))  # noqa: E731
+    kind = draw(st.sampled_from(io.KINDS))
+    if kind == "simulation":
+        shape = SimulationShape(*(size() for _ in SimulationShape.__dataclass_fields__))
+        return random_free_simulation(shape, seed=draw(st.integers(0, 2**32 - 1)))
+    if kind in ("povm", "pigame"):
+        a, b, n = size(), size(), size()
+        povm = Povm(draw(_hermitian((n,), a * b)), factor_dims=draw(st.sampled_from([None, (a, b)])))
+        if kind == "povm":
+            return povm
+        return PiGameSpec(ensemble=draw(_hermitian((size(), size(), n), size())), povm_l=povm)
+    din, dout, n0, n1 = size(), size(), size(), size()
+    stack = draw(_hermitian((n0, n1), din * dout))
+    if kind == "pid":
+        return Pid(din, dout, stack)
+    if kind == "pmd":
+        return Pmd(stack)
+    if kind == "game":
+        return GameSpec(effects=stack, d_ref=din, dout=dout)
+    return Instrument(tuple(ChoiMatrix(din, dout, b) for b in stack[0]))
+
+
 class TestRoundTrip:
     def test_serialize_parse_bit_identical(self, files):
-        for name in ("simple", "generic", "xz_pmd", "tetra", "broadcast", "sim", "game"):
+        for name in ("simple", "generic", "xz_pmd", "tetra", "broadcast", "sim", "game", "pigame"):
             text = open(files[name], encoding="utf-8").read()
             obj = io.loads(text)
             assert io.dumps(obj, metadata=json.loads(text).get("metadata")) == text
@@ -96,9 +136,10 @@ class TestRoundTrip:
             "povm": "povm.json",
             "instrument": "instrument.json",
             "game": "game.json",
+            "pigame": "pigame.json",
             "simulation": "simulation.json",
         }
-        for name in ("simple", "xz_pmd", "tetra", "broadcast", "sim", "game"):
+        for name in ("simple", "xz_pmd", "tetra", "broadcast", "sim", "game", "pigame"):
             data = json.load(open(files[name], encoding="utf-8"))
             schema_doc = json.load(
                 open(os.path.join(schema_dir, kind_to_schema[data["kind"]]), encoding="utf-8")
@@ -115,6 +156,13 @@ class TestRoundTrip:
         p.write_text("not json at all")
         with pytest.raises(io.DeviceFileError):
             io.read_device(str(p))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_dumps_loads_fixed_point(self, data):
+        obj = data.draw(_device_objects())
+        text = io.dumps(obj)
+        assert io.dumps(io.loads(text)) == text
 
     def test_metadata_must_be_an_object(self, tmp_path, capsys):
         fixture = os.path.join(os.path.dirname(__file__), "fixtures", "xz_pair.json")
@@ -138,9 +186,14 @@ class TestRoundTrip:
             ("random_transformation.json", "side_dim",
              {"shape": {**dict.fromkeys(SimulationShape.__dataclass_fields__, 2), "side_dim": 2.5}}),
             ("random_transformation.json", "p_table", {"p_table": {"0": [1.0]}}),
+            ("xz_pair.json", "n_programs", {"n_programs": True}),
+            ("tetrahedron_povm.json", "factor_dims", {"factor_dims": [2, True]}),
+            ("random_transformation.json", "side_dim",
+             {"shape": dict.fromkeys(list(SimulationShape.__dataclass_fields__)[:8], 2)}),
         ],
         ids=["n_programs-above-list", "n_programs-below-list", "blocks-object", "factor_dims-str",
-             "shape-list", "shape-float", "p_table-object"],
+             "shape-list", "shape-float", "p_table-object", "n_programs-bool", "factor_dims-bool",
+             "shape-defaults"],
     )
     def test_malformed_field_named(self, fixture, field, edit, tmp_path, capsys):
         # each fixture has two programs and every simulation size 2; the other fields stay
@@ -257,6 +310,9 @@ class TestCommands:
     def test_usage_errors(self, files, capsys):
         assert main(["simplicity", "/nonexistent.json"]) == 2
         capsys.readouterr()
+        assert main(["validate", files["root"]]) == 2
+        err = capsys.readouterr().err
+        assert files["root"] in err and "Traceback" not in err
         assert main(["no-such-command"]) == 2
         capsys.readouterr()
 

@@ -88,7 +88,7 @@ class TestSteer:
         for k in range(20):
             e = random_channel_choi(rng, 2, 4)
             m = random_pmd(rng, 2, 2, 3)
-            out = steer(e, m, env_dim=2)
+            out = steer(e, m)
             assert validate_pid(out).nonsignaling_defect <= 1e-9
 
     def test_dimension_mismatch(self):
