@@ -413,6 +413,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _error(str(exc), USAGE_ERROR, as_json)
         return USAGE_ERROR
+    except OSError as exc:
+        # _load reports failed reads, so this one comes from writing an output file
+        _error(f"cannot write {exc.filename}: {exc.strerror or exc}", USAGE_ERROR, as_json)
+        return USAGE_ERROR
 
 
 def _error(message: str, code: int, as_json: bool) -> None:

@@ -228,4 +228,8 @@ def write_device(path: str, obj, metadata: dict | None = None) -> None:
 
 def read_device(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DeviceFileError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return loads(text)

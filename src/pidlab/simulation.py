@@ -14,7 +14,7 @@ tensor removed yields the score gradient used by the see-saw heuristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .devices import (
     FreeSimulation,
     Instrument,
     Pid,
+    Pmd,
     SimulationShape,
     rng_from_seed,
     random_free_simulation,
@@ -37,6 +38,10 @@ from .linalg import (
     link_product,
 )
 from .sdp import SolveOptions, best_instruments
+
+# the index sets a transformation's source and target both carry
+_WINGS = ("din", "dout", "programs", "outcomes")
+_SEESAW_OPTS = SolveOptions(feas_tol=1e-8, gap_tol=1e-8)
 
 __all__ = [
     "SeesawResult",
@@ -128,8 +133,6 @@ def apply_pmd_simulation(
     via the Choi transpose identity; the result is a valid measurement family
     on the instrument's input space.
     """
-    from .devices import Pmd
-
     n_x0, n_x1 = m.n_programs, m.n_outcomes
     n_k = post.n_branches
     if post.dout != m.dim:
@@ -154,38 +157,24 @@ def apply_pmd_simulation(
 def compose_sequential(f2: FreeSimulation, f1: FreeSimulation) -> FreeSimulation:
     """Transformation equal to applying ``f1`` then ``f2`` (match at f1's target)."""
     s1, s2 = f1.shape, f2.shape
-    if (
-        s1.target_din != s2.source_din
-        or s1.target_dout != s2.source_dout
-        or s1.target_programs != s2.source_programs
-        or s1.target_outcomes != s2.source_outcomes
-    ):
+    if any(getattr(s1, f"target_{w}") != getattr(s2, f"source_{w}") for w in _WINGS):
         raise ValueError("shapes do not chain: f1 target differs from f2 source")
-    side = s1.side_dim * s2.side_dim
-    shape = SimulationShape(
-        source_din=s1.source_din,
-        source_dout=s1.source_dout,
-        source_programs=s1.source_programs,
-        source_outcomes=s1.source_outcomes,
-        target_din=s2.target_din,
-        target_dout=s2.target_dout,
-        target_programs=s2.target_programs,
-        target_outcomes=s2.target_outcomes,
-        side_dim=side,
+    shape = replace(
+        s1,
+        **{f"target_{w}": getattr(s2, f"target_{w}") for w in _WINGS},
+        side_dim=s1.side_dim * s2.side_dim,
         n_branches=s1.n_branches * s2.n_branches,
         n_flags=s1.n_flags * s2.n_flags,
     )
     id2 = choi_identity(s2.side_dim)
     pre = link_product(f2.pre, choi_tensor(f1.pre, id2))
-    branches = []
-    for k1 in range(s1.n_branches):
-        for k2 in range(s2.n_branches):
-            branches.append(
-                link_product(
-                    choi_tensor(f1.post.branches[k1], id2), f2.post.branches[k2]
-                )
-            )
-    post = Instrument(tuple(branches))
+    post = Instrument(
+        tuple(
+            link_product(choi_tensor(b1, id2), b2)
+            for b1 in f1.post.branches
+            for b2 in f2.post.branches
+        )
+    )
     p1 = f1.p_table()  # [x0, l1, y0, k1]
     p2 = f2.p_table()  # [y0, l2, z0, k2]
     p_comb = np.einsum("xlyk,yszj->xlszkj", p1, p2)
@@ -207,25 +196,12 @@ def compose_sequential(f2: FreeSimulation, f1: FreeSimulation) -> FreeSimulation
     )
 
 
-def _permutation_matrix(dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
-    """Unitary reordering tensor factors: |i_1..i_k> -> |i_perm(1)..i_perm(k)>."""
-    n = int(np.prod(dims))
-    mat = np.zeros((n, n))
-    out_dims = tuple(dims[p] for p in perm)
-    for idx in np.ndindex(*dims):
-        new_idx = tuple(idx[p] for p in perm)
-        mat[np.ravel_multi_index(new_idx, out_dims), np.ravel_multi_index(idx, dims)] = 1.0
-    return mat
-
-
-def _conjugate_choi_output(j: ChoiMatrix, u: np.ndarray) -> ChoiMatrix:
-    mat = np.kron(np.eye(j.din), u) @ j.mat @ np.kron(np.eye(j.din), u).conj().T
-    return ChoiMatrix(j.din, j.dout, mat)
-
-
-def _conjugate_choi_input(j: ChoiMatrix, u: np.ndarray) -> ChoiMatrix:
-    a = np.kron(u.T, np.eye(j.dout))
-    return ChoiMatrix(j.din, j.dout, a @ j.mat @ a.conj().T)
+def _swap_middle(j: ChoiMatrix, legs: tuple[int, ...], output: bool) -> ChoiMatrix:
+    """``j`` with the middle two of the four factors ``legs`` of its output (or input) swapped."""
+    legs = (j.din, *legs) if output else (*legs, j.dout)
+    perm = (0, 1, 3, 2, 4) if output else (0, 2, 1, 3, 4)
+    t = j.mat.reshape(legs + legs).transpose(perm + tuple(5 + a for a in perm))
+    return ChoiMatrix(j.din, j.dout, t.reshape(j.mat.shape))
 
 
 def compose_parallel(f1: FreeSimulation, f2: FreeSimulation) -> FreeSimulation:
@@ -236,43 +212,28 @@ def compose_parallel(f1: FreeSimulation, f2: FreeSimulation) -> FreeSimulation:
     """
     s1, s2 = f1.shape, f2.shape
     shape = SimulationShape(
-        source_din=s1.source_din * s2.source_din,
-        source_dout=s1.source_dout * s2.source_dout,
-        source_programs=s1.source_programs * s2.source_programs,
-        source_outcomes=s1.source_outcomes * s2.source_outcomes,
-        target_din=s1.target_din * s2.target_din,
-        target_dout=s1.target_dout * s2.target_dout,
-        target_programs=s1.target_programs * s2.target_programs,
-        target_outcomes=s1.target_outcomes * s2.target_outcomes,
-        side_dim=s1.side_dim * s2.side_dim,
-        n_branches=s1.n_branches * s2.n_branches,
-        n_flags=s1.n_flags * s2.n_flags,
+        **{a.name: getattr(s1, a.name) * getattr(s2, a.name) for a in fields(SimulationShape)}
     )
     # outputs of pre1 (x) pre2 come out as (A0 D1 A0' D2); reorder to (A0 A0' D1 D2)
-    pre_raw = choi_tensor(f1.pre, f2.pre)
-    perm_out = _permutation_matrix(
-        (s1.source_din, s1.side_dim, s2.source_din, s2.side_dim), (0, 2, 1, 3)
+    pre = _swap_middle(
+        choi_tensor(f1.pre, f2.pre),
+        (s1.source_din, s1.side_dim, s2.source_din, s2.side_dim),
+        output=True,
     )
-    pre = _conjugate_choi_output(pre_raw, perm_out)
     # post branches expect (A1 D1 A1' D2); incoming order is (A1 A1' D1 D2)
-    perm_in = _permutation_matrix(
-        (s1.source_dout, s2.source_dout, s1.side_dim, s2.side_dim), (0, 2, 1, 3)
+    legs_in = (s1.source_dout, s1.side_dim, s2.source_dout, s2.side_dim)
+    post = Instrument(
+        tuple(
+            _swap_middle(choi_tensor(b1, b2), legs_in, output=False)
+            for b1 in f1.post.branches
+            for b2 in f2.post.branches
+        )
     )
-    branches = []
-    for k1 in range(s1.n_branches):
-        for k2 in range(s2.n_branches):
-            raw = choi_tensor(f1.post.branches[k1], f2.post.branches[k2])
-            branches.append(_conjugate_choi_input(raw, perm_in))
-    post = Instrument(tuple(branches))
-    p1 = f1.p_table()
-    p2 = f2.p_table()
-    p_comb = np.einsum("xlyk,XLYK->xXlLyYkK", p1, p2).reshape(
+    p_comb = np.einsum("xlyk,XLYK->xXlLyYkK", f1.p_table(), f2.p_table()).reshape(
         shape.source_programs * shape.n_flags,
         shape.target_programs * shape.n_branches,
     )
-    q1 = f1.q_table()
-    q2 = f2.q_table()
-    q_comb = np.einsum("gyl,GYL->gGyYlL", q1, q2).reshape(
+    q_comb = np.einsum("gyl,GYL->gGyYlL", f1.q_table(), f2.q_table()).reshape(
         shape.target_outcomes, shape.source_outcomes * shape.n_flags
     )
     return FreeSimulation(
@@ -301,18 +262,8 @@ def mix(simulations: list[FreeSimulation], weights) -> FreeSimulation:
     if any(f.shape != s0 for f in simulations):
         raise ValueError("all transformations must share one shape")
     n_i = len(simulations)
-    shape = SimulationShape(
-        source_din=s0.source_din,
-        source_dout=s0.source_dout,
-        source_programs=s0.source_programs,
-        source_outcomes=s0.source_outcomes,
-        target_din=s0.target_din,
-        target_dout=s0.target_dout,
-        target_programs=s0.target_programs,
-        target_outcomes=s0.target_outcomes,
-        side_dim=s0.side_dim * n_i,
-        n_branches=s0.n_branches * n_i,
-        n_flags=s0.n_flags * n_i,
+    shape = replace(
+        s0, side_dim=s0.side_dim * n_i, n_branches=s0.n_branches * n_i, n_flags=s0.n_flags * n_i
     )
     # pre: sum_i w_i F_i (x) |i><i| on the register
     pre_mat = sum(
@@ -397,7 +348,7 @@ def reaching_simulation(
     discard = choi_tensor(choi_trace_map(source.dout), choi_identity(mother.din))
     post = Instrument(tuple(link_product(discard, b) for b in mother.branches))
     p_comb = np.zeros((source.n_programs, n_y1, n_y0, n_g))
-    p_comb[0] = table.transpose(0, 1, 2)  # [l = y1, y0, g]
+    p_comb[0] = table  # [l = y1, y0, g]
     p_comb = p_comb.reshape(source.n_programs * n_y1, n_y0 * n_g)
     q_comb = np.zeros((n_y1, source.n_outcomes, n_y1))
     for y1 in range(n_y1):
@@ -421,7 +372,6 @@ def reaching_simulation(
 class SeesawResult:
     value: float
     simulation: FreeSimulation
-    restarts_used: int
 
 
 def _score_tensor(g: GameSpec) -> np.ndarray:
@@ -451,13 +401,6 @@ def _seesaw_grad(p: Pid, g: GameSpec, f: FreeSimulation, wrt: str) -> np.ndarray
     )
 
 
-def _clean_table(t: np.ndarray) -> np.ndarray:
-    t = np.clip(t, 0.0, None)
-    sums = t.sum(axis=0, keepdims=True)
-    sums[sums <= 0] = 1.0
-    return t / sums
-
-
 def seesaw_pguess(
     p: Pid,
     game: GameSpec,
@@ -466,7 +409,6 @@ def seesaw_pguess(
     seed: int = 0,
     side_dim: int | None = None,
     n_branches: int = 2,
-    opts: SolveOptions | None = None,
 ) -> SeesawResult:
     """Alternating lower-bound search for the best freely-reachable game score.
 
@@ -483,7 +425,6 @@ def seesaw_pguess(
     """
     if restarts < 1 or iters < 1:
         raise ValueError("seesaw_pguess needs restarts >= 1 and iters >= 1")
-    opts = opts or SolveOptions(feas_tol=1e-8, gap_tol=1e-8)
     side = side_dim if side_dim is not None else p.din * p.dout
     shape = SimulationShape(
         source_din=p.din,
@@ -509,14 +450,17 @@ def seesaw_pguess(
         for r in running:
             sims[r] = _best_routing(p, game, sims[r])
         zfs = [[_grad_to_score_matrix_pre(_seesaw_grad(p, game, sims[r], "pre"), shape)] for r in running]
-        steps = best_instruments(zfs, shape.target_din, shape.source_din * side, opts, "channel step")
+        d_pre = shape.source_din * side
+        steps = best_instruments(zfs, shape.target_din, d_pre, _SEESAW_OPTS, "channel step")
         for r, (_, j_pre, _) in zip(running, steps):
-            sims[r] = _replace_pre(sims[r], j_pre[0])
+            sims[r] = replace(sims[r], pre=ChoiMatrix(shape.target_din, d_pre, j_pre[0]))
         zks = [_grad_to_score_matrices_post(_seesaw_grad(p, game, sims[r], "post"), shape) for r in running]
-        steps = best_instruments(zks, shape.source_dout * side, shape.target_dout, opts, "instrument step")
+        d_post = shape.source_dout * side
+        steps = best_instruments(zks, d_post, shape.target_dout, _SEESAW_OPTS, "instrument step")
         still = []
         for r, (_, jks, _) in zip(running, steps):
-            sims[r] = _replace_post(sims[r], jks)
+            post = Instrument(tuple(ChoiMatrix(d_post, shape.target_dout, j) for j in jks))
+            sims[r] = replace(sims[r], post=post)
             new_value = game_value(game, apply_free_simulation(sims[r], p))
             if new_value <= values[r] + 1e-8:
                 values[r] = max(values[r], new_value)
@@ -528,29 +472,22 @@ def seesaw_pguess(
             break
     best = int(np.argmax(values))  # the first restart of the highest value
     achieved = game_value(game, apply_free_simulation(sims[best], p))
-    return SeesawResult(value=achieved, simulation=sims[best], restarts_used=restarts)
+    return SeesawResult(value=achieved, simulation=sims[best])
 
 
 def _best_routing(p: Pid, game: GameSpec, f: FreeSimulation) -> FreeSimulation:
     """Both routing tables of ``f`` set to their per-column argmax on the affine score."""
-    s = f.shape
     grad_w = _seesaw_grad(p, game, f, "routing")
-    pt = f.p_table()
-    qt = f.q_table()
-    coef_q = np.einsum("wgxyk,xlwk->gyl", grad_w, pt, optimize=True)
-    new_q = np.zeros_like(qt)
-    idx = np.argmax(coef_q, axis=0)
-    for y in range(s.source_outcomes):
-        for l in range(s.n_flags):
-            new_q[idx[y, l], y, l] = 1.0
-    f = _replace_tables(f, q_t=new_q)
+    coef_q = np.einsum("wgxyk,xlwk->gyl", grad_w, f.p_table(), optimize=True)
+    f = replace(f, q_cc=_argmax_table(coef_q, f.q_cc.n_out))
     coef_p = np.einsum("wgxyk,gyl->xlwk", grad_w, f.q_table(), optimize=True)
-    new_p = np.zeros_like(pt)
-    flat = coef_p.reshape(s.source_programs * s.n_flags, -1)
-    arg = np.argmax(flat, axis=0)
-    for col, row in enumerate(arg):
-        new_p.reshape(s.source_programs * s.n_flags, -1)[row, col] = 1.0
-    return _replace_tables(f, p_t=new_p)
+    return replace(f, p_cc=_argmax_table(coef_p, f.p_cc.n_out))
+
+
+def _argmax_table(coef: np.ndarray, n_out: int) -> ClassicalChannel:
+    """One-hot table ``[out, in]`` picking each column's largest coefficient."""
+    arg = coef.reshape(n_out, -1).argmax(axis=0)
+    return ClassicalChannel((np.arange(n_out)[:, None] == arg).astype(float))
 
 
 def _grad_to_score_matrix_pre(grad_f: np.ndarray, s: SimulationShape) -> np.ndarray:
@@ -561,46 +498,8 @@ def _grad_to_score_matrix_pre(grad_f: np.ndarray, s: SimulationShape) -> np.ndar
     return (zmat + zmat.conj().T) / 2
 
 
-def _grad_to_score_matrices_post(grad_k: np.ndarray, s: SimulationShape) -> list[np.ndarray]:
-    dmid = s.source_dout * s.side_dim
-    dout = s.target_dout
-    out = []
-    for k in range(s.n_branches):
-        z = grad_k[k]  # [p, m, q, n, u, v] pairs J[((p,m),u), ((q,n),v)]
-        zmat = z.transpose(2, 3, 5, 0, 1, 4).reshape(dmid * dout, dmid * dout)
-        out.append((zmat + zmat.conj().T) / 2)
-    return out
-
-
-def _replace_tables(
-    f: FreeSimulation, p_t: np.ndarray | None = None, q_t: np.ndarray | None = None
-) -> FreeSimulation:
-    s = f.shape
-    p_cc = f.p_cc
-    q_cc = f.q_cc
-    if p_t is not None:
-        p_cc = ClassicalChannel(
-            _clean_table(
-                p_t.reshape(
-                    s.source_programs * s.n_flags, s.target_programs * s.n_branches
-                )
-            )
-        )
-    if q_t is not None:
-        q_cc = ClassicalChannel(
-            _clean_table(q_t.reshape(s.target_outcomes, s.source_outcomes * s.n_flags))
-        )
-    return FreeSimulation(shape=s, pre=f.pre, post=f.post, p_cc=p_cc, q_cc=q_cc)
-
-
-def _replace_pre(f: FreeSimulation, j_pre: np.ndarray) -> FreeSimulation:
-    s = f.shape
-    pre = ChoiMatrix(s.target_din, s.source_din * s.side_dim, j_pre)
-    return FreeSimulation(shape=s, pre=pre, post=f.post, p_cc=f.p_cc, q_cc=f.q_cc)
-
-
-def _replace_post(f: FreeSimulation, jks: np.ndarray) -> FreeSimulation:
-    s = f.shape
-    din = s.source_dout * s.side_dim
-    post = Instrument(tuple(ChoiMatrix(din, s.target_dout, j) for j in jks))
-    return FreeSimulation(shape=s, pre=f.pre, post=post, p_cc=f.p_cc, q_cc=f.q_cc)
+def _grad_to_score_matrices_post(grad_k: np.ndarray, s: SimulationShape) -> np.ndarray:
+    dim = s.source_dout * s.side_dim * s.target_dout
+    # grad[k, p, m, q, n, u, v] pairs J_k[((p,m),u), ((q,n),v)]
+    zks = grad_k.transpose(0, 3, 4, 6, 1, 2, 5).reshape(s.n_branches, dim, dim)
+    return (zks + zks.conj().transpose(0, 2, 1)) / 2

@@ -307,7 +307,7 @@ class TestCommands:
         val = json.loads(capsys.readouterr().out)["value"]
         assert 0.0 <= val <= 1.0 + 1e-9
 
-    def test_usage_errors(self, files, capsys):
+    def test_usage_errors(self, files, capsys, tmp_path):
         assert main(["simplicity", "/nonexistent.json"]) == 2
         capsys.readouterr()
         assert main(["validate", files["root"]]) == 2
@@ -315,6 +315,23 @@ class TestCommands:
         assert files["root"] in err and "Traceback" not in err
         assert main(["no-such-command"]) == 2
         capsys.readouterr()
+        # an output path that is a directory cannot be written
+        out_dir = str(tmp_path)
+        steered = os.path.join(os.path.dirname(__file__), "fixtures", "steered_device.json")
+        for argv in (
+            ["sem", steered, "--out", out_dir],
+            ["roi", files["generic"], "--certificate", out_dir],
+            ["verify-bound", files["generic"], "--schedule", "8", "--csv", out_dir],
+            ["sample", "pid", "--out", out_dir],
+        ):
+            assert main(argv) == 2, argv
+            assert f"cannot write {out_dir}" in capsys.readouterr().err, argv
+        # 100 bytes that are not UTF-8, headed like an executable
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\x7fELF\x02\x01\x01" + bytes(range(128, 221)))
+        assert main(["validate", str(binary)]) == 2
+        err = capsys.readouterr().err
+        assert str(binary) in err and "not UTF-8" in err
 
     def test_json_error_channel(self, files, capsys):
         code = main(["--json", "simplicity", "/nonexistent.json"])

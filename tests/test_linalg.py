@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pidlab.linalg import (
     ChoiMatrix,
     apply_choi,
     choi_from_kraus,
     choi_identity,
+    choi_tensor,
     choi_trace_map,
     eig_hermitian,
     hermitize,
@@ -172,6 +175,29 @@ class TestLinkProduct:
             a = link_product(link_product(j1, j2), j3)
             b = link_product(j1, link_product(j2, j3))
             assert max_abs(a.mat - b.mat) <= 1e-9
+
+
+class TestChoiPrimitivesProperty:
+    """The identities the compositions of ``pidlab.simulation`` rest on, for dimensions 1-3."""
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(dims=st.lists(st.integers(1, 3), min_size=4, max_size=4), seed=st.integers(0, 2**32 - 1))
+    def test_tensor_applies_factorwise(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        din1, dout1, din2, dout2 = dims
+        j1 = ChoiMatrix(din1, dout1, rand_hermitian(rng, din1 * dout1))
+        j2 = ChoiMatrix(din2, dout2, rand_hermitian(rng, din2 * dout2))
+        r1, r2 = rand_hermitian(rng, din1), rand_hermitian(rng, din2)
+        lhs = apply_choi(choi_tensor(j1, j2), kron(r1, r2))
+        rhs = kron(apply_choi(j1, r1), apply_choi(j2, r2))
+        assert max_abs(lhs - rhs) <= 1e-10
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(din=st.integers(1, 3), dout=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_identity_is_neutral_for_link(self, din, dout, seed):
+        j = ChoiMatrix(din, dout, rand_hermitian(np.random.default_rng(seed), din * dout))
+        assert max_abs(link_product(choi_identity(din), j).mat - j.mat) <= 1e-12
+        assert max_abs(link_product(j, choi_identity(dout)).mat - j.mat) <= 1e-12
 
 
 class TestChoiFromKraus:

@@ -192,11 +192,31 @@ class TestCompose:
         rhs = apply_free_simulation(right, p).blocks
         assert max_abs(lhs - rhs) <= 1e-9
 
-    def test_parallel_matches_tensor_application(self):
-        p1 = random_pid(2, 2, 2, 2, seed=460)
-        p2 = random_simple_pid(2, 2, 2, 2, seed=461).pid
-        f1 = random_free_simulation(rand_sim_shape(side=1, k=2, l=2), seed=462)
-        f2 = random_free_simulation(rand_sim_shape(side=2, k=1, l=2), seed=463)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (
+                random_pid(2, 2, 2, 2, seed=460),
+                random_simple_pid(2, 2, 2, 2, seed=461).pid,
+                random_free_simulation(rand_sim_shape(side=1, k=2, l=2), seed=462),
+                random_free_simulation(rand_sim_shape(side=2, k=1, l=2), seed=463),
+            ),
+            # unequal sizes, so pre-processing legs listed out of order no longer line up
+            lambda: (
+                random_pid(2, 3, 2, 2, seed=1),
+                random_pid(3, 2, 2, 1, seed=2),
+                random_free_simulation(
+                    SimulationShape(2, 3, 2, 2, 3, 2, 2, 3, side_dim=2, n_branches=2, n_flags=2), 11
+                ),
+                random_free_simulation(
+                    SimulationShape(3, 2, 2, 1, 2, 3, 1, 2, side_dim=3, n_branches=1, n_flags=2), 12
+                ),
+            ),
+        ],
+        ids=["equal-dims", "unequal-dims"],
+    )
+    def test_parallel_matches_tensor_application(self, make):
+        p1, p2, f1, f2 = make()
         par = compose_parallel(f1, f2)
         lhs = apply_free_simulation(par, tensor_pid(p1, p2)).blocks
         rhs = tensor_pid(
