@@ -20,9 +20,11 @@ from .devices import (
     Pmd,
     SimulationShape,
     pad_pid_outcomes,
+    pid_from_pmd,
     random_free_simulation,
     random_pid,
     random_simple_pid,
+    steer,
     validate_pid,
 )
 from .games import (
@@ -37,7 +39,6 @@ from .games import (
 from .sdp import SolveOptions
 from .sem import sem, sem_monotone_value
 from .simulation import apply_free_simulation
-from .devices import steer
 
 USAGE_ERROR = 2
 NUMERICAL_FAILURE = 3
@@ -248,19 +249,8 @@ def _cmd_sample(args) -> int:
             args.din, args.dout, args.programs, args.outcomes, seed=args.seed
         ).pid
     else:
-        shape = SimulationShape(
-            source_din=args.din,
-            source_dout=args.dout,
-            source_programs=args.programs,
-            source_outcomes=args.outcomes,
-            target_din=args.din,
-            target_dout=args.dout,
-            target_programs=args.programs,
-            target_outcomes=args.outcomes,
-            side_dim=2,
-            n_branches=2,
-            n_flags=2,
-        )
+        wing = (args.din, args.dout, args.programs, args.outcomes)
+        shape = SimulationShape.from_wings(wing, wing, side_dim=2, n_branches=2, n_flags=2)
         obj = random_free_simulation(shape, seed=args.seed)
     text = io.dumps(obj, metadata={"seed": args.seed, "description": f"sampled {args.what}"})
     if args.out:
@@ -283,8 +273,6 @@ def _cmd_pi_witness(args) -> int:
     obj = _load(args.file)
     povm = _load(args.ic_povm)
     if isinstance(obj, Pmd):
-        from .devices import pid_from_pmd
-
         pid = pid_from_pmd(obj)
     elif isinstance(obj, Pid):
         pid = obj

@@ -112,8 +112,8 @@ class SimplicityCertificate:
     matching_defect: float
     tp_defect: float
 
-    def ok(self, tol: float = CERT_TOL) -> bool:
-        return self.matching_defect <= tol and self.tp_defect <= tol
+    def ok(self) -> bool:
+        return self.matching_defect <= CERT_TOL and self.tp_defect <= CERT_TOL
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,6 @@ def roi_primal(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
     scale = din * p.n_programs
     alpha = scale * alpha_raw
     beta = np.stack([din * b_op for _ in range(p.n_programs)])
-    dual_r = float(
-        np.real(np.einsum("xypq,xyqp->", alpha, p.blocks)) / scale - 1.0
-    )
     return RoiCertificate(
         r=r,
         gap=res.gap,
@@ -192,7 +189,7 @@ def roi_primal(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
         simplicity=cert_simplicity,
         alpha=alpha,
         beta=beta,
-        dual_r=dual_r,
+        dual_r=witness_value(alpha, p),
         din=p.din,
         dout=p.dout,
     )
@@ -278,7 +275,7 @@ class SimplicityVerdict:
         return self.simple
 
 
-def is_simple_pid(p: Pid, tol: float = SIMPLE_TOL, opts: SolveOptions | None = None) -> SimplicityVerdict:
+def is_simple_pid(p: Pid, opts: SolveOptions | None = None) -> SimplicityVerdict:
     """Membership decision with a mother-instrument certificate or a dual witness.
 
     The decision runs the robustness program: a vanishing optimum exhibits a
@@ -287,7 +284,7 @@ def is_simple_pid(p: Pid, tol: float = SIMPLE_TOL, opts: SolveOptions | None = N
     whose value on every simple device is nonpositive.
     """
     cert = roi_primal(p, opts)
-    if cert.r <= tol:
+    if cert.r <= SIMPLE_TOL:
         # rebuild the certificate against the device itself rather than the mix
         assert cert.simplicity is not None
         refreshed = _simplicity_certificate(
@@ -303,18 +300,19 @@ def witness_value(alpha: np.ndarray, p: Pid) -> float:
     return float(np.real(np.einsum("xypq,xyqp->", alpha, p.blocks)) / scale - 1.0)
 
 
-def verify_roi_certificate(
-    p: Pid, cert: RoiCertificate, tol: float = CERT_TOL
-) -> dict[str, float]:
+def verify_roi_certificate(p: Pid, cert: RoiCertificate) -> dict[str, float]:
     """Re-check every certificate identity without trusting the solver.
 
-    Returns the residuals; all must be below the tolerance for a clean bill.
+    Returns the residuals; all must be below ``CERT_TOL`` for a clean bill.
+    Raises ``ValueError`` when ``simple_mix`` comes without ``simplicity``,
+    or ``alpha`` without ``beta``.
     """
     out: dict[str, float] = {}
     if cert.simple_mix is not None:
         mix = p.blocks + cert.r * (cert.noise.blocks if cert.noise is not None else 0.0)
         out["mixing_identity"] = max_abs(mix / (1.0 + cert.r) - cert.simple_mix.blocks)
-        assert cert.simplicity is not None
+        if cert.simplicity is None:
+            raise ValueError("certificate has simple_mix but no simplicity")
         out["simple_matching"] = cert.simplicity.matching_defect
         out["simple_tp"] = cert.simplicity.tp_defect
         # The noise must be a device: checked on r * noise = (1+r) simple_mix - J,
@@ -330,7 +328,8 @@ def verify_roi_certificate(
         )
     if cert.alpha is not None:
         out["alpha_psd"] = max(0.0, -min_eig(cert.alpha))
-        assert cert.beta is not None
+        if cert.beta is None:
+            raise ValueError("certificate has alpha but no beta")
         out["beta_trace"] = abs(
             sum(float(np.real(np.trace(cert.beta[x0]))) for x0 in range(p.n_programs))
             - p.din * p.n_programs
@@ -388,11 +387,9 @@ class PmdCompatibilityVerdict:
         return self.compatible
 
 
-def is_compatible_pmd(
-    m: Pmd, tol: float = SIMPLE_TOL, opts: SolveOptions | None = None
-) -> PmdCompatibilityVerdict:
+def is_compatible_pmd(m: Pmd, opts: SolveOptions | None = None) -> PmdCompatibilityVerdict:
     """Joint-measurability decision via the trivial-output device embedding."""
-    verdict = is_simple_pid(pid_from_pmd(m), tol=tol, opts=opts)
+    verdict = is_simple_pid(pid_from_pmd(m), opts=opts)
     if verdict.simple:
         cert = verdict.certificate
         assert cert is not None

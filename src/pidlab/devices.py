@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
+# the index sets a transformation's source and target both carry
+_WINGS = ("din", "dout", "programs", "outcomes")
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -70,6 +72,21 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # Device types
 # ---------------------------------------------------------------------------
+
+
+def _hermitian_stack(obj, name: str, ndim: int, message: str) -> np.ndarray:
+    """Set ``obj.<name>`` to the read-only Hermitian part of its stack of matrices.
+
+    Raises ``ValueError(message)`` unless the stack has ``ndim`` axes and its
+    matrices are square.
+    """
+    a = np.asarray(getattr(obj, name), dtype=complex)
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        raise ValueError(message)
+    a = (a + np.swapaxes(a.conj(), -1, -2)) / 2
+    a.setflags(write=False)
+    object.__setattr__(obj, name, a)
+    return a
 
 
 @dataclass(frozen=True)
@@ -86,17 +103,13 @@ class Pid:
     blocks: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        blocks = np.asarray(self.blocks, dtype=complex)
-        if blocks.ndim != 4:
-            raise ValueError("blocks must be a 4-d array (program, outcome, row, col)")
         d = self.din * self.dout
-        if blocks.shape[2:] != (d, d):
+        if np.ndim(self.blocks) == 4 and np.shape(self.blocks)[2:] != (d, d):
             raise ValueError(
-                f"block dimension {blocks.shape[2:]} does not match din*dout = {d}"
+                f"block dimension {np.shape(self.blocks)[2:]} does not match din*dout = {d}"
             )
-        blocks = (blocks + blocks.conj().transpose(0, 1, 3, 2)) / 2
-        blocks.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
+        message = "blocks must be a 4-d array (program, outcome, row, col)"
+        _hermitian_stack(self, "blocks", 4, message)
 
     @property
     def n_programs(self) -> int:
@@ -109,6 +122,11 @@ class Pid:
     @property
     def block_dim(self) -> int:
         return self.din * self.dout
+
+    @property
+    def sizes(self) -> tuple[int, int, int, int]:
+        """The device's wing ``(din, dout, programs, outcomes)``, as in :class:`SimulationShape`."""
+        return self.din, self.dout, self.n_programs, self.n_outcomes
 
     def choi(self, x0: int, x1: int) -> ChoiMatrix:
         return ChoiMatrix(self.din, self.dout, self.blocks[x0, x1])
@@ -125,12 +143,7 @@ class Pmd:
     effects: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        eff = np.asarray(self.effects, dtype=complex)
-        if eff.ndim != 4 or eff.shape[2] != eff.shape[3]:
-            raise ValueError("effects must have shape (programs, outcomes, d, d)")
-        eff = (eff + eff.conj().transpose(0, 1, 3, 2)) / 2
-        eff.setflags(write=False)
-        object.__setattr__(self, "effects", eff)
+        _hermitian_stack(self, "effects", 4, "effects must have shape (programs, outcomes, d, d)")
 
     @property
     def n_programs(self) -> int:
@@ -168,12 +181,7 @@ class Povm:
     factor_dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        eff = np.asarray(self.effects, dtype=complex)
-        if eff.ndim != 3 or eff.shape[1] != eff.shape[2]:
-            raise ValueError("effects must have shape (outcomes, d, d)")
-        eff = (eff + eff.conj().transpose(0, 2, 1)) / 2
-        eff.setflags(write=False)
-        object.__setattr__(self, "effects", eff)
+        eff = _hermitian_stack(self, "effects", 3, "effects must have shape (outcomes, d, d)")
         if self.factor_dims is not None:
             if int(np.prod(self.factor_dims)) != eff.shape[1]:
                 raise ValueError("factor_dims do not multiply to the effect dimension")
@@ -273,7 +281,14 @@ class ClassicalChannel:
 
 @dataclass(frozen=True)
 class SimulationShape:
-    """Index sets and dimensions of a device transformation."""
+    """Index sets and dimensions of a device transformation.
+
+    The transformation reads a *source* device and makes a *target* device.
+    Each of the two is a wing ``(din, dout, programs, outcomes)``, stored in
+    that order as the fields ``source_*`` and then ``target_*``; the side
+    system, the post-processing branches and the classical flags complete the
+    shape.  Every other size of the transformation is derived from these.
+    """
 
     source_din: int
     source_dout: int
@@ -286,6 +301,37 @@ class SimulationShape:
     side_dim: int = 1
     n_branches: int = 1
     n_flags: int = 1
+
+    @classmethod
+    def from_wings(
+        cls, source, target, side_dim: int = 1, n_branches: int = 1, n_flags: int = 1
+    ) -> "SimulationShape":
+        """Shape from the source and target wings, each ``(din, dout, programs, outcomes)``."""
+        return cls(*source, *target, side_dim, n_branches, n_flags)
+
+    def wing(self, end: str) -> tuple[int, int, int, int]:
+        """``(din, dout, programs, outcomes)`` of the ``"source"`` or ``"target"`` device."""
+        return tuple(getattr(self, f"{end}_{w}") for w in _WINGS)
+
+    @property
+    def pre_dims(self) -> tuple[int, int]:
+        """``(din, dout)`` of the pre-processing channel: target input to source input and side."""
+        return self.target_din, self.source_din * self.side_dim
+
+    @property
+    def post_dims(self) -> tuple[int, int]:
+        """``(din, dout)`` of each post-processing branch: source output and side to target."""
+        return self.source_dout * self.side_dim, self.target_dout
+
+    @property
+    def p_shape(self) -> tuple[int, int]:
+        """Program routing table ``[(source program, flag), (target program, branch)]``."""
+        return self.source_programs * self.n_flags, self.target_programs * self.n_branches
+
+    @property
+    def q_shape(self) -> tuple[int, int]:
+        """Outcome routing table ``[target outcome, (source outcome, flag)]``."""
+        return self.target_outcomes, self.source_outcomes * self.n_flags
 
 
 @dataclass(frozen=True)
@@ -306,23 +352,13 @@ class FreeSimulation:
 
     def __post_init__(self):
         s = self.shape
-        if self.pre.din != s.target_din or self.pre.dout != s.source_din * s.side_dim:
+        if (self.pre.din, self.pre.dout) != s.pre_dims:
             raise ValueError("pre-processing channel dimensions do not match shape")
-        if (
-            self.post.din != s.source_dout * s.side_dim
-            or self.post.dout != s.target_dout
-            or self.post.n_branches != s.n_branches
-        ):
+        if (self.post.din, self.post.dout) != s.post_dims or self.post.n_branches != s.n_branches:
             raise ValueError("post-processing instrument does not match shape")
-        if self.p_cc.table.shape != (
-            s.source_programs * s.n_flags,
-            s.target_programs * s.n_branches,
-        ):
+        if self.p_cc.table.shape != s.p_shape:
             raise ValueError("program routing table does not match shape")
-        if self.q_cc.table.shape != (
-            s.target_outcomes,
-            s.source_outcomes * s.n_flags,
-        ):
+        if self.q_cc.table.shape != s.q_shape:
             raise ValueError("outcome routing table does not match shape")
 
     def p_table(self) -> np.ndarray:
@@ -515,11 +551,9 @@ def random_pmd(rng: np.random.Generator, d: int, n_programs: int, n_outcomes: in
     return Pmd(effects)
 
 
-def random_channel_choi(
-    rng: np.random.Generator, din: int, dout: int, env_dim: int | None = None
-) -> ChoiMatrix:
-    """Random channel via a Haar isometry into an environment traced out afterwards."""
-    env = env_dim if env_dim is not None else din * dout
+def random_channel_choi(rng: np.random.Generator, din: int, dout: int) -> ChoiMatrix:
+    """Random channel via a Haar isometry into a ``din*dout`` environment traced out afterwards."""
+    env = din * dout
     v = random_isometry(rng, din, dout * env)
     kraus = [v.reshape(dout, env, din)[:, e, :] for e in range(env)]
     return choi_from_kraus(kraus)
@@ -591,19 +625,7 @@ def random_simple_pid(
 
 def identity_free_simulation(p: Pid) -> FreeSimulation:
     """The do-nothing transformation matched to the shape of ``p``."""
-    shape = SimulationShape(
-        source_din=p.din,
-        source_dout=p.dout,
-        source_programs=p.n_programs,
-        source_outcomes=p.n_outcomes,
-        target_din=p.din,
-        target_dout=p.dout,
-        target_programs=p.n_programs,
-        target_outcomes=p.n_outcomes,
-        side_dim=1,
-        n_branches=1,
-        n_flags=1,
-    )
+    shape = SimulationShape.from_wings(p.sizes, p.sizes)
     pre = choi_identity(p.din)
     post = Instrument((choi_identity(p.dout),))
     p_cc = ClassicalChannel(np.eye(p.n_programs))
@@ -614,15 +636,8 @@ def identity_free_simulation(p: Pid) -> FreeSimulation:
 def random_free_simulation(shape: SimulationShape, seed: int) -> FreeSimulation:
     """Random transformation with Stinespring-sampled quantum parts and random tables."""
     rng = rng_from_seed(seed)
-    s = shape
-    pre = random_channel_choi(rng, s.target_din, s.source_din * s.side_dim)
-    post = random_instrument(rng, s.source_dout * s.side_dim, s.target_dout, s.n_branches)
-    p_cc = ClassicalChannel(
-        random_stochastic(
-            rng, s.source_programs * s.n_flags, s.target_programs * s.n_branches
-        )
-    )
-    q_cc = ClassicalChannel(
-        random_stochastic(rng, s.target_outcomes, s.source_outcomes * s.n_flags)
-    )
-    return FreeSimulation(shape=s, pre=pre, post=post, p_cc=p_cc, q_cc=q_cc)
+    pre = random_channel_choi(rng, *shape.pre_dims)
+    post = random_instrument(rng, *shape.post_dims, shape.n_branches)
+    p_cc = ClassicalChannel(random_stochastic(rng, *shape.p_shape))
+    q_cc = ClassicalChannel(random_stochastic(rng, *shape.q_shape))
+    return FreeSimulation(shape=shape, pre=pre, post=post, p_cc=p_cc, q_cc=q_cc)

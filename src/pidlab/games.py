@@ -29,7 +29,7 @@ from .compatibility import (
     roi,
     scatter_responses,
 )
-from .devices import Pid, Povm, pad_pid_outcomes
+from .devices import Pid, Povm, _hermitian_stack, pad_pid_outcomes
 from .linalg import hermitize, max_abs, min_eig
 from .sdp import SolveOptions, best_instrument, best_instruments, hermitian_basis
 
@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 GAME_OPTS = SolveOptions(feas_tol=1e-8, gap_tol=1e-9)
+_MERGE_TOL = 1e-12  # largest entry difference of two effect columns merged as one label
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,10 @@ class GameSpec:
     dout: int
 
     def __post_init__(self):
-        eff = np.asarray(self.effects, dtype=complex)
-        d = self.d_ref * self.dout
-        if eff.ndim != 4 or eff.shape[2:] != (d, d):
-            raise ValueError("effects must have shape (n_m, n_n, d_ref*dout, d_ref*dout)")
-        eff = (eff + eff.conj().transpose(0, 1, 3, 2)) / 2
-        eff.setflags(write=False)
-        object.__setattr__(self, "effects", eff)
+        message = "effects must have shape (n_m, n_n, d_ref*dout, d_ref*dout)"
+        eff = _hermitian_stack(self, "effects", 4, message)
+        if eff.shape[2] != self.d_ref * self.dout:
+            raise ValueError(message)
 
     @property
     def n_m(self) -> int:
@@ -102,11 +100,11 @@ def game_value(g: GameSpec, strategy: Pid) -> float:
     )
 
 
-def _merge_groups(effects: np.ndarray, tol: float = 1e-12) -> list[list[int]]:
+def _merge_groups(effects: np.ndarray) -> list[list[int]]:
     """Group outcome labels whose effect columns agree across every program.
 
     A column joins the first group, in creation order, whose first column it
-    matches to ``tol``; each new group claims all its later matches at once.
+    matches to ``_MERGE_TOL``; each new group claims all its later matches at once.
     """
     n_n = effects.shape[1]
     cols = np.moveaxis(effects, 1, 0).reshape(n_n, -1)
@@ -116,7 +114,7 @@ def _merge_groups(effects: np.ndarray, tol: float = 1e-12) -> list[list[int]]:
         if not unclaimed[n]:
             continue
         diff = np.abs(cols[n + 1 :] - cols[n]).max(axis=1, initial=0.0)
-        later = n + 1 + np.flatnonzero(unclaimed[n + 1 :] & (diff <= tol))
+        later = n + 1 + np.flatnonzero(unclaimed[n + 1 :] & (diff <= _MERGE_TOL))
         unclaimed[later] = False
         groups.append([n, *later.tolist()])
     return groups
@@ -314,14 +312,10 @@ class PiGameSpec:
     povm_l: Povm
 
     def __post_init__(self):
-        ens = np.asarray(self.ensemble, dtype=complex)
-        if ens.ndim != 5 or ens.shape[3] != ens.shape[4]:
-            raise ValueError("ensemble must have shape (n_m, n_n, n_l, d0, d0)")
+        message = "ensemble must have shape (n_m, n_n, n_l, d0, d0)"
+        ens = _hermitian_stack(self, "ensemble", 5, message)
         if ens.shape[2] != self.povm_l.n_outcomes:
             raise ValueError("ensemble l-axis must match the POVM outcome count")
-        ens = (ens + ens.conj().transpose(0, 1, 2, 4, 3)) / 2
-        ens.setflags(write=False)
-        object.__setattr__(self, "ensemble", ens)
 
     @property
     def n_m(self) -> int:

@@ -186,16 +186,12 @@ def _simulation(data: dict) -> FreeSimulation:
     if unknown:
         raise DeviceFileError(f"simulation field 'shape' has unknown sizes {unknown}")
     shape = SimulationShape(**{k: _int_field(shape_raw, k, "simulation shape") for k in fields})
-    d_pre = shape.target_din * shape.source_din * shape.side_dim
+    d_pre, d_post = math.prod(shape.pre_dims), math.prod(shape.post_dims)
     pre = ChoiMatrix(
-        shape.target_din,
-        shape.source_din * shape.side_dim,
-        _decode_matrices(_require(data, "pre", kind), (), d_pre, "pre"),
+        *shape.pre_dims, _decode_matrices(_require(data, "pre", kind), (), d_pre, "pre")
     )
-    d_post = shape.source_dout * shape.side_dim * shape.target_dout
     branches = _decode_matrices(_require(data, "post", kind), (shape.n_branches,), d_post, "post")
-    d_mid = shape.source_dout * shape.side_dim
-    post = Instrument(tuple(ChoiMatrix(d_mid, shape.target_dout, b) for b in branches))
+    post = Instrument(tuple(ChoiMatrix(*shape.post_dims, b) for b in branches))
     tables = []
     for key in ("p_table", "q_table"):
         raw = _require(data, key, kind)

@@ -19,6 +19,7 @@ import numpy as np
 
 HERMITIZE_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-8
+_EIG_TOL = 1e-9  # relative Hermiticity drift eig_hermitian accepts
 _MAG_TOL = 1e-8  # entries at most this large carry no phase in eig_hermitian's tie-breaks
 
 __all__ = [
@@ -136,7 +137,7 @@ def _lex_key(col: np.ndarray) -> tuple:
     return tuple(key)
 
 
-def eig_hermitian(m: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition with descending eigenvalues and a fixed tie-break.
 
     Eigenvector phases are normalized (first sizable component real positive),
@@ -146,7 +147,7 @@ def eig_hermitian(m: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndar
     """
     m = np.asarray(m, dtype=complex)
     scale = max(1.0, max_abs(m))
-    if hermiticity_defect(m) > tol * scale:
+    if hermiticity_defect(m) > _EIG_TOL * scale:
         raise ValueError("eig_hermitian requires a Hermitian matrix")
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
     vals = vals[::-1].copy()

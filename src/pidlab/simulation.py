@@ -39,8 +39,6 @@ from .linalg import (
 )
 from .sdp import SolveOptions, best_instruments
 
-# the index sets a transformation's source and target both carry
-_WINGS = ("din", "dout", "programs", "outcomes")
 _SEESAW_OPTS = SolveOptions(feas_tol=1e-8, gap_tol=1e-8)
 
 __all__ = [
@@ -93,13 +91,7 @@ def _routing_tensor(f: FreeSimulation) -> np.ndarray:
 
 
 def _check_source(f: FreeSimulation, p: Pid) -> None:
-    s = f.shape
-    if (
-        p.din != s.source_din
-        or p.dout != s.source_dout
-        or p.n_programs != s.source_programs
-        or p.n_outcomes != s.source_outcomes
-    ):
+    if p.sizes != f.shape.wing("source"):
         raise ValueError("device does not match the transformation's source shape")
 
 
@@ -154,17 +146,30 @@ def apply_pmd_simulation(
     return Pmd(eff)
 
 
+def _realized(
+    shape: SimulationShape, pre: ChoiMatrix, post: Instrument, p: np.ndarray, q: np.ndarray
+) -> FreeSimulation:
+    """Transformation of ``shape`` with the routing tables ``p`` and ``q`` reshaped to its own."""
+    return FreeSimulation(
+        shape=shape,
+        pre=pre,
+        post=post,
+        p_cc=ClassicalChannel(p.reshape(shape.p_shape)),
+        q_cc=ClassicalChannel(q.reshape(shape.q_shape)),
+    )
+
+
 def compose_sequential(f2: FreeSimulation, f1: FreeSimulation) -> FreeSimulation:
     """Transformation equal to applying ``f1`` then ``f2`` (match at f1's target)."""
     s1, s2 = f1.shape, f2.shape
-    if any(getattr(s1, f"target_{w}") != getattr(s2, f"source_{w}") for w in _WINGS):
+    if s1.wing("target") != s2.wing("source"):
         raise ValueError("shapes do not chain: f1 target differs from f2 source")
-    shape = replace(
-        s1,
-        **{f"target_{w}": getattr(s2, f"target_{w}") for w in _WINGS},
-        side_dim=s1.side_dim * s2.side_dim,
-        n_branches=s1.n_branches * s2.n_branches,
-        n_flags=s1.n_flags * s2.n_flags,
+    shape = SimulationShape.from_wings(
+        s1.wing("source"),
+        s2.wing("target"),
+        s1.side_dim * s2.side_dim,
+        s1.n_branches * s2.n_branches,
+        s1.n_flags * s2.n_flags,
     )
     id2 = choi_identity(s2.side_dim)
     pre = link_product(f2.pre, choi_tensor(f1.pre, id2))
@@ -178,22 +183,10 @@ def compose_sequential(f2: FreeSimulation, f1: FreeSimulation) -> FreeSimulation
     p1 = f1.p_table()  # [x0, l1, y0, k1]
     p2 = f2.p_table()  # [y0, l2, z0, k2]
     p_comb = np.einsum("xlyk,yszj->xlszkj", p1, p2)
-    p_comb = p_comb.reshape(
-        s1.source_programs * s1.n_flags * s2.n_flags,
-        s2.target_programs * s1.n_branches * s2.n_branches,
-    )
     q1 = f1.q_table()  # [y1, x1, l1]
     q2 = f2.q_table()  # [z1, y1, l2]
-    q_comb = np.einsum("zys,yxl->zxls", q2, q1).reshape(
-        s2.target_outcomes, s1.source_outcomes * s1.n_flags * s2.n_flags
-    )
-    return FreeSimulation(
-        shape=shape,
-        pre=pre,
-        post=post,
-        p_cc=ClassicalChannel(p_comb),
-        q_cc=ClassicalChannel(q_comb),
-    )
+    q_comb = np.einsum("zys,yxl->zxls", q2, q1)
+    return _realized(shape, pre, post, p_comb, q_comb)
 
 
 def _swap_middle(j: ChoiMatrix, legs: tuple[int, ...], output: bool) -> ChoiMatrix:
@@ -229,20 +222,9 @@ def compose_parallel(f1: FreeSimulation, f2: FreeSimulation) -> FreeSimulation:
             for b2 in f2.post.branches
         )
     )
-    p_comb = np.einsum("xlyk,XLYK->xXlLyYkK", f1.p_table(), f2.p_table()).reshape(
-        shape.source_programs * shape.n_flags,
-        shape.target_programs * shape.n_branches,
-    )
-    q_comb = np.einsum("gyl,GYL->gGyYlL", f1.q_table(), f2.q_table()).reshape(
-        shape.target_outcomes, shape.source_outcomes * shape.n_flags
-    )
-    return FreeSimulation(
-        shape=shape,
-        pre=pre,
-        post=post,
-        p_cc=ClassicalChannel(p_comb),
-        q_cc=ClassicalChannel(q_comb),
-    )
+    p_comb = np.einsum("xlyk,XLYK->xXlLyYkK", f1.p_table(), f2.p_table())
+    q_comb = np.einsum("gyl,GYL->gGyYlL", f1.q_table(), f2.q_table())
+    return _realized(shape, pre, post, p_comb, q_comb)
 
 
 def mix(simulations: list[FreeSimulation], weights) -> FreeSimulation:
@@ -270,8 +252,8 @@ def mix(simulations: list[FreeSimulation], weights) -> FreeSimulation:
         w * choi_tensor(f.pre, choi_of_prepare(_basis_state(n_i, i))).mat
         for i, (f, w) in enumerate(zip(simulations, weights))
     )
-    pre = ChoiMatrix(s0.target_din, s0.source_din * shape.side_dim, pre_mat)
-    id_ad = choi_identity(s0.source_dout * s0.side_dim)
+    pre = ChoiMatrix(*shape.pre_dims, pre_mat)
+    id_ad = choi_identity(s0.post_dims[0])
     branches = []
     for k in range(s0.n_branches):
         for i in range(n_i):
@@ -279,33 +261,12 @@ def mix(simulations: list[FreeSimulation], weights) -> FreeSimulation:
             reader = choi_tensor(id_ad, compress)
             branches.append(link_product(reader, simulations[i].post.branches[k]))
     post = Instrument(tuple(branches))
-    p_comb = np.zeros(
-        (
-            s0.source_programs,
-            s0.n_flags,
-            n_i,
-            s0.target_programs,
-            s0.n_branches,
-            n_i,
-        )
-    )
-    for i, f in enumerate(simulations):
-        p_comb[:, :, i, :, :, i] = f.p_table()
-    p_comb = p_comb.reshape(
-        shape.source_programs * shape.n_flags,
-        shape.target_programs * shape.n_branches,
-    )
+    p_comb = np.zeros((s0.source_programs, s0.n_flags, n_i, s0.target_programs, s0.n_branches, n_i))
     q_comb = np.zeros((s0.target_outcomes, s0.source_outcomes, s0.n_flags, n_i))
     for i, f in enumerate(simulations):
+        p_comb[:, :, i, :, :, i] = f.p_table()
         q_comb[:, :, :, i] = f.q_table()
-    q_comb = q_comb.reshape(shape.target_outcomes, shape.source_outcomes * shape.n_flags)
-    return FreeSimulation(
-        shape=shape,
-        pre=pre,
-        post=post,
-        p_cc=ClassicalChannel(p_comb),
-        q_cc=ClassicalChannel(q_comb),
-    )
+    return _realized(shape, pre, post, p_comb, q_comb)
 
 
 def _basis_state(d: int, i: int) -> np.ndarray:
@@ -329,18 +290,8 @@ def reaching_simulation(
     n_y1, n_y0, n_g = table.shape
     if n_g != mother.n_branches:
         raise ValueError("table branch axis does not match the mother instrument")
-    shape = SimulationShape(
-        source_din=source.din,
-        source_dout=source.dout,
-        source_programs=source.n_programs,
-        source_outcomes=source.n_outcomes,
-        target_din=mother.din,
-        target_dout=mother.dout,
-        target_programs=n_y0,
-        target_outcomes=n_y1,
-        side_dim=mother.din,
-        n_branches=n_g,
-        n_flags=n_y1,
+    shape = SimulationShape.from_wings(
+        source.sizes, (mother.din, mother.dout, n_y0, n_y1), mother.din, n_g, n_y1
     )
     fixed = np.zeros((source.din, source.din), dtype=complex)
     fixed[0, 0] = 1.0
@@ -349,18 +300,10 @@ def reaching_simulation(
     post = Instrument(tuple(link_product(discard, b) for b in mother.branches))
     p_comb = np.zeros((source.n_programs, n_y1, n_y0, n_g))
     p_comb[0] = table  # [l = y1, y0, g]
-    p_comb = p_comb.reshape(source.n_programs * n_y1, n_y0 * n_g)
     q_comb = np.zeros((n_y1, source.n_outcomes, n_y1))
     for y1 in range(n_y1):
         q_comb[y1, :, y1] = 1.0
-    q_comb = q_comb.reshape(n_y1, source.n_outcomes * n_y1)
-    return FreeSimulation(
-        shape=shape,
-        pre=pre,
-        post=post,
-        p_cc=ClassicalChannel(p_comb),
-        q_cc=ClassicalChannel(q_comb),
-    )
+    return _realized(shape, pre, post, p_comb, q_comb)
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +369,8 @@ def seesaw_pguess(
     if restarts < 1 or iters < 1:
         raise ValueError("seesaw_pguess needs restarts >= 1 and iters >= 1")
     side = side_dim if side_dim is not None else p.din * p.dout
-    shape = SimulationShape(
-        source_din=p.din,
-        source_dout=p.dout,
-        source_programs=p.n_programs,
-        source_outcomes=p.n_outcomes,
-        target_din=game.d_ref,
-        target_dout=game.dout,
-        target_programs=game.n_m,
-        target_outcomes=game.n_n,
-        side_dim=side,
-        n_branches=n_branches,
-        n_flags=game.n_n,
+    shape = SimulationShape.from_wings(
+        p.sizes, (game.d_ref, game.dout, game.n_m, game.n_n), side, n_branches, game.n_n
     )
     rng = rng_from_seed(seed)
     # every restart's seed is drawn first, in restart order; the restarts then
@@ -449,17 +382,17 @@ def seesaw_pguess(
     for _ in range(iters):
         for r in running:
             sims[r] = _best_routing(p, game, sims[r])
-        zfs = [[_grad_to_score_matrix_pre(_seesaw_grad(p, game, sims[r], "pre"), shape)] for r in running]
-        d_pre = shape.source_din * side
-        steps = best_instruments(zfs, shape.target_din, d_pre, _SEESAW_OPTS, "channel step")
+        grads = [_seesaw_grad(p, game, sims[r], "pre") for r in running]
+        zfs = [_score_matrices(g, shape.pre_dims) for g in grads]
+        steps = best_instruments(zfs, *shape.pre_dims, _SEESAW_OPTS, "channel step")
         for r, (_, j_pre, _) in zip(running, steps):
-            sims[r] = replace(sims[r], pre=ChoiMatrix(shape.target_din, d_pre, j_pre[0]))
-        zks = [_grad_to_score_matrices_post(_seesaw_grad(p, game, sims[r], "post"), shape) for r in running]
-        d_post = shape.source_dout * side
-        steps = best_instruments(zks, d_post, shape.target_dout, _SEESAW_OPTS, "instrument step")
+            sims[r] = replace(sims[r], pre=ChoiMatrix(*shape.pre_dims, j_pre[0]))
+        grads = [_seesaw_grad(p, game, sims[r], "post") for r in running]
+        zks = [_score_matrices(g, shape.post_dims) for g in grads]
+        steps = best_instruments(zks, *shape.post_dims, _SEESAW_OPTS, "instrument step")
         still = []
         for r, (_, jks, _) in zip(running, steps):
-            post = Instrument(tuple(ChoiMatrix(d_post, shape.target_dout, j) for j in jks))
+            post = Instrument(tuple(ChoiMatrix(*shape.post_dims, j) for j in jks))
             sims[r] = replace(sims[r], post=post)
             new_value = game_value(game, apply_free_simulation(sims[r], p))
             if new_value <= values[r] + 1e-8:
@@ -490,16 +423,14 @@ def _argmax_table(coef: np.ndarray, n_out: int) -> ClassicalChannel:
     return ClassicalChannel((np.arange(n_out)[:, None] == arg).astype(float))
 
 
-def _grad_to_score_matrix_pre(grad_f: np.ndarray, s: SimulationShape) -> np.ndarray:
-    din = s.target_din
-    dmid = s.source_din * s.side_dim
-    # grad[b, c, i, m, j, n] pairs F6[b,c,i,m,j,n] = J[(b,(i,m)), (c,(j,n))]
-    zmat = grad_f.transpose(1, 4, 5, 0, 2, 3).reshape(din * dmid, din * dmid)
-    return (zmat + zmat.conj().T) / 2
+def _score_matrices(grad: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Hermitian score matrices ``Z_k`` with ``sum grad * J = sum_k Tr[Z_k J_k]``.
 
-
-def _grad_to_score_matrices_post(grad_k: np.ndarray, s: SimulationShape) -> np.ndarray:
-    dim = s.source_dout * s.side_dim * s.target_dout
-    # grad[k, p, m, q, n, u, v] pairs J_k[((p,m),u), ((q,n),v)]
-    zks = grad_k.transpose(0, 3, 4, 6, 1, 2, 5).reshape(s.n_branches, dim, dim)
-    return (zks + zks.conj().transpose(0, 2, 1)) / 2
+    ``grad`` has the legs ``[k, a, b, i, j]`` of the Choi matrices
+    ``J_k[(a, i), (b, j)]`` of dimensions ``dims = (din, dout)``; a channel
+    is the instrument with one branch.
+    """
+    din, dout = dims
+    z = grad.reshape(-1, din, din, dout, dout).transpose(0, 2, 4, 1, 3)
+    z = z.reshape(-1, din * dout, din * dout)
+    return (z + z.conj().transpose(0, 2, 1)) / 2

@@ -353,11 +353,16 @@ class TestCommands:
         assert "MaxIterations" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--dout", "--outcomes", "--din", "--programs"])
-def test_single_dimension_devices(flag, capsys, tmp_path):
+@pytest.mark.parametrize(
+    "flags",
+    [["--dout", "1"], ["--outcomes", "1"], ["--din", "1"], ["--programs", "1"],
+     ["--din", "1", "--dout", "1"]],
+    ids=["--dout", "--outcomes", "--din", "--programs", "--din--dout"],
+)
+def test_single_dimension_devices(flags, capsys, tmp_path):
     # Schur systems of 1 to 47 rows: one substitution panel, or one and a short one
     path = str(tmp_path / "device.json")
-    assert main(["--seed", "5", "sample", "pid", flag, "1", "--out", path]) == 0
+    assert main(["--seed", "5", "sample", "pid", *flags, "--out", path]) == 0
     capsys.readouterr()
     r = {}
     for extra in ([], ["--dual"]):

@@ -277,6 +277,16 @@ class TestRoi:
         assert res["mixing_identity"] <= CERT_TOL
         assert abs(res["noise_psd"] - 1e-5) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [("simplicity", "simple_mix but no simplicity"), ("beta", "alpha but no beta")],
+    )
+    def test_certificate_missing_field_named(self, field, message):
+        p = random_pid(2, 2, 2, 2, seed=1)
+        cert = dataclasses.replace(roi_primal(p), **{field: None})
+        with pytest.raises(ValueError, match=message):
+            verify_roi_certificate(p, cert)
+
     def test_optimal_noise_mixture_is_simple(self):
         p = random_pid(2, 2, 2, 2, seed=139)  # strongly non-simple draw
         cert = roi_primal(p)

@@ -199,6 +199,19 @@ class TestChoiPrimitivesProperty:
         assert max_abs(link_product(choi_identity(din), j).mat - j.mat) <= 1e-12
         assert max_abs(link_product(j, choi_identity(dout)).mat - j.mat) <= 1e-12
 
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(dims=st.lists(st.integers(1, 3), min_size=4, max_size=4), seed=st.integers(0, 2**32 - 1))
+    def test_link_is_associative(self, dims, seed):
+        # channels d0 -> d1 -> d2 -> d3, each with a din-dimensional environment
+        rng = np.random.default_rng(seed)
+        j1, j2, j3 = (
+            choi_from_kraus(rand_kraus_channel(rng, din, dout, din))
+            for din, dout in zip(dims, dims[1:])
+        )
+        a = link_product(link_product(j1, j2), j3)
+        b = link_product(j1, link_product(j2, j3))
+        assert max_abs(a.mat - b.mat) <= 1e-10
+
 
 class TestChoiFromKraus:
     def test_identity_kraus(self):
