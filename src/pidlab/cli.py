@@ -13,7 +13,14 @@ import json
 import sys
 
 from . import io
-from .compatibility import is_simple_pid, roi, roi_dual, roi_primal, verify_roi_certificate
+from .compatibility import (
+    is_simple_pid,
+    roi,
+    roi_dual,
+    roi_primal,
+    simplicity_residuals,
+    verify_roi_certificate,
+)
 from .devices import (
     Instrument,
     Pid,
@@ -106,9 +113,10 @@ def _cmd_simplicity(args) -> int:
     pid = _load(args.file, Pid)
     verdict = is_simple_pid(pid, opts=_opts(args))
     payload = {"simple": verdict.simple, "roi": verdict.r}
-    if verdict.simple and verdict.certificate is not None:
-        payload["certificate_matching_defect"] = verdict.certificate.matching_defect
-        payload["certificate_tp_defect"] = verdict.certificate.tp_defect
+    if verdict.simple:
+        res = simplicity_residuals(pid, verdict.certificate)
+        payload["certificate_matching_defect"] = res["simple_matching"]
+        payload["certificate_tp_defect"] = res["simple_tp"]
     _emit(payload, args.json)
     return 0 if verdict.simple else 1
 

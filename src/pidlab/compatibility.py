@@ -55,6 +55,7 @@ __all__ = [
     "roi_pmd",
     "roi_primal",
     "scatter_responses",
+    "simplicity_residuals",
     "verify_roi_certificate",
     "witness_value",
 ]
@@ -105,15 +106,22 @@ def scatter_responses(maps: np.ndarray, per_f: np.ndarray, n_outcomes: int) -> n
 
 @dataclass(frozen=True)
 class SimplicityCertificate:
-    """Mother instrument indexed by response functions reproducing the device."""
+    """Mother instrument indexed by response functions; :func:`simplicity_residuals` checks it."""
 
     strategies: tuple[DeterministicStrategy, ...]
     mother: Instrument
-    matching_defect: float
-    tp_defect: float
 
-    def ok(self) -> bool:
-        return self.matching_defect <= CERT_TOL and self.tp_defect <= CERT_TOL
+
+def simplicity_residuals(target: Pid, certificate: SimplicityCertificate) -> dict[str, float]:
+    """How far the mother instrument is from reproducing ``target`` and from being CP and TP."""
+    mother = certificate.mother
+    branches = np.stack([b.mat for b in mother.branches])
+    recon = scatter_responses(response_maps(certificate.strategies), branches, target.n_outcomes)
+    return {
+        "simple_matching": max_abs(recon - target.blocks),
+        "simple_cp": mother.cp_defect(),
+        "simple_tp": mother.tp_defect(),
+    }
 
 
 @dataclass(frozen=True)
@@ -168,7 +176,6 @@ def roi_primal(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
     omega = scatter_responses(maps, eta, p.n_outcomes)
     simple_mix = Pid(p.din, p.dout, omega / t)
     mother = Instrument(tuple(ChoiMatrix(p.din, p.dout, e / t) for e in eta))
-    cert_simplicity = _simplicity_certificate(simple_mix, strategies, mother)
     noise = None
     if r > 1e-8:
         noise = Pid(p.din, p.dout, (omega - p.blocks) / r)
@@ -186,7 +193,7 @@ def roi_primal(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
         gap=res.gap,
         noise=noise,
         simple_mix=simple_mix,
-        simplicity=cert_simplicity,
+        simplicity=SimplicityCertificate(strategies, mother),
         alpha=alpha,
         beta=beta,
         dual_r=witness_value(alpha, p),
@@ -248,22 +255,6 @@ def roi(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
     return cert
 
 
-def _simplicity_certificate(
-    target: Pid,
-    strategies: tuple[DeterministicStrategy, ...],
-    mother: Instrument,
-) -> SimplicityCertificate:
-    branches = np.stack([b.mat for b in mother.branches])
-    recon = scatter_responses(response_maps(strategies), branches, target.n_outcomes)
-    matching = max_abs(recon - target.blocks)
-    return SimplicityCertificate(
-        strategies=strategies,
-        mother=mother,
-        matching_defect=matching,
-        tp_defect=mother.tp_defect(),
-    )
-
-
 @dataclass(frozen=True)
 class SimplicityVerdict:
     simple: bool
@@ -278,19 +269,15 @@ class SimplicityVerdict:
 def is_simple_pid(p: Pid, opts: SolveOptions | None = None) -> SimplicityVerdict:
     """Membership decision with a mother-instrument certificate or a dual witness.
 
-    The decision runs the robustness program: a vanishing optimum exhibits a
-    feasible mother instrument directly (the response blocks at scale one),
-    and a positive optimum comes with separating functionals ``(alpha, beta)``
+    The decision is :func:`roi` (so ``ArithmeticError`` on a rejected
+    certificate) read against ``SIMPLE_TOL``: a vanishing optimum exhibits a
+    mother instrument for ``simple_mix``, within ``r`` of the device, and a
+    positive optimum comes with separating functionals ``(alpha, beta)``
     whose value on every simple device is nonpositive.
     """
-    cert = roi_primal(p, opts)
+    cert = roi(p, opts)
     if cert.r <= SIMPLE_TOL:
-        # rebuild the certificate against the device itself rather than the mix
-        assert cert.simplicity is not None
-        refreshed = _simplicity_certificate(
-            p, cert.simplicity.strategies, cert.simplicity.mother
-        )
-        return SimplicityVerdict(simple=True, r=cert.r, certificate=refreshed, witness=None)
+        return SimplicityVerdict(simple=True, r=cert.r, certificate=cert.simplicity, witness=None)
     return SimplicityVerdict(simple=False, r=cert.r, certificate=None, witness=cert)
 
 
@@ -313,8 +300,7 @@ def verify_roi_certificate(p: Pid, cert: RoiCertificate) -> dict[str, float]:
         out["mixing_identity"] = max_abs(mix / (1.0 + cert.r) - cert.simple_mix.blocks)
         if cert.simplicity is None:
             raise ValueError("certificate has simple_mix but no simplicity")
-        out["simple_matching"] = cert.simplicity.matching_defect
-        out["simple_tp"] = cert.simplicity.tp_defect
+        out.update(simplicity_residuals(cert.simple_mix, cert.simplicity))
         # The noise must be a device: checked on r * noise = (1+r) simple_mix - J,
         # since dividing by r would magnify the solver's error by 1/r.
         scaled_noise = (1.0 + cert.r) * cert.simple_mix.blocks - p.blocks
@@ -352,7 +338,7 @@ def build_incoherent_extension(cert: SimplicityCertificate) -> ChoiMatrix:
     t = np.zeros((din, dout, n_env, din, dout, n_env), dtype=complex)
     for f in cert.strategies:
         bt = mother.branches[f.index].mat.reshape(din, dout, din, dout)
-        t[:, :, f.index, :, :, f.index] = bt.transpose(0, 1, 2, 3)
+        t[:, :, f.index, :, :, f.index] = bt
     mat = t.reshape(din * dout * n_env, din * dout * n_env)
     return ChoiMatrix(din, dout * n_env, mat)
 

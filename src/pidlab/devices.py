@@ -445,7 +445,7 @@ def steer(e: ChoiMatrix, m: Pmd) -> Pid:
 
 def pid_from_pmd(m: Pmd) -> Pid:
     """View a measurement family as an instrument family with trivial quantum output."""
-    blocks = m.effects.transpose(0, 1, 3, 2)[:, :, :, :]  # Choi of rho -> Tr[M rho] is M^T
+    blocks = m.effects.transpose(0, 1, 3, 2)  # Choi of rho -> Tr[M rho] is M^T
     return Pid(m.dim, 1, blocks)
 
 

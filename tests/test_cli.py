@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pidlab import io
+from pidlab import compatibility, io
 from pidlab.cli import main
 from pidlab.devices import (
     Instrument,
@@ -346,6 +346,13 @@ class TestCommands:
         captured = capsys.readouterr()
         assert code == 3
         assert "numerical failure" in captured.err
+
+    def test_rejected_certificate_exit_code(self, files, monkeypatch, capsys):
+        monkeypatch.setattr(
+            compatibility, "verify_roi_certificate", lambda p, cert: {"simple_cp": 1e-3}
+        )
+        assert main(["simplicity", files["simple"]]) == 3
+        assert "simple_cp" in capsys.readouterr().err
 
     def test_iteration_cap_named(self, capsys):
         code = main(["--max-iter", "3", "roi", XZ_ASSEMBLAGE])

@@ -20,10 +20,12 @@ from pidlab.compatibility import (
     roi_pmd,
     roi_primal,
     scatter_responses,
+    simplicity_residuals,
     verify_roi_certificate,
     witness_value,
 )
 from pidlab.devices import (
+    Instrument,
     Pid,
     Pmd,
     pid_from_pmd,
@@ -34,7 +36,7 @@ from pidlab.devices import (
     steer,
     validate_pid,
 )
-from pidlab.linalg import choi_from_kraus, kron, max_abs, min_eig
+from pidlab.linalg import ChoiMatrix, choi_from_kraus, kron, max_abs, min_eig
 from pidlab.presets import (
     PAULI_X,
     PAULI_Z,
@@ -144,7 +146,7 @@ class TestSimplicity:
         p = random_pid(2, 2, 1, 3, seed=21)
         verdict = is_simple_pid(p)
         assert verdict.simple
-        assert verdict.certificate.ok()
+        assert max(simplicity_residuals(p, verdict.certificate).values()) <= CERT_TOL
         recon = np.zeros_like(p.blocks)
         for f in verdict.certificate.strategies:
             recon[0, f.mapping[0]] += verdict.certificate.mother.branches[f.index].mat
@@ -186,6 +188,14 @@ class TestSimplicity:
         assemblage = steer(source, m)
         assert assemblage.din == 1
         assert is_simple_pid(assemblage).simple
+
+    def test_rejected_certificate_raises(self, monkeypatch):
+        p = random_simple_pid(2, 2, 2, 2, seed=1).pid
+        monkeypatch.setattr(
+            compatibility, "verify_roi_certificate", lambda p, cert: {"simple_cp": 1e-3}
+        )
+        with pytest.raises(ArithmeticError, match="simple_cp"):
+            is_simple_pid(p)
 
     def test_negated_blocks_rejected_upstream(self):
         p = random_pid(2, 2, 2, 2, seed=23)
@@ -276,6 +286,25 @@ class TestRoi:
         res = verify_roi_certificate(p, bad)
         assert res["mixing_identity"] <= CERT_TOL
         assert abs(res["noise_psd"] - 1e-5) <= 1e-9
+
+    def test_certificate_recomputes_mother_residuals(self):
+        p = random_simple_pid(2, 2, 2, 2, seed=1).pid
+        cert = roi_primal(p)
+        assert max(verify_roi_certificate(p, cert).values()) <= CERT_TOL
+        branch = cert.simplicity.mother.branches[0].mat
+        res = verify_roi_certificate(p, _with_mother_branch(cert, branch + 1e-5 * np.eye(4)))
+        assert res["simple_matching"] > CERT_TOL
+        assert res["simple_tp"] > CERT_TOL
+
+    def test_certificate_checks_mother_cp(self):
+        p = random_simple_pid(2, 2, 2, 2, seed=1).pid
+        cert = roi_primal(p)
+        vals, vecs = np.linalg.eigh(cert.simplicity.mother.branches[0].mat)
+        vals[0] = -1e-5
+        res = verify_roi_certificate(
+            p, _with_mother_branch(cert, (vecs * vals) @ vecs.conj().T)
+        )
+        assert abs(res["simple_cp"] - 1e-5) <= 1e-9
 
     @pytest.mark.parametrize(
         "field, message",
@@ -410,6 +439,14 @@ class TestFaithfulness:
             verdict = is_simple_pid(p)
             r = roi_primal(p).r
             assert verdict.simple == (r <= 1e-6)
+
+
+def _with_mother_branch(cert, mat):
+    """``cert`` with the first branch of its mother instrument replaced by ``mat``."""
+    mother = cert.simplicity.mother
+    branches = (ChoiMatrix(mother.din, mother.dout, mat), *mother.branches[1:])
+    simplicity = dataclasses.replace(cert.simplicity, mother=Instrument(branches))
+    return dataclasses.replace(cert, simplicity=simplicity)
 
 
 def test_strategy_cap():
