@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from collections import namedtuple
 
 from . import io
 from .compatibility import (
@@ -22,7 +24,6 @@ from .compatibility import (
     verify_roi_certificate,
 )
 from .devices import (
-    Instrument,
     Pid,
     Pmd,
     SimulationShape,
@@ -69,18 +70,40 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _load(path: str, want=None):
+# a device-file argument as parsed: its path and the kinds it accepts; main reads it
+_DeviceFile = namedtuple("_DeviceFile", "path kinds")
+
+
+def _device(*kinds: str):
+    """Argument type of a device file of one of ``kinds``."""
+    return lambda path: _DeviceFile(path, kinds)
+
+
+def _checked(cast, ok, expected: str):
+    """Argument type casting with ``cast`` and accepting the values for which ``ok`` holds."""
+
+    def parse(text: str):
+        try:
+            if ok(value := cast(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+_count = _checked(int, lambda v: v >= 1, "an integer of at least 1")
+_tolerance = _checked(float, lambda v: 0 <= v < math.inf, "a finite number of at least 0")
+
+
+def _load(path: str, kinds: tuple[str, ...]):
     try:
-        obj = io.read_device(path)
+        return io.read_device(path, kinds)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}", USAGE_ERROR)
     except io.DeviceFileError as exc:
         raise _CliError(f"{path}: {exc}", USAGE_ERROR)
-    if want is not None and not isinstance(obj, want):
-        raise _CliError(
-            f"{path}: expected a {want.__name__.lower()} device file", USAGE_ERROR
-        )
-    return obj
 
 
 def _opts(args) -> SolveOptions:
@@ -92,7 +115,7 @@ def _opts(args) -> SolveOptions:
 
 
 def _cmd_validate(args) -> int:
-    obj = _load(args.file)
+    obj = args.file
     if isinstance(obj, Pid):
         rep = validate_pid(obj)
         payload = {
@@ -110,7 +133,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simplicity(args) -> int:
-    pid = _load(args.file, Pid)
+    pid = args.file
     verdict = is_simple_pid(pid, opts=_opts(args))
     payload = {"simple": verdict.simple, "roi": verdict.r}
     if verdict.simple:
@@ -122,7 +145,7 @@ def _cmd_simplicity(args) -> int:
 
 
 def _cmd_roi(args) -> int:
-    pid = _load(args.file, Pid)
+    pid = args.file
     if args.dual:
         cert = roi_dual(pid, _opts(args))
     else:
@@ -144,7 +167,7 @@ def _cmd_roi(args) -> int:
 
 
 def _cmd_sem(args) -> int:
-    pid = _load(args.file, Pid)
+    pid = args.file
     res = sem(pid)
     payload = {
         "rank": res.rank,
@@ -159,11 +182,9 @@ def _cmd_sem(args) -> int:
 
 
 def _cmd_steer(args) -> int:
-    chan = _load(args.channel, Instrument)
-    if chan.n_branches != 1:
+    if args.channel.n_branches != 1:
         raise _CliError("steering needs a single-branch broadcast channel", USAGE_ERROR)
-    pmd = _load(args.pmd, Pmd)
-    pid = steer(chan.branches[0], pmd)
+    pid = steer(args.channel.branches[0], args.pmd)
     rep = validate_pid(pid)
     _emit(
         {
@@ -179,9 +200,7 @@ def _cmd_steer(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    sim = _load(args.simulation)
-    pid = _load(args.pid, Pid)
-    out = apply_free_simulation(sim, pid)
+    out = apply_free_simulation(args.simulation, args.pid)
     rep = validate_pid(out)
     _emit({"valid": rep.ok(args.tol), "max_defect": rep.max_defect()}, args.json)
     if args.out:
@@ -190,21 +209,19 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_game_value(args) -> int:
-    game = _load(args.game)
-    pid = _load(args.pid, Pid)
-    _emit({"value": game_value(game, pad_pid_outcomes(pid, game.n_n))}, args.json)
+    game = args.game
+    _emit({"value": game_value(game, pad_pid_outcomes(args.pid, game.n_n))}, args.json)
     return 0
 
 
 def _cmd_pguess_simple(args) -> int:
-    game = _load(args.game)
-    res = pguess_simple(game, _opts(args))
+    res = pguess_simple(args.game, _opts(args))
     _emit({"value": res.value, "gap": res.gap}, args.json)
     return 0
 
 
 def _cmd_witness(args) -> int:
-    pid = _load(args.file, Pid)
+    pid = args.file
     cert = roi(pid, _opts(args))
     game = witness_game(cert, n_dummy=args.dummy)
     num = game_value(game, pad_pid_outcomes(pid, game.n_n))
@@ -225,9 +242,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify_bound(args) -> int:
-    pid = _load(args.file, Pid)
-    schedule = tuple(int(s) for s in args.schedule.split(","))
-    report = verify_robustness_bound(pid, schedule=schedule, opts=_opts(args))
+    report = verify_robustness_bound(args.file, schedule=args.schedule, opts=_opts(args))
     payload = {
         "roi": report.roi,
         "schedule": list(report.schedule),
@@ -250,14 +265,12 @@ def _cmd_verify_bound(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    wing = (args.din, args.dout, args.programs, args.outcomes)
     if args.what == "pid":
-        obj = random_pid(args.din, args.dout, args.programs, args.outcomes, seed=args.seed)
+        obj = random_pid(*wing, seed=args.seed)
     elif args.what == "simple-pid":
-        obj = random_simple_pid(
-            args.din, args.dout, args.programs, args.outcomes, seed=args.seed
-        ).pid
+        obj = random_simple_pid(*wing, seed=args.seed).pid
     else:
-        wing = (args.din, args.dout, args.programs, args.outcomes)
         shape = SimulationShape.from_wings(wing, wing, side_dim=2, n_branches=2, n_flags=2)
         obj = random_free_simulation(shape, seed=args.seed)
     text = io.dumps(obj, metadata={"seed": args.seed, "description": f"sampled {args.what}"})
@@ -271,21 +284,13 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_pi_value(args) -> int:
-    game = _load(args.pigame)
-    pid = _load(args.pid, Pid)
-    _emit({"value": pi_game_value(game, pid)}, args.json)
+    _emit({"value": pi_game_value(args.pigame, args.pid)}, args.json)
     return 0
 
 
 def _cmd_pi_witness(args) -> int:
-    obj = _load(args.file)
-    povm = _load(args.ic_povm)
-    if isinstance(obj, Pmd):
-        pid = pid_from_pmd(obj)
-    elif isinstance(obj, Pid):
-        pid = obj
-    else:
-        raise _CliError("pi-witness needs a pid or pmd device file", USAGE_ERROR)
+    povm = args.ic_povm
+    pid = pid_from_pmd(args.file) if isinstance(args.file, Pmd) else args.file
     if povm.dim != pid.dout:
         raise _CliError(
             f"the POVM must act on the device's quantum output (dim {pid.dout}); "
@@ -305,8 +310,8 @@ def _cmd_pi_witness(args) -> int:
 def _add_common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     """Common flags, accepted both before and after the subcommand."""
     d = dict if top else (lambda **kw: {**kw, "default": argparse.SUPPRESS})
-    parser.add_argument("--tol", type=float, help="validation tolerance", **d(default=1e-8))
-    parser.add_argument("--max-iter", type=int, help="solver iteration cap", **d(default=200))
+    parser.add_argument("--tol", type=_tolerance, help="validation tolerance", **d(default=1e-8))
+    parser.add_argument("--max-iter", type=_count, help="solver iteration cap", **d(default=200))
     parser.add_argument("--seed", type=int, help="sampler seed", **d(default=0))
     parser.add_argument(
         "--json", action="store_true", help="machine-readable output", **d(default=False)
@@ -327,62 +332,65 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("validate", _cmd_validate, "check a device file's invariants")
-    p.add_argument("file")
+    p.add_argument("file", type=_device(*io.KINDS))
 
     p = command("simplicity", _cmd_simplicity, "decide simplicity of a device")
-    p.add_argument("file")
+    p.add_argument("file", type=_device("pid"))
 
     p = command("roi", _cmd_roi, "robustness of incompatibility")
-    p.add_argument("file")
+    p.add_argument("file", type=_device("pid"))
     p.add_argument("--dual", action="store_true", help="solve the dual program")
     p.add_argument("--certificate", help="write the dual functionals to a JSON file")
 
     p = command("sem", _cmd_sem, "compress a device to its measurement family")
-    p.add_argument("file")
+    p.add_argument("file", type=_device("pid"))
     p.add_argument("--out", help="write the family as a pmd file")
 
     p = command("steer", _cmd_steer, "steer a broadcast channel with a measurement family")
-    p.add_argument("channel", help="single-branch instrument file for the broadcast channel")
-    p.add_argument("pmd")
+    p.add_argument("channel", type=_device("instrument"),
+                   help="single-branch instrument file for the broadcast channel")
+    p.add_argument("pmd", type=_device("pmd"))
     p.add_argument("--out", help="write the induced device")
 
     p = command("simulate", _cmd_simulate, "apply a transformation file to a device")
-    p.add_argument("simulation")
-    p.add_argument("pid")
+    p.add_argument("simulation", type=_device("simulation"))
+    p.add_argument("pid", type=_device("pid"))
     p.add_argument("--out", help="write the transformed device")
 
     p = command("game-value", _cmd_game_value, "score of a device in a guessing game")
-    p.add_argument("game")
-    p.add_argument("pid")
+    p.add_argument("game", type=_device("game"))
+    p.add_argument("pid", type=_device("pid"))
 
     p = command("pguess-simple", _cmd_pguess_simple, "best simple-device score of a game")
-    p.add_argument("game")
+    p.add_argument("game", type=_device("game"))
 
     p = command("witness", _cmd_witness, "build a witness game from the robustness dual")
-    p.add_argument("file")
-    p.add_argument("--dummy", type=int, default=64, help="dummy outcome count")
+    p.add_argument("file", type=_device("pid"))
+    p.add_argument("--dummy", type=_count, default=64, help="dummy outcome count")
     p.add_argument("--out", help="write the witness game")
 
     p = command("verify-bound", _cmd_verify_bound, "witness-game ratio schedule")
-    p.add_argument("file")
-    p.add_argument("--schedule", default="8,64,512")
+    p.add_argument("file", type=_device("pid"))
+    p.add_argument("--schedule", default="8,64,512",
+                   type=lambda text: tuple(map(_count, text.split(","))))
     p.add_argument("--csv", help="write schedule points as CSV")
 
     p = command("sample", _cmd_sample, "generate a random device or transformation")
     p.add_argument("what", choices=("pid", "simple-pid", "simulation"))
-    p.add_argument("--din", type=int, default=2)
-    p.add_argument("--dout", type=int, default=2)
-    p.add_argument("--programs", type=int, default=2)
-    p.add_argument("--outcomes", type=int, default=2)
+    p.add_argument("--din", type=_count, default=2)
+    p.add_argument("--dout", type=_count, default=2)
+    p.add_argument("--programs", type=_count, default=2)
+    p.add_argument("--outcomes", type=_count, default=2)
     p.add_argument("--out", help="write to a file instead of stdout")
 
     p = command("pi-value", _cmd_pi_value, "score in a post-information game")
-    p.add_argument("pigame")
-    p.add_argument("pid")
+    p.add_argument("pigame", type=_device("pigame"))
+    p.add_argument("pid", type=_device("pid"))
 
     p = command("pi-witness", _cmd_pi_witness, "witness ensemble over an IC POVM")
-    p.add_argument("file", help="pid or pmd device file")
-    p.add_argument("--ic-povm", required=True, help="informationally complete povm file")
+    p.add_argument("file", type=_device("pid", "pmd"), help="pid or pmd device file")
+    p.add_argument("--ic-povm", type=_device("povm"), required=True,
+                   help="informationally complete povm file")
     p.add_argument("--out", help="write the ensemble game")
 
     # after each command's own arguments, so --help lists them first
@@ -399,6 +407,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     as_json = getattr(args, "json", False)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, _DeviceFile):
+                setattr(args, name, _load(*value))
         return args.func(args)
     except _CliError as exc:
         _error(str(exc), exc.code, as_json)

@@ -89,15 +89,17 @@ class GameSpec:
         return self.cp_defect() <= tol and self.completeness_defect() <= tol
 
 
+def _score_value(score: np.ndarray, norm: int, din: int, dout: int, strategy: Pid) -> float:
+    """Value ``sum Tr[score[x0, x1] J_{x1|x0}] / norm`` of a fixed ``din`` -> ``dout`` device."""
+    sizes = (din, dout, *score.shape[:2])
+    if strategy.sizes != sizes:
+        raise ValueError(f"strategy sizes {strategy.sizes} do not match the game's {sizes}")
+    return float(np.real(np.einsum("mnpq,mnqp->", score, strategy.blocks)) / norm)
+
+
 def game_value(g: GameSpec, strategy: Pid) -> float:
     """Winning probability of a fixed device: ``(1/d_ref) sum Tr[M_{m,n} J_{n|m}]``."""
-    if strategy.din != g.d_ref or strategy.dout != g.dout:
-        raise ValueError("strategy dimensions do not match the game")
-    if strategy.n_programs != g.n_m or strategy.n_outcomes != g.n_n:
-        raise ValueError("strategy index sets do not match the game")
-    return float(
-        np.real(np.einsum("mnpq,mnqp->", g.effects, strategy.blocks)) / g.d_ref
-    )
+    return _score_value(g.effects, g.d_ref, g.d_ref, g.dout, strategy)
 
 
 def _merge_groups(effects: np.ndarray) -> list[list[int]]:
@@ -347,37 +349,24 @@ class PiGameSpec:
         return self.cp_defect() <= tol and abs(self.total_probability() - 1.0) <= tol
 
 
-def pi_game_value(g: PiGameSpec, strategy: Pid) -> float:
-    """Score ``sum Tr[(sigma^T_{m,n,l} (x) L_l) J_{n|m}]`` of a fixed device."""
-    if strategy.din != g.din or strategy.dout != g.dout:
-        raise ValueError("strategy dimensions do not match the game")
-    if strategy.n_programs != g.n_m or strategy.n_outcomes != g.n_n:
-        raise ValueError("strategy index sets do not match the game")
-    blocks = strategy.blocks.reshape(
-        g.n_m, g.n_n, g.din, g.dout, g.din, g.dout
-    )
-    # Tr[(s^T (x) L) J] = sum s[j,i] L[u,v] J[(j,v),(i,u)]
-    return float(
-        np.real(
-            np.einsum(
-                "mnlji,luv,mnjviu->", g.ensemble, g.povm_l.effects, blocks,
-                optimize=True,
-            )
-        )
-    )
-
-
-def pi_pguess_simple(
-    g: PiGameSpec, opts: SolveOptions | None = None
-) -> PguessSimpleResult:
-    """Best post-information score over simple devices."""
+def _pi_score(g: PiGameSpec) -> np.ndarray:
+    """The Hermitian score stack ``sum_l sigma^T_{m,n,l} (x) L_l`` indexed ``(m, n)``."""
+    d = g.din * g.dout
     score = np.einsum(
         "mnlji,luv->mniujv", g.ensemble, g.povm_l.effects, optimize=True
-    ).reshape(g.n_m, g.n_n, g.din * g.dout, g.din * g.dout)
-    score = (score + score.conj().transpose(0, 1, 3, 2)) / 2
-    value, blocks, gap = _best_simple(
-        score, 1, g.din, g.dout, opts, "post-information benchmark"
-    )
+    ).reshape(g.n_m, g.n_n, d, d)
+    return (score + score.conj().transpose(0, 1, 3, 2)) / 2
+
+
+def pi_game_value(g: PiGameSpec, strategy: Pid) -> float:
+    """Score ``sum Tr[(sigma^T_{m,n,l} (x) L_l) J_{n|m}]`` of a fixed device."""
+    return _score_value(_pi_score(g), 1, g.din, g.dout, strategy)
+
+
+def pi_pguess_simple(g: PiGameSpec, opts: SolveOptions | None = None) -> PguessSimpleResult:
+    """Best post-information score over simple devices."""
+    score = _pi_score(g)
+    value, blocks, gap = _best_simple(score, 1, g.din, g.dout, opts, "post-information benchmark")
     return PguessSimpleResult(value=value, strategy=Pid(g.din, g.dout, blocks), gap=gap)
 
 

@@ -134,13 +134,13 @@ def to_document(obj, metadata: dict | None = None) -> dict:
     return doc
 
 
-def from_document(data: dict):
-    """Decode a document; raises :class:`DeviceFileError` on any schema problem."""
+def from_document(data: dict, kinds: tuple[str, ...] = KINDS):
+    """Decode a document of one of ``kinds``; raises :class:`DeviceFileError` on schema problems."""
     if not isinstance(data, dict):
         raise DeviceFileError("device file must hold a JSON object")
     kind = data.get("kind")
-    if kind not in KINDS:
-        raise DeviceFileError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    if kind not in kinds:
+        raise DeviceFileError(f"expected kind {' or '.join(kinds)}, found kind {kind!r}")
     if data.get("layout", "row-major") != "row-major":
         raise DeviceFileError("only row-major layout is supported")
     _metadata(data)
@@ -169,10 +169,7 @@ def from_document(data: dict):
             )
         kwargs["factor_dims"] = tuple(fd) if fd else None
     elif kind == "pigame":
-        povm = from_document(_require(data, "povm_l", kind))
-        if not isinstance(povm, Povm):
-            raise DeviceFileError("pigame field 'povm_l' must hold a povm document")
-        kwargs["povm_l"] = povm
+        kwargs["povm_l"] = from_document(_require(data, "povm_l", kind), ("povm",))
     return cls(**kwargs, **{field: stack})
 
 
@@ -209,12 +206,12 @@ def dumps(obj, metadata: dict | None = None) -> str:
     return json.dumps(to_document(obj, metadata), indent=2, sort_keys=True) + "\n"
 
 
-def loads(text: str):
+def loads(text: str, kinds: tuple[str, ...] = KINDS):
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DeviceFileError(f"not valid JSON: {exc}") from exc
-    return from_document(data)
+    return from_document(data, kinds)
 
 
 def write_device(path: str, obj, metadata: dict | None = None) -> None:
@@ -222,10 +219,11 @@ def write_device(path: str, obj, metadata: dict | None = None) -> None:
         fh.write(dumps(obj, metadata))
 
 
-def read_device(path: str):
+def read_device(path: str, kinds: tuple[str, ...] = KINDS):
+    """The object stored at ``path``, which must be of one of ``kinds``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise DeviceFileError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-    return loads(text)
+    return loads(text, kinds)

@@ -332,6 +332,53 @@ class TestCommands:
         assert main(["validate", str(binary)]) == 2
         err = capsys.readouterr().err
         assert str(binary) in err and "not UTF-8" in err
+        # each device-file argument given a file of a kind it does not accept, among them
+        # game-value <pigame> <pid>, pguess-simple <pid>, pi-value <game> <pid>,
+        # simulate <pid> <pid> and pi-witness <pid> --ic-povm <pid>
+        fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
+        by_kind = {"pigame": files["pigame"]}
+        for name in sorted(os.listdir(fixtures)):
+            path = os.path.join(fixtures, name)
+            by_kind.setdefault(json.load(open(path, encoding="utf-8"))["kind"], path)
+        templates = [
+            ["simplicity", ("pid",)], ["roi", ("pid",)], ["sem", ("pid",)],
+            ["witness", ("pid",)], ["verify-bound", ("pid",)],
+            ["steer", ("instrument",), ("pmd",)], ["simulate", ("simulation",), ("pid",)],
+            ["game-value", ("game",), ("pid",)], ["pguess-simple", ("game",)],
+            ["pi-value", ("pigame",), ("pid",)], ["pi-witness", ("pid", "pmd"), "--ic-povm", ("povm",)],
+        ]
+        for template in templates:
+            good = [by_kind[a[0]] if isinstance(a, tuple) else a for a in template]
+            for i, accepted in enumerate(template):
+                if not isinstance(accepted, tuple):
+                    continue
+                for kind, path in by_kind.items():
+                    if kind in accepted:
+                        continue
+                    argv = good[:i] + [path] + good[i + 1 :]
+                    assert main(argv) == 2, argv
+                    err = capsys.readouterr().err
+                    assert path in err and " or ".join(accepted) in err, argv
+                    assert "Traceback" not in err, argv
+        # a size or count below 1, or a negative or non-finite tolerance
+        for argv in (
+            ["sample", "pid", "--din", "0"],
+            ["sample", "simple-pid", "--outcomes", "0"],
+            ["sample", "simple-pid", "--din", "0"],
+            ["sample", "simulation", "--outcomes", "0"],
+            ["sample", "pid", "--dout", "0"],
+            ["sample", "pid", "--programs", "-1"],
+            ["--max-iter", "0", "roi", files["generic"]],
+            ["--tol", "-1", "roi", files["generic"]],
+            ["--tol", "nan", "roi", files["generic"]],
+            ["roi", files["generic"], "--tol", "inf"],
+            ["witness", files["generic"], "--dummy", "0"],
+            ["verify-bound", files["generic"], "--schedule", "8,0"],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert f"argument {next(a for a in argv if a.startswith('--'))}" in err, argv
+            assert "Traceback" not in err, argv
 
     def test_json_error_channel(self, files, capsys):
         code = main(["--json", "simplicity", "/nonexistent.json"])
