@@ -24,7 +24,6 @@ from .compatibility import (
     verify_roi_certificate,
 )
 from .devices import (
-    Pid,
     Pmd,
     SimulationShape,
     pad_pid_outcomes,
@@ -53,9 +52,16 @@ NUMERICAL_FAILURE = 3
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int):
+    def __init__(self, message: str, code: int, parser: argparse.ArgumentParser | None = None):
         super().__init__(message)
-        self.code = code
+        self.code, self.parser = code, parser  # the parser of a usage error argparse found
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parser that hands its usage errors to :func:`main`, which honours ``--json``."""
+
+    def error(self, message):
+        raise _CliError(message, USAGE_ERROR, self)
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -106,35 +112,22 @@ def _load(path: str, kinds: tuple[str, ...]):
         raise _CliError(f"{path}: {exc}", USAGE_ERROR)
 
 
-def _opts(args) -> SolveOptions:
-    return SolveOptions(
-        feas_tol=min(args.tol, 1e-8),
-        gap_tol=min(args.tol, 1e-9),
-        max_iter=args.max_iter,
-    )
-
-
 def _cmd_validate(args) -> int:
-    obj = args.file
-    if isinstance(obj, Pid):
+    obj, payload = args.file, {"kind": io.kind_of(args.file)}
+    if payload["kind"] == "pid":
         rep = validate_pid(obj)
-        payload = {
-            "kind": "pid",
-            "cp_defect": rep.cp_defect,
-            "nonsignaling_defect": rep.nonsignaling_defect,
-            "tp_defect": rep.tp_defect,
-            "valid": rep.ok(args.tol),
-        }
-        _emit(payload, args.json)
-        return 0 if rep.ok(args.tol) else 1
-    ok = obj.is_valid(args.tol)
-    _emit({"kind": type(obj).__name__.lower(), "valid": ok}, args.json)
-    return 0 if ok else 1
+        for key in ("cp_defect", "nonsignaling_defect", "tp_defect"):
+            payload[key] = getattr(rep, key)
+        payload["valid"] = rep.ok(args.tol)
+    else:
+        payload["valid"] = obj.is_valid(args.tol)
+    _emit(payload, args.json)
+    return 0 if payload["valid"] else 1
 
 
 def _cmd_simplicity(args) -> int:
     pid = args.file
-    verdict = is_simple_pid(pid, opts=_opts(args))
+    verdict = is_simple_pid(pid, opts=args.opts)
     payload = {"simple": verdict.simple, "roi": verdict.r}
     if verdict.simple:
         res = simplicity_residuals(pid, verdict.certificate)
@@ -147,9 +140,9 @@ def _cmd_simplicity(args) -> int:
 def _cmd_roi(args) -> int:
     pid = args.file
     if args.dual:
-        cert = roi_dual(pid, _opts(args))
+        cert = roi_dual(pid, args.opts)
     else:
-        cert = roi_primal(pid, _opts(args))
+        cert = roi_primal(pid, args.opts)
     payload = {"roi": cert.r, "gap": cert.gap}
     if cert.dual_r is not None:
         payload["dual_value"] = cert.dual_r
@@ -173,7 +166,7 @@ def _cmd_sem(args) -> int:
         "rank": res.rank,
         "dim": res.pmd.dim,
         "near_cutoff": res.near_cutoff,
-        "monotone_value": sem_monotone_value(pid, _opts(args)),
+        "monotone_value": sem_monotone_value(pid, args.opts),
     }
     _emit(payload, args.json)
     if args.out:
@@ -215,17 +208,17 @@ def _cmd_game_value(args) -> int:
 
 
 def _cmd_pguess_simple(args) -> int:
-    res = pguess_simple(args.game, _opts(args))
+    res = pguess_simple(args.game, args.opts)
     _emit({"value": res.value, "gap": res.gap}, args.json)
     return 0
 
 
 def _cmd_witness(args) -> int:
     pid = args.file
-    cert = roi(pid, _opts(args))
+    cert = roi(pid, args.opts)
     game = witness_game(cert, n_dummy=args.dummy)
     num = game_value(game, pad_pid_outcomes(pid, game.n_n))
-    den = pguess_simple(game, _opts(args)).value
+    den = pguess_simple(game, args.opts).value
     _emit(
         {
             "roi": cert.r,
@@ -242,7 +235,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify_bound(args) -> int:
-    report = verify_robustness_bound(args.file, schedule=args.schedule, opts=_opts(args))
+    report = verify_robustness_bound(args.file, schedule=args.schedule, opts=args.opts)
     payload = {
         "roi": report.roi,
         "schedule": list(report.schedule),
@@ -298,7 +291,7 @@ def _cmd_pi_witness(args) -> int:
             "informationally complete POVM is the single trivial effect.",
             USAGE_ERROR,
         )
-    cert = roi(pid, _opts(args))
+    cert = roi(pid, args.opts)
     frame = ic_dual_frame(povm).solve(cert.alpha)
     game = witness_ensemble(frame)
     _emit({"roi": cert.r, "frame_residual": frame.residual}, args.json)
@@ -311,7 +304,10 @@ def _add_common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     """Common flags, accepted both before and after the subcommand."""
     d = dict if top else (lambda **kw: {**kw, "default": argparse.SUPPRESS})
     parser.add_argument("--tol", type=_tolerance, help="validation tolerance", **d(default=1e-8))
-    parser.add_argument("--max-iter", type=_count, help="solver iteration cap", **d(default=200))
+    parser.add_argument(  # every solve runs at SolveOptions() but for this cap
+        "--max-iter", dest="opts", metavar="MAX_ITER", help="solver iteration cap",
+        type=lambda text: SolveOptions(max_iter=_count(text)), **d(default=SolveOptions()),
+    )
     parser.add_argument("--seed", type=int, help="sampler seed", **d(default=0))
     parser.add_argument(
         "--json", action="store_true", help="machine-readable output", **d(default=False)
@@ -319,7 +315,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pidlab",
         description="Analyze programmable instrument devices stored as JSON files.",
     )
@@ -400,19 +396,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    as_json = "--json" in argv  # until the arguments are parsed
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    as_json = getattr(args, "json", False)
-    try:
+        args = build_parser().parse_args(argv)
+        as_json = args.json
         for name, value in vars(args).items():
             if isinstance(value, _DeviceFile):
                 setattr(args, name, _load(*value))
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return exc.code or 0
     except _CliError as exc:
-        _error(str(exc), exc.code, as_json)
+        if exc.parser is not None and not as_json:  # as argparse words it
+            sys.stderr.write(f"{exc.parser.format_usage()}{exc.parser.prog}: error: {exc}\n")
+        else:
+            _error(str(exc), exc.code, as_json)
         return exc.code
     except ArithmeticError as exc:
         _error(f"numerical failure: {exc}", NUMERICAL_FAILURE, as_json)

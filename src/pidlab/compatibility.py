@@ -64,7 +64,6 @@ STRATEGY_CAP = 4096
 SIMPLE_TOL = 1e-6
 CERT_TOL = 1e-7
 ROI_AGREE_TOL = 1e-6  # |r - dual_r| accepted by roi()
-ROI_OPTS = SolveOptions(feas_tol=1e-8, gap_tol=1e-9)
 
 
 class DeterministicStrategy(NamedTuple):
@@ -145,7 +144,7 @@ class RoiCertificate:
     dout: int = 0
 
 
-def roi_primal(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
+def roi_primal(p: Pid, opts: SolveOptions = SolveOptions()) -> RoiCertificate:
     """Robustness via the primal program; the dual certificate is read off the multipliers."""
     strategies = enumerate_strategies(p.n_programs, p.n_outcomes)
     maps = response_maps(strategies)
@@ -168,7 +167,7 @@ def roi_primal(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
             )
     traceless = kron_stack(traceless_basis(din), np.eye(p.dout)[None])
     builder.add_constraint(dict.fromkeys(etas, traceless), np.zeros(len(traceless)))
-    res = builder.solve(opts or ROI_OPTS).require_optimal("robustness primal")
+    res = builder.solve(opts).require_optimal("robustness primal")
 
     eta = res.primal_blocks[etas]
     t = float(np.real(eta.sum(axis=0).trace())) / din
@@ -202,7 +201,7 @@ def roi_primal(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
     )
 
 
-def roi_dual(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
+def roi_dual(p: Pid, opts: SolveOptions = SolveOptions()) -> RoiCertificate:
     """Robustness via the explicit dual program (independent of :func:`roi_primal`)."""
     maps = response_maps(enumerate_strategies(p.n_programs, p.n_outcomes))
     d = p.block_dim
@@ -230,7 +229,7 @@ def roi_dual(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
         row[ws[0]] = mats
         builder.add_constraint(row, np.full(len(mats), rhs))
 
-    res = builder.solve(opts or ROI_OPTS).require_optimal("robustness dual")
+    res = builder.solve(opts).require_optimal("robustness dual")
     alpha = res.primal_blocks[alphas]
     t0 = res.primal_blocks[ws[0]] + gather_responses(maps[:1], alpha)[0]
     b_op = partial_trace(t0, (din, dout), keep=(0,)) / dout
@@ -241,7 +240,7 @@ def roi_dual(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
     )
 
 
-def roi(p: Pid, opts: SolveOptions | None = None) -> RoiCertificate:
+def roi(p: Pid, opts: SolveOptions = SolveOptions()) -> RoiCertificate:
     """One primal solve, its certificate re-checked on both sides by :func:`verify_roi_certificate`.
 
     Raises ``ArithmeticError`` on a residual above ``CERT_TOL`` or ``|r - dual_r| > ROI_AGREE_TOL``.
@@ -266,7 +265,7 @@ class SimplicityVerdict:
         return self.simple
 
 
-def is_simple_pid(p: Pid, opts: SolveOptions | None = None) -> SimplicityVerdict:
+def is_simple_pid(p: Pid, opts: SolveOptions = SolveOptions()) -> SimplicityVerdict:
     """Membership decision with a mother-instrument certificate or a dual witness.
 
     The decision is :func:`roi` (so ``ArithmeticError`` on a rejected
@@ -373,7 +372,7 @@ class PmdCompatibilityVerdict:
         return self.compatible
 
 
-def is_compatible_pmd(m: Pmd, opts: SolveOptions | None = None) -> PmdCompatibilityVerdict:
+def is_compatible_pmd(m: Pmd, opts: SolveOptions = SolveOptions()) -> PmdCompatibilityVerdict:
     """Joint-measurability decision via the trivial-output device embedding."""
     verdict = is_simple_pid(pid_from_pmd(m), opts=opts)
     if verdict.simple:
@@ -392,6 +391,6 @@ def is_compatible_pmd(m: Pmd, opts: SolveOptions | None = None) -> PmdCompatibil
     )
 
 
-def roi_pmd(m: Pmd, opts: SolveOptions | None = None) -> RoiCertificate:
+def roi_pmd(m: Pmd, opts: SolveOptions = SolveOptions()) -> RoiCertificate:
     """Robustness of the measurement family through :func:`roi` (one re-checked primal solve)."""
     return roi(pid_from_pmd(m), opts)

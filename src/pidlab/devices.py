@@ -23,6 +23,7 @@ from .linalg import (
     choi_from_kraus,
     choi_identity,
     choi_tensor,
+    hermitize,
     max_abs,
     min_eig,
     partial_trace,
@@ -75,15 +76,15 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 
 def _hermitian_stack(obj, name: str, ndim: int, message: str) -> np.ndarray:
-    """Set ``obj.<name>`` to the read-only Hermitian part of its stack of matrices.
+    """Set ``obj.<name>`` to its stack of matrices, hermitized and read-only.
 
     Raises ``ValueError(message)`` unless the stack has ``ndim`` axes and its
-    matrices are square.
+    matrices are square, and :func:`hermitize`'s error unless they are Hermitian.
     """
     a = np.asarray(getattr(obj, name), dtype=complex)
     if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
         raise ValueError(message)
-    a = (a + np.swapaxes(a.conj(), -1, -2)) / 2
+    a = hermitize(a)
     a.setflags(write=False)
     object.__setattr__(obj, name, a)
     return a

@@ -52,7 +52,6 @@ __all__ = [
     "witness_game",
 ]
 
-GAME_OPTS = SolveOptions(feas_tol=1e-8, gap_tol=1e-9)
 _MERGE_TOL = 1e-12  # largest entry difference of two effect columns merged as one label
 
 
@@ -154,7 +153,7 @@ def _simple_scores(scores: list[np.ndarray], norm: int) -> tuple[np.ndarray, lis
 
 
 def _best_simple(
-    score: np.ndarray, norm: int, din: int, dout: int, opts: SolveOptions | None, what: str
+    score: np.ndarray, norm: int, din: int, dout: int, opts: SolveOptions, what: str
 ) -> tuple[float, np.ndarray, float]:
     """Best simple device for the value ``sum Tr[score[x0, x1] J_{x1|x0}] / norm``.
 
@@ -162,7 +161,7 @@ def _best_simple(
     the relative gap.
     """
     maps, (zs,) = _simple_scores([score], norm)
-    value, js, gap = best_instrument(zs, din, dout, opts or GAME_OPTS, what)
+    value, js, gap = best_instrument(zs, din, dout, opts, what)
     return value, scatter_responses(maps, js, score.shape[1]), gap
 
 
@@ -181,7 +180,7 @@ def _unmerged(g: GameSpec, reps: list[int], value, merged, gap) -> PguessSimpleR
 
 
 def pguess_simple(
-    g: GameSpec, opts: SolveOptions | None = None
+    g: GameSpec, opts: SolveOptions = SolveOptions()
 ) -> PguessSimpleResult:
     """Best winning probability over simple devices, with an attaining strategy.
 
@@ -198,7 +197,7 @@ def pguess_simple(
 
 
 def _pguess_simple_batch(
-    games: list[GameSpec], opts: SolveOptions | None = None
+    games: list[GameSpec], opts: SolveOptions = SolveOptions()
 ) -> list[PguessSimpleResult]:
     """:func:`pguess_simple` of games of one shape, those with one merged label count solved in lockstep."""
     merged = [_merged_score(g) for g in games]
@@ -209,7 +208,7 @@ def _pguess_simple_batch(
     for idx in by_count.values():
         g = games[idx[0]]
         maps, batch = _simple_scores([merged[i][1] for i in idx], g.d_ref)
-        sols = best_instruments(batch, g.d_ref, g.dout, opts or GAME_OPTS, "simple-device benchmark")
+        sols = best_instruments(batch, g.d_ref, g.dout, opts, "simple-device benchmark")
         for i, (value, js, gap) in zip(idx, sols):
             reps = merged[i][0]
             out[i] = _unmerged(games[i], reps, value, scatter_responses(maps, js, len(reps)), gap)
@@ -264,7 +263,7 @@ class BoundReport:
 def verify_robustness_bound(
     p: Pid,
     schedule: tuple[int, ...] = (8, 64, 512),
-    opts: SolveOptions | None = None,
+    opts: SolveOptions = SolveOptions(),
 ) -> BoundReport:
     """Witness-game ratio schedule converging upward to ``1 + robustness``.
 
@@ -363,7 +362,7 @@ def pi_game_value(g: PiGameSpec, strategy: Pid) -> float:
     return _score_value(_pi_score(g), 1, g.din, g.dout, strategy)
 
 
-def pi_pguess_simple(g: PiGameSpec, opts: SolveOptions | None = None) -> PguessSimpleResult:
+def pi_pguess_simple(g: PiGameSpec, opts: SolveOptions = SolveOptions()) -> PguessSimpleResult:
     """Best post-information score over simple devices."""
     score = _pi_score(g)
     value, blocks, gap = _best_simple(score, 1, g.din, g.dout, opts, "post-information benchmark")

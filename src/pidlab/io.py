@@ -31,6 +31,7 @@ from .linalg import ChoiMatrix
 __all__ = [
     "DeviceFileError",
     "dumps",
+    "kind_of",
     "loads",
     "read_device",
     "write_device",
@@ -104,10 +105,19 @@ def _metadata(data: dict) -> dict:
     return md
 
 
+def kind_of(obj) -> str:
+    """The ``kind`` of the device file that stores ``obj``."""
+    for kind, cls in [("simulation", FreeSimulation), *((k, v[0]) for k, v in _STACKS.items())]:
+        if isinstance(obj, cls):
+            return kind
+    raise TypeError(f"cannot serialize objects of type {type(obj).__name__}")
+
+
 def to_document(obj, metadata: dict | None = None) -> dict:
     """Encode a supported object as a JSON-ready document."""
     doc: dict[str, Any] = {"layout": "row-major", "metadata": metadata or {}}
-    if isinstance(obj, FreeSimulation):
+    kind = kind_of(obj)
+    if kind == "simulation":
         s = obj.shape
         doc.update(
             kind="simulation",
@@ -118,9 +128,6 @@ def to_document(obj, metadata: dict | None = None) -> dict:
             q_table=obj.q_cc.table.tolist(),
         )
         return doc
-    kind = next((k for k, v in _STACKS.items() if isinstance(obj, v[0])), None)
-    if kind is None:
-        raise TypeError(f"cannot serialize objects of type {type(obj).__name__}")
     _, field, counts, dims = _STACKS[kind]
     stack = getattr(obj, field)
     if kind == "instrument":
@@ -196,10 +203,7 @@ def _simulation(data: dict) -> FreeSimulation:
             tables.append(ClassicalChannel(np.asarray(raw, dtype=float)))
         except (TypeError, ValueError) as exc:
             raise DeviceFileError(f"{kind} field {key!r}: {exc}") from exc
-    try:
-        return FreeSimulation(shape=shape, pre=pre, post=post, p_cc=tables[0], q_cc=tables[1])
-    except ValueError as exc:
-        raise DeviceFileError(str(exc)) from exc
+    return FreeSimulation(shape=shape, pre=pre, post=post, p_cc=tables[0], q_cc=tables[1])
 
 
 def dumps(obj, metadata: dict | None = None) -> str:
@@ -207,11 +211,13 @@ def dumps(obj, metadata: dict | None = None) -> str:
 
 
 def loads(text: str, kinds: tuple[str, ...] = KINDS):
+    """The object ``text`` holds; raises :class:`DeviceFileError` on any problem with it."""
     try:
-        data = json.loads(text)
+        return from_document(json.loads(text), kinds)
     except json.JSONDecodeError as exc:
         raise DeviceFileError(f"not valid JSON: {exc}") from exc
-    return from_document(data, kinds)
+    except ValueError as exc:  # a constructor's check, or already a DeviceFileError
+        raise DeviceFileError(str(exc)) from exc
 
 
 def write_device(path: str, obj, metadata: dict | None = None) -> None:

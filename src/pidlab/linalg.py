@@ -19,12 +19,12 @@ import numpy as np
 
 HERMITIZE_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-8
-_EIG_TOL = 1e-9  # relative Hermiticity drift eig_hermitian accepts
 _MAG_TOL = 1e-8  # entries at most this large carry no phase in eig_hermitian's tie-breaks
 
 __all__ = [
     "ChoiMatrix",
     "apply_choi",
+    "check_hermitian",
     "choi_from_kraus",
     "choi_identity",
     "choi_of_prepare",
@@ -32,7 +32,6 @@ __all__ = [
     "choi_trace_map",
     "eig_hermitian",
     "hermitize",
-    "hermiticity_defect",
     "kron",
     "link_product",
     "max_abs",
@@ -48,31 +47,30 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    return max_abs(a - a.conj().T)
-
-
-def hermitize(a: np.ndarray, tol: float = HERMITIZE_TOL) -> np.ndarray:
-    """Symmetrize ``(a + a^dag)/2`` after checking the drift is below ``tol``.
-
-    ``a`` is one square matrix or a stack ``(..., n, n)`` of them.  Raises
-    ``ValueError`` when any matrix drifts beyond ``tol`` scaled by its own
-    largest entry; numerical routines downstream require exact Hermiticity.
+def check_hermitian(a: np.ndarray, what: str = "matrix") -> None:
+    """The package's one Hermiticity rule: raise ``ValueError`` naming ``what`` unless ``a``
+    is a square matrix, or a stack ``(..., n, n)`` of them, and no entry of any matrix's
+    ``a - a^dag`` exceeds ``HERMITIZE_TOL`` times ``max(1, its largest entry)``.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    ah = a.conj().swapaxes(-1, -2)
+        raise ValueError(f"expected a square {what}, got shape {a.shape}")
     if a.size:
         flat = a.shape[:-2] + (-1,)
-        defect = np.abs(a - ah).reshape(flat).max(axis=-1)
-        bad = defect > tol * np.maximum(1.0, np.abs(a).reshape(flat).max(axis=-1))
+        defect = np.abs(a - a.conj().swapaxes(-1, -2)).reshape(flat).max(axis=-1)
+        bad = defect > HERMITIZE_TOL * np.maximum(1.0, np.abs(a).reshape(flat).max(axis=-1))
         if bad.any():
             raise ValueError(
-                f"matrix is not Hermitian: defect {float(np.max(defect[bad])):.3e} "
-                f"exceeds {tol:.1e} (relative)"
+                f"{what} has an antisymmetric part: defect {float(np.max(defect[bad])):.3e} "
+                f"exceeds {HERMITIZE_TOL:.1e} (relative)"
             )
-    return (a + ah) / 2
+
+
+def hermitize(a: np.ndarray) -> np.ndarray:
+    """``(a + a^dag)/2`` after :func:`check_hermitian`; exactly Hermitian ``a`` comes back as is."""
+    a = np.asarray(a, dtype=complex)
+    check_hermitian(a)
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,13 +141,9 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Eigenvector phases are normalized (first sizable component real positive),
     and within a degenerate cluster the vectors are ordered by a lexicographic
     key on (magnitude, phase) per component, so repeated runs on identical
-    input produce identical output.
+    input produce identical output.  ``m`` must pass :func:`check_hermitian`.
     """
-    m = np.asarray(m, dtype=complex)
-    scale = max(1.0, max_abs(m))
-    if hermiticity_defect(m) > _EIG_TOL * scale:
-        raise ValueError("eig_hermitian requires a Hermitian matrix")
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+    vals, vecs = np.linalg.eigh(hermitize(m))
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
     vecs = _canonical_phase(vecs)

@@ -102,7 +102,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import hermitize, max_abs
+from .linalg import check_hermitian, hermitize, max_abs
 
 __all__ = [
     "BlockColumn",
@@ -121,6 +121,7 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e8
+FEAS_TOL = 1e-8  # primal and dual residual of an optimal solution
 STEP_FRAC = 0.98  # share of the largest step that keeps the iterates PSD
 _PANEL = 32  # rows per panel of the Schur factor's substitution
 
@@ -135,8 +136,9 @@ class SdpStatus(Enum):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    feas_tol: float = 1e-8
-    gap_tol: float = 1e-7
+    """Every program runs at ``SolveOptions()`` unless its caller passes others."""
+
+    gap_tol: float = 1e-9
     max_iter: int = 200
 
 
@@ -209,9 +211,7 @@ def _check_mats(stack: np.ndarray, dim: int, what: str) -> None:
     """Check a ``(u, dim, dim)`` stack: shape, then Hermiticity of each matrix."""
     if stack.ndim != 3 or stack.shape[1:] != (dim, dim):
         raise ValueError(f"{what} matrix shape {stack.shape[1:]} does not match block dim {dim}")
-    asym = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    if np.any(asym > 1e-12 * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))):
-        raise ValueError(f"{what} matrix has an antisymmetric part")
+    check_hermitian(stack, f"{what} matrix")
 
 
 @dataclass
@@ -696,7 +696,9 @@ class _CholeskySolver:
 
 def _initial_point(classes, c, b, m):
     """Each problem's starting iterate; ``c`` holds each class's ``(B, n, cdim, cdim)`` objectives."""
-    # primal blocks: identity scaled to roughly satisfy trace-like constraints
+    # primal blocks: identity scaled by xi, the largest ratio of a right-hand side to the
+    # identity's row value, clipped to [1, 1e4]; a floor of 1e-4 saves iterations on the
+    # robustness programs but fails acceptance criterion 6 (a monotone witness-ratio schedule)
     eye = [np.broadcast_to(np.eye(cls.cdim, dtype=complex), cc.shape[1:]) for cls, cc in zip(classes, c)]
     tr = sum(cls.apply_a(e[None], m)[0] for cls, e in zip(classes, eye))
     big = np.abs(tr) > 1e-9
@@ -819,12 +821,12 @@ def _same_structure(p: SdpProblem, q: SdpProblem) -> bool:
     )
 
 
-def solve(problem: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
+def solve(problem: SdpProblem, opts: SolveOptions = SolveOptions()) -> SdpSolution:
     """Run the interior-point iteration and return a primal-dual certificate."""
     return solve_batch([problem], opts)[0]
 
 
-def solve_batch(problems, opts: SolveOptions | None = None) -> list[SdpSolution]:
+def solve_batch(problems, opts: SolveOptions = SolveOptions()) -> list[SdpSolution]:
     """Solve problems of one structure in lockstep; one :class:`SdpSolution` per problem.
 
     The problems share block sizes and forms and their columns, and differ in
@@ -833,7 +835,6 @@ def solve_batch(problems, opts: SolveOptions | None = None) -> list[SdpSolution]
     problem that stops leaves the batch with the iterate it stopped at, and
     the others go on.
     """
-    opts = opts or SolveOptions()
     problems = list(problems)
     if not problems:
         return []
@@ -901,7 +902,7 @@ def solve_batch(problems, opts: SolveOptions | None = None) -> list[SdpSolution]
         stops = {}
         for j, (pj, dj) in enumerate(zip(pobj, dobj)):
             gap_rel = abs(pj - dj) / (1.0 + abs(pj) + abs(dj))
-            if pres[j] <= opts.feas_tol and dres[j] <= opts.feas_tol and (
+            if pres[j] <= FEAS_TOL and dres[j] <= FEAS_TOL and (
                 gap_rel <= opts.gap_tol or mu[j] * ntot <= opts.gap_tol
             ):
                 stops[j] = SdpStatus.OPTIMAL
@@ -1133,12 +1134,12 @@ class ComplexSdpBuilder:
             dual_slacks=self._sense * np.stack(sol.dual_slacks),
         )
 
-    def solve(self, opts: SolveOptions | None = None) -> SdpSolution:
+    def solve(self, opts: SolveOptions = SolveOptions()) -> SdpSolution:
         """Solve; values and multipliers refer to the complex problem, blocks stack by handle."""
         (problem,) = self._problems([self._obj])
         return self._result(solve(problem, opts))
 
-    def solve_batch(self, objectives, opts: SolveOptions | None = None) -> list[SdpSolution]:
+    def solve_batch(self, objectives, opts: SolveOptions = SolveOptions()) -> list[SdpSolution]:
         """Solve once per objective, in lockstep (:func:`solve_batch`), as :meth:`solve` would.
 
         Each objective is a coefficient dict keyed by handle, in place of the
@@ -1169,7 +1170,7 @@ def _instrument_builder(n: int, din: int, dout: int) -> tuple[ComplexSdpBuilder,
 
 
 def best_instrument(
-    zs, din: int, dout: int, opts: SolveOptions | None = None, what: str = "instrument"
+    zs, din: int, dout: int, opts: SolveOptions = SolveOptions(), what: str = "instrument"
 ) -> tuple[float, np.ndarray, float]:
     """Maximize ``sum_k Tr[Z_k J_k]`` over instruments ``din -> dout``, one branch per ``Z_k``.
 
@@ -1183,7 +1184,7 @@ def best_instrument(
 
 
 def best_instruments(
-    batch, din: int, dout: int, opts: SolveOptions | None = None, what: str = "instrument"
+    batch, din: int, dout: int, opts: SolveOptions = SolveOptions(), what: str = "instrument"
 ) -> list[tuple[float, np.ndarray, float]]:
     """:func:`best_instrument` for each score stack of ``batch``, solved in lockstep.
 

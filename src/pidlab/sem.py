@@ -128,6 +128,6 @@ def reconstruct_pid(dilation: CanonicalDilation, s: SemResult) -> Pid:
     return Pid(din, dout, blocks)
 
 
-def sem_monotone_value(p: Pid, opts: SolveOptions | None = None) -> float:
+def sem_monotone_value(p: Pid, opts: SolveOptions = SolveOptions()) -> float:
     """Incompatibility robustness of the compressed measurement family."""
     return roi_pmd(sem(p).pmd, opts).r

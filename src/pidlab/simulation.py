@@ -39,7 +39,7 @@ from .linalg import (
 )
 from .sdp import SolveOptions, best_instruments
 
-_SEESAW_OPTS = SolveOptions(feas_tol=1e-8, gap_tol=1e-8)
+_SEESAW_OPTS = SolveOptions(gap_tol=1e-8)
 
 __all__ = [
     "SeesawResult",

@@ -208,6 +208,33 @@ class TestRoundTrip:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, entry",
+        [
+            ("simple", ("blocks", 0, 0, 0, 1)),
+            ("xz_pmd", ("effects", 0, 0, 0, 1)),
+            ("tetra", ("effects", 0, 0, 1)),
+            ("broadcast", ("branches", 0, 0, 1)),
+            ("game", ("effects", 0, 0, 0, 1)),
+            ("pigame", ("ensemble", 0, 0, 0, 0, 0)),  # its states are 1 x 1
+            ("sim", ("pre", 0, 1)),
+        ],
+        ids=["pid", "pmd", "povm", "instrument", "game", "pigame", "simulation"],
+    )
+    def test_non_hermitian_matrix_rejected(self, files, name, entry, tmp_path, capsys):
+        data = json.load(open(files[name], encoding="utf-8"))
+        cell = data
+        for key in entry:
+            cell = cell[key]
+        cell[1] += 0.5  # the imaginary part of one entry of the first matrix
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(io.DeviceFileError, match="antisymmetric"):
+            io.read_device(str(p))
+        assert main(["validate", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert str(p) in err and "Traceback" not in err
+
 
 class TestCommands:
     def test_validate_good_and_bad(self, files, capsys):
@@ -217,6 +244,14 @@ class TestCommands:
         assert main(["validate", files["broken"]]) == 1
         out = capsys.readouterr().out
         assert "cp_defect" in out
+
+    def test_validate_prints_the_file_kind(self, files, capsys):
+        fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
+        paths = [os.path.join(fixtures, name) for name in sorted(os.listdir(fixtures))]
+        for path in paths + [files["pigame"]]:
+            assert main(["--json", "validate", path]) in (0, 1), path
+            kind = json.loads(capsys.readouterr().out)["kind"]
+            assert kind == json.load(open(path, encoding="utf-8"))["kind"], path
 
     def test_simplicity_verdicts(self, files, capsys):
         assert main(["simplicity", files["simple"]]) == 0
@@ -386,6 +421,24 @@ class TestCommands:
         assert code == 2
         err = json.loads(captured.err)
         assert err["error"]["code"] == 2
+
+    def test_json_usage_errors(self, capsys):
+        for argv in (["sample", "pid", "--din", "0"], ["no-such"]):
+            for json_argv in (["--json", *argv], [*argv, "--json"]):
+                assert main(json_argv) == 2, json_argv
+                assert json.loads(capsys.readouterr().err)["error"]["code"] == 2, json_argv
+        # without --json, argparse's own usage text
+        assert main(["sample", "pid", "--din", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pidlab sample") and "pidlab sample: error: argument --din" in err
+
+    @pytest.mark.parametrize("tol", ["0", "1e-12"])
+    def test_tol_leaves_solves_alone(self, tol, capsys):
+        # --tol is the validation tolerance only
+        assert main(["--json", "roi", XZ_ASSEMBLAGE]) == 0
+        default = capsys.readouterr().out
+        assert main(["--json", "--tol", tol, "roi", XZ_ASSEMBLAGE]) == 0
+        assert capsys.readouterr().out == default
 
     def test_numerical_failure_exit_code(self, files, capsys):
         # an absurd iteration cap cannot reach optimality

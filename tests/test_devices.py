@@ -4,6 +4,8 @@ import pytest
 from pidlab.devices import (
     ClassicalChannel,
     Pid,
+    Pmd,
+    Povm,
     identity_free_simulation,
     pad_pid_outcomes,
     pid_from_pmd,
@@ -24,6 +26,7 @@ from pidlab.devices import (
     SimulationShape,
     validate_pid,
 )
+from pidlab.games import GameSpec, PiGameSpec
 from pidlab.linalg import choi_from_kraus, kron, max_abs, phi_plus
 from pidlab.presets import maximally_entangled_assemblage, xz_pmd
 
@@ -211,3 +214,22 @@ class TestClassicalPieces:
         assert f.is_valid()
         assert f.p_table().shape == (2, 1, 2, 1)
         assert f.q_table().shape == (3, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "build, shape",
+    [
+        (lambda a: Pid(2, 2, a), (2, 2, 4, 4)),
+        (Pmd, (2, 2, 2, 2)),
+        (Povm, (2, 2, 2)),
+        (lambda a: GameSpec(a, d_ref=2, dout=2), (2, 2, 4, 4)),
+        (lambda a: PiGameSpec(a, Povm(np.stack([np.eye(2) / 2] * 2))), (2, 2, 2, 2, 2)),
+    ],
+    ids=["pid", "pmd", "povm", "game", "pigame"],
+)
+def test_non_hermitian_stack_rejected(build, shape):
+    stack = np.broadcast_to(np.eye(shape[-1], dtype=complex), shape).copy()
+    build(stack)
+    stack[(0,) * (len(shape) - 2) + (0, 1)] = 1e-6
+    with pytest.raises(ValueError, match="antisymmetric"):
+        build(stack)

@@ -120,6 +120,13 @@ class TestEigHermitian:
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_small_drift(self):
+        # the package's one rule: a drift above 1e-12 of the largest entry is not Hermitian
+        m = np.diag([1.0, 2.0]).astype(complex)
+        m[0, 1] = 1e-10
+        with pytest.raises(ValueError, match="antisymmetric"):
+            eig_hermitian(m)
+
 
 class TestApplyChoi:
     def test_identity_channel(self):

@@ -234,13 +234,13 @@ class TestRandomFeasibleSuite:
             sol = solve(p, opts)
             assert sol.status is SdpStatus.OPTIMAL, f"trial {trial}"
             # KKT residuals
-            assert sol.primal_residual <= opts.feas_tol
-            assert sol.dual_residual <= opts.feas_tol
+            assert sol.primal_residual <= sdp.FEAS_TOL
+            assert sol.dual_residual <= sdp.FEAS_TOL
             # weak duality (minimization)
             assert sol.dual_value <= sol.primal_value + 1e-9
             # feasible blocks
             for xb in sol.primal_blocks:
-                assert np.linalg.eigvalsh(xb)[0] >= -opts.feas_tol
+                assert np.linalg.eigvalsh(xb)[0] >= -sdp.FEAS_TOL
 
 
 def _sparse_feasible_problem(rng, dims, supports, m):
@@ -319,10 +319,10 @@ class TestGroupedLayout:
             assert sol.status is SdpStatus.OPTIMAL
             assert [x.shape[0] for x in sol.primal_blocks] == list(GROUPED_DIMS)
             res = _kkt_residuals(p, sol)
-            assert res["primal"] <= opts.feas_tol
+            assert res["primal"] <= sdp.FEAS_TOL
             assert res["slack_match"] <= 1e-12
-            assert res["slack_psd"] <= opts.feas_tol
-            assert res["x_psd"] <= opts.feas_tol
+            assert res["slack_psd"] <= sdp.FEAS_TOL
+            assert res["x_psd"] <= sdp.FEAS_TOL
             assert res["gap"] <= 1e-6
 
     def test_block_order_does_not_matter(self):
