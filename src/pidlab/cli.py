@@ -101,6 +101,7 @@ def _checked(cast, ok, expected: str):
 
 _count = _checked(int, lambda v: v >= 1, "an integer of at least 1")
 _tolerance = _checked(float, lambda v: 0 <= v < math.inf, "a finite number of at least 0")
+_seed = _checked(int, lambda v: 0 <= v < 2**128, "an integer from 0 to 2**128 - 1")
 
 
 def _load(path: str, kinds: tuple[str, ...]):
@@ -308,7 +309,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
         "--max-iter", dest="opts", metavar="MAX_ITER", help="solver iteration cap",
         type=lambda text: SolveOptions(max_iter=_count(text)), **d(default=SolveOptions()),
     )
-    parser.add_argument("--seed", type=int, help="sampler seed", **d(default=0))
+    parser.add_argument("--seed", type=_seed, help="sampler seed", **d(default=0))
     parser.add_argument(
         "--json", action="store_true", help="machine-readable output", **d(default=False)
     )

@@ -144,29 +144,57 @@ class RoiCertificate:
     dout: int = 0
 
 
+def _primal_family(builder: ComplexSdpBuilder, maps: np.ndarray, p: Pid):
+    """Response blocks ``eta_f``, each ``J_{x1|x0}`` covered up to a slack block and
+    ``Tr_out sum_f eta_f`` proportional to 1; returns the ``eta`` and ``(x0, x1)`` slack handles."""
+    etas = builder.add_blocks(len(maps))
+    slacks = builder.add_blocks(p.n_programs * p.n_outcomes).reshape(p.n_programs, p.n_outcomes)
+    # one statement per (x0, x1): the covering blocks minus the slack equal J_{x1|x0}
+    basis = hermitian_basis(p.block_dim)
+    neg_basis = -basis
+    for x0, x1 in np.ndindex(p.n_programs, p.n_outcomes):
+        row = dict.fromkeys(etas[maps[:, x0] == x1], basis)
+        row[slacks[x0, x1]] = neg_basis
+        builder.add_constraint(row, np.einsum("kpq,pq->k", basis.conj(), p.blocks[x0, x1]).real)
+    traceless = kron_stack(traceless_basis(p.din), np.eye(p.dout)[None])
+    builder.add_constraint(dict.fromkeys(etas, traceless), np.zeros(len(traceless)))
+    return etas, slacks
+
+
+def _dual_family(builder: ComplexSdpBuilder, maps: np.ndarray, a: np.ndarray, din: int, dout: int):
+    """Blocks ``W_f`` with ``W_f + sum_x0 A_{f(x0)|x0} = Y (x) 1`` for every ``f``, the ``A`` being
+    the ``(n_programs, n_outcomes)`` handles ``a``; returns the ``W`` handles."""
+    ws = builder.add_blocks(len(maps))
+    # the sum is the same for every f: rows W_f - W_f0 plus the A's where f and f0 differ
+    basis = hermitian_basis(din * dout)
+    neg_basis = -basis
+    for f in range(1, len(maps)):
+        row = {ws[f]: basis, ws[0]: neg_basis}
+        for x0 in np.flatnonzero(maps[f] != maps[0]):
+            row[a[x0, maps[f, x0]]] = basis
+            row[a[x0, maps[0, x0]]] = neg_basis
+        builder.add_constraint(row, np.zeros(len(basis)))
+    # and the sum at f0 has no part outside (something) (x) identity
+    t_basis = kron_stack(hermitian_basis(din), traceless_basis(dout))
+    row = {**dict.fromkeys(a[np.arange(len(a)), maps[0]], t_basis), ws[0]: t_basis}
+    builder.add_constraint(row, np.zeros(len(t_basis)))
+    return ws
+
+
+def _family_beta(w0: np.ndarray, a: np.ndarray, maps: np.ndarray, din: int, dout: int):
+    """``Y`` read off ``W_f0 + sum_x0 A_{f0(x0)|x0} = Y (x) 1``."""
+    t0 = w0 + gather_responses(maps[:1], a)[0]
+    return partial_trace(t0, (din, dout), keep=(0,)) / dout
+
+
 def roi_primal(p: Pid, opts: SolveOptions = SolveOptions()) -> RoiCertificate:
     """Robustness via the primal program; the dual certificate is read off the multipliers."""
     strategies = enumerate_strategies(p.n_programs, p.n_outcomes)
     maps = response_maps(strategies)
-    d = p.block_dim
     din = p.din
-    builder = ComplexSdpBuilder(d)
-    etas = builder.add_blocks(len(maps))
-    slacks = builder.add_blocks(p.n_programs * p.n_outcomes).reshape(p.n_programs, p.n_outcomes)
-    builder.set_objective(dict.fromkeys(etas, np.eye(d, dtype=complex) / din))
-    # one statement per (x0, x1): the covering response blocks minus the
-    # slack equal J_{x1|x0}, over the whole Hermitian basis
-    basis = hermitian_basis(d)
-    neg_basis = -basis
-    for x0 in range(p.n_programs):
-        for x1 in range(p.n_outcomes):
-            row = dict.fromkeys(etas[maps[:, x0] == x1], basis)
-            row[slacks[x0, x1]] = neg_basis
-            builder.add_constraint(
-                row, np.einsum("kpq,pq->k", basis.conj(), p.blocks[x0, x1]).real
-            )
-    traceless = kron_stack(traceless_basis(din), np.eye(p.dout)[None])
-    builder.add_constraint(dict.fromkeys(etas, traceless), np.zeros(len(traceless)))
+    builder = ComplexSdpBuilder(p.block_dim)
+    etas, slacks = _primal_family(builder, maps, p)
+    builder.set_objective(dict.fromkeys(etas, np.eye(p.block_dim, dtype=complex) / din))
     res = builder.solve(opts).require_optimal("robustness primal")
 
     eta = res.primal_blocks[etas]
@@ -175,69 +203,40 @@ def roi_primal(p: Pid, opts: SolveOptions = SolveOptions()) -> RoiCertificate:
     omega = scatter_responses(maps, eta, p.n_outcomes)
     simple_mix = Pid(p.din, p.dout, omega / t)
     mother = Instrument(tuple(ChoiMatrix(p.din, p.dout, e / t) for e in eta))
-    noise = None
-    if r > 1e-8:
-        noise = Pid(p.din, p.dout, (omega - p.blocks) / r)
+    noise = Pid(p.din, p.dout, (omega - p.blocks) / r) if r > 1e-8 else None
 
     # dual certificate from the multipliers: the slack blocks' reduced costs are
     # the block functionals, and any response block exposes beta (x) 1.
     alpha_raw = res.dual_slacks[slacks]
-    t0 = res.dual_slacks[etas[0]] + gather_responses(maps[:1], alpha_raw)[0]
-    b_op = partial_trace(t0, (din, p.dout), keep=(0,)) / p.dout
-    scale = din * p.n_programs
-    alpha = scale * alpha_raw
+    b_op = _family_beta(res.dual_slacks[etas[0]], alpha_raw, maps, din, p.dout)
+    alpha = din * p.n_programs * alpha_raw
     beta = np.stack([din * b_op for _ in range(p.n_programs)])
     return RoiCertificate(
-        r=r,
-        gap=res.gap,
-        noise=noise,
-        simple_mix=simple_mix,
-        simplicity=SimplicityCertificate(strategies, mother),
-        alpha=alpha,
-        beta=beta,
-        dual_r=witness_value(alpha, p),
-        din=p.din,
-        dout=p.dout,
+        r=r, gap=res.gap, noise=noise, simple_mix=simple_mix,
+        simplicity=SimplicityCertificate(strategies, mother), alpha=alpha, beta=beta,
+        dual_r=witness_value(alpha, p), din=p.din, dout=p.dout,
     )
 
 
 def roi_dual(p: Pid, opts: SolveOptions = SolveOptions()) -> RoiCertificate:
     """Robustness via the explicit dual program (independent of :func:`roi_primal`)."""
     maps = response_maps(enumerate_strategies(p.n_programs, p.n_outcomes))
-    d = p.block_dim
-    din, dout = p.din, p.dout
+    din, dout, d = p.din, p.dout, p.block_dim
     builder = ComplexSdpBuilder(d)
     alphas = builder.add_blocks(p.n_programs * p.n_outcomes).reshape(p.n_programs, p.n_outcomes)
-    ws = builder.add_blocks(len(maps))
     scores = p.blocks.reshape(-1, d, d) / (din * p.n_programs)
     builder.set_objective(dict(zip(alphas.ravel(), scores)), sense="max")
-    # W_f + sum_x0 alpha_{f(x0)|x0} is the same for every f: each row states
-    # W_f - W_f0 plus the alphas where f and f0 differ, over the Hermitian basis
-    basis = hermitian_basis(d)
-    neg_basis = -basis
-    for f in range(1, len(maps)):
-        row = {ws[f]: basis, ws[0]: neg_basis}
-        for x0 in np.flatnonzero(maps[f] != maps[0]):
-            row[alphas[x0, maps[f, x0]]] = basis
-            row[alphas[x0, maps[0, x0]]] = neg_basis
-        builder.add_constraint(row, np.zeros(len(basis)))
-    # T := W_f0 + sum_x0 alpha_{f0(x0)|x0} must equal (something) (x) identity
-    t_basis = kron_stack(hermitian_basis(din), traceless_basis(dout))
-    eye_d = np.eye(d, dtype=complex)[None]
-    for mats, rhs in ((t_basis, 0.0), (eye_d, float(din * p.n_programs * dout))):
-        row = dict.fromkeys(alphas[np.arange(p.n_programs), maps[0]], mats)
-        row[ws[0]] = mats
-        builder.add_constraint(row, np.full(len(mats), rhs))
+    ws = _dual_family(builder, maps, alphas, din, dout)
+    eye_d = np.eye(d, dtype=complex)[None]  # and the trace at f0 is fixed
+    row = {**dict.fromkeys(alphas[np.arange(p.n_programs), maps[0]], eye_d), ws[0]: eye_d}
+    builder.add_constraint(row, [float(din * p.n_programs * dout)])
 
     res = builder.solve(opts).require_optimal("robustness dual")
     alpha = res.primal_blocks[alphas]
-    t0 = res.primal_blocks[ws[0]] + gather_responses(maps[:1], alpha)[0]
-    b_op = partial_trace(t0, (din, dout), keep=(0,)) / dout
+    b_op = _family_beta(res.primal_blocks[ws[0]], alpha, maps, din, dout)
     beta = np.stack([b_op / p.n_programs for _ in range(p.n_programs)])
     r = res.primal_value - 1.0
-    return RoiCertificate(
-        r=r, gap=res.gap, alpha=alpha, beta=beta, dual_r=r, din=p.din, dout=p.dout
-    )
+    return RoiCertificate(r=r, gap=res.gap, alpha=alpha, beta=beta, dual_r=r, din=din, dout=dout)
 
 
 def roi(p: Pid, opts: SolveOptions = SolveOptions()) -> RoiCertificate:

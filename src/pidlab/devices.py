@@ -170,9 +170,6 @@ class Pmd:
     def is_valid(self, tol: float = 1e-9) -> bool:
         return self.cp_defect() <= tol and self.completeness_defect() <= tol
 
-    def transpose(self) -> "Pmd":
-        return Pmd(self.effects.transpose(0, 1, 3, 2))
-
 
 @dataclass(frozen=True)
 class Povm:

@@ -78,6 +78,8 @@ def _decode_matrices(data: Any, counts: tuple[int, ...], dim: int, what: str) ->
         raise DeviceFileError(
             f"{what}: expected shape {(dim, dim, 2)} of [re, im] pairs, got {arr.shape}"
         )
+    if not np.isfinite(arr).all():
+        raise DeviceFileError(f"{what}: every number must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -200,7 +202,10 @@ def _simulation(data: dict) -> FreeSimulation:
     for key in ("p_table", "q_table"):
         raw = _require(data, key, kind)
         try:
-            tables.append(ClassicalChannel(np.asarray(raw, dtype=float)))
+            table = np.asarray(raw, dtype=float)
+            if not np.isfinite(table).all():
+                raise ValueError("every number must be finite")
+            tables.append(ClassicalChannel(table))
         except (TypeError, ValueError) as exc:
             raise DeviceFileError(f"{kind} field {key!r}: {exc}") from exc
     return FreeSimulation(shape=shape, pre=pre, post=post, p_cc=tables[0], q_cc=tables[1])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -32,6 +33,17 @@ from pidlab.presets import (
 
 
 XZ_ASSEMBLAGE = os.path.join(os.path.dirname(__file__), "fixtures", "entangled_xz_assemblage.json")
+# per device-file kind, the file of the ``files`` fixture holding it and the
+# [re, im] pair of entry (0, 1) of its first matrix
+FIRST_ENTRY = {
+    "pid": ("simple", ("blocks", 0, 0, 0, 1)),
+    "pmd": ("xz_pmd", ("effects", 0, 0, 0, 1)),
+    "povm": ("tetra", ("effects", 0, 0, 1)),
+    "instrument": ("broadcast", ("branches", 0, 0, 1)),
+    "game": ("game", ("effects", 0, 0, 0, 1)),
+    "pigame": ("pigame", ("ensemble", 0, 0, 0, 0, 0)),  # its states are 1 x 1: entry (0, 0)
+    "simulation": ("sim", ("pre", 0, 1)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -208,20 +220,9 @@ class TestRoundTrip:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "name, entry",
-        [
-            ("simple", ("blocks", 0, 0, 0, 1)),
-            ("xz_pmd", ("effects", 0, 0, 0, 1)),
-            ("tetra", ("effects", 0, 0, 1)),
-            ("broadcast", ("branches", 0, 0, 1)),
-            ("game", ("effects", 0, 0, 0, 1)),
-            ("pigame", ("ensemble", 0, 0, 0, 0, 0)),  # its states are 1 x 1
-            ("sim", ("pre", 0, 1)),
-        ],
-        ids=["pid", "pmd", "povm", "instrument", "game", "pigame", "simulation"],
-    )
-    def test_non_hermitian_matrix_rejected(self, files, name, entry, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", io.KINDS)
+    def test_non_hermitian_matrix_rejected(self, files, kind, tmp_path, capsys):
+        name, entry = FIRST_ENTRY[kind]
         data = json.load(open(files[name], encoding="utf-8"))
         cell = data
         for key in entry:
@@ -234,6 +235,26 @@ class TestRoundTrip:
         assert main(["validate", str(p)]) == 2
         err = capsys.readouterr().err
         assert str(p) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", io.KINDS)
+    def test_non_finite_number_rejected(self, files, kind, tmp_path, capsys):
+        # NaN and Infinity are JSON to Python's json module, never numbers of a device
+        name, entry = FIRST_ENTRY[kind]
+        targets = [(*entry, 0)] + ([("p_table", 0, 0)] if kind == "simulation" else [])
+        p = tmp_path / f"{name}.json"
+        for value in (math.nan, math.inf):
+            for target in targets:
+                data = json.load(open(files[name], encoding="utf-8"))
+                cell = data
+                for key in target[:-1]:
+                    cell = cell[key]
+                cell[target[-1]] = value
+                p.write_text(json.dumps(data))
+                with pytest.raises(io.DeviceFileError, match="finite"):
+                    io.read_device(str(p))
+                assert main(["validate", str(p)]) == 2, (value, target)
+                err = capsys.readouterr().err
+                assert str(p) in err and target[0] in err and "Traceback" not in err, (value, target)
 
 
 class TestCommands:
@@ -395,7 +416,7 @@ class TestCommands:
                     err = capsys.readouterr().err
                     assert path in err and " or ".join(accepted) in err, argv
                     assert "Traceback" not in err, argv
-        # a size or count below 1, or a negative or non-finite tolerance
+        # a size or count below 1, a negative or non-finite tolerance, or a seed out of range
         for argv in (
             ["sample", "pid", "--din", "0"],
             ["sample", "simple-pid", "--outcomes", "0"],
@@ -409,6 +430,8 @@ class TestCommands:
             ["roi", files["generic"], "--tol", "inf"],
             ["witness", files["generic"], "--dummy", "0"],
             ["verify-bound", files["generic"], "--schedule", "8,0"],
+            ["--seed", "-1", "sample", "pid"],
+            ["sample", "pid", "--seed", str(2**128)],
         ):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
