@@ -30,7 +30,6 @@ from .devices import (
     random_pid,
     random_simple_pid,
     steer,
-    validate_pid,
 )
 from .games import (
     GameSpec,

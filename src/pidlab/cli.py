@@ -32,7 +32,6 @@ from .devices import (
     random_pid,
     random_simple_pid,
     steer,
-    validate_pid,
 )
 from .games import (
     game_value,
@@ -43,6 +42,7 @@ from .games import (
     witness_ensemble,
     witness_game,
 )
+from .linalg import VALID_TOL
 from .sdp import SolveOptions
 from .sem import sem, sem_monotone_value
 from .simulation import apply_free_simulation
@@ -114,14 +114,8 @@ def _load(path: str, kinds: tuple[str, ...]):
 
 
 def _cmd_validate(args) -> int:
-    obj, payload = args.file, {"kind": io.kind_of(args.file)}
-    if payload["kind"] == "pid":
-        rep = validate_pid(obj)
-        for key in ("cp_defect", "nonsignaling_defect", "tp_defect"):
-            payload[key] = getattr(rep, key)
-        payload["valid"] = rep.ok(args.tol)
-    else:
-        payload["valid"] = obj.is_valid(args.tol)
+    obj = args.file
+    payload = {"kind": io.kind_of(obj), **obj.defects(), "valid": obj.is_valid(args.tol)}
     _emit(payload, args.json)
     return 0 if payload["valid"] else 1
 
@@ -179,12 +173,11 @@ def _cmd_steer(args) -> int:
     if args.channel.n_branches != 1:
         raise _CliError("steering needs a single-branch broadcast channel", USAGE_ERROR)
     pid = steer(args.channel.branches[0], args.pmd)
-    rep = validate_pid(pid)
     _emit(
         {
             "din": pid.din,
             "dout": pid.dout,
-            "nonsignaling_defect": rep.nonsignaling_defect,
+            "nonsignaling_defect": pid.defects()["nonsignaling_defect"],
         },
         args.json,
     )
@@ -195,11 +188,11 @@ def _cmd_steer(args) -> int:
 
 def _cmd_simulate(args) -> int:
     out = apply_free_simulation(args.simulation, args.pid)
-    rep = validate_pid(out)
-    _emit({"valid": rep.ok(args.tol), "max_defect": rep.max_defect()}, args.json)
+    valid = out.is_valid(args.tol)
+    _emit({"valid": valid, "max_defect": max(out.defects().values())}, args.json)
     if args.out:
         io.write_device(args.out, out, metadata={"description": "transformed device"})
-    return 0 if rep.ok(args.tol) else 1
+    return 0 if valid else 1
 
 
 def _cmd_game_value(args) -> int:
@@ -304,7 +297,9 @@ def _cmd_pi_witness(args) -> int:
 def _add_common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     """Common flags, accepted both before and after the subcommand."""
     d = dict if top else (lambda **kw: {**kw, "default": argparse.SUPPRESS})
-    parser.add_argument("--tol", type=_tolerance, help="validation tolerance", **d(default=1e-8))
+    parser.add_argument(
+        "--tol", type=_tolerance, help="validation tolerance", **d(default=VALID_TOL)
+    )
     parser.add_argument(  # every solve runs at SolveOptions() but for this cap
         "--max-iter", dest="opts", metavar="MAX_ITER", help="solver iteration cap",
         type=lambda text: SolveOptions(max_iter=_count(text)), **d(default=SolveOptions()),

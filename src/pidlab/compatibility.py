@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .devices import Instrument, Pid, Pmd, Povm, pid_from_pmd
-from .linalg import ChoiMatrix, max_abs, min_eig, partial_trace
+from .linalg import ChoiMatrix, max_abs, partial_trace, psd_defect, tp_defect
 from .sdp import ComplexSdpBuilder, SolveOptions, hermitian_basis, kron_stack, traceless_basis
 
 __all__ = [
@@ -116,10 +116,11 @@ def simplicity_residuals(target: Pid, certificate: SimplicityCertificate) -> dic
     mother = certificate.mother
     branches = np.stack([b.mat for b in mother.branches])
     recon = scatter_responses(response_maps(certificate.strategies), branches, target.n_outcomes)
+    defects = mother.defects()
     return {
         "simple_matching": max_abs(recon - target.blocks),
-        "simple_cp": mother.cp_defect(),
-        "simple_tp": mother.tp_defect(),
+        "simple_cp": defects["cp_defect"],
+        "simple_tp": defects["tp_defect"],
     }
 
 
@@ -302,16 +303,13 @@ def verify_roi_certificate(p: Pid, cert: RoiCertificate) -> dict[str, float]:
         # The noise must be a device: checked on r * noise = (1+r) simple_mix - J,
         # since dividing by r would magnify the solver's error by 1/r.
         scaled_noise = (1.0 + cert.r) * cert.simple_mix.blocks - p.blocks
-        out["noise_psd"] = max(0.0, -min_eig(scaled_noise))
+        out["noise_psd"] = psd_defect(scaled_noise)
         out["noise_tp"] = max(
-            max_abs(
-                partial_trace(scaled_noise[x0].sum(axis=0), (p.din, p.dout), keep=(0,))
-                - cert.r * np.eye(p.din)
-            )
-            for x0 in range(p.n_programs)
+            tp_defect(program.sum(axis=0), p.din, p.dout, trace=cert.r)
+            for program in scaled_noise
         )
     if cert.alpha is not None:
-        out["alpha_psd"] = max(0.0, -min_eig(cert.alpha))
+        out["alpha_psd"] = psd_defect(cert.alpha)
         if cert.beta is None:
             raise ValueError("certificate has alpha but no beta")
         out["beta_trace"] = abs(
@@ -322,7 +320,7 @@ def verify_roi_certificate(p: Pid, cert: RoiCertificate) -> dict[str, float]:
         kron_beta = kron_stack(cert.beta, np.eye(p.dout)[None])
         maps = response_maps(enumerate_strategies(p.n_programs, p.n_outcomes))
         acc = gather_responses(maps, kron_beta[:, None] - cert.alpha)
-        out["dual_family_psd"] = max(0.0, -min_eig(acc))
+        out["dual_family_psd"] = psd_defect(acc)
         if cert.dual_r is not None:
             out["dual_value_consistency"] = abs(witness_value(cert.alpha, p) - cert.dual_r)
     return out

@@ -20,13 +20,14 @@ import numpy as np
 
 from .linalg import (
     ChoiMatrix,
+    Validated,
     choi_from_kraus,
     choi_identity,
     choi_tensor,
     hermitize,
     max_abs,
-    min_eig,
-    partial_trace,
+    psd_defect,
+    tp_defect,
     trace_norm,
 )
 
@@ -35,7 +36,6 @@ __all__ = [
     "FreeSimulation",
     "Instrument",
     "Pid",
-    "PidValidationReport",
     "Pmd",
     "Povm",
     "SimplePidSample",
@@ -58,10 +58,8 @@ __all__ = [
     "simple_pid_from_mixture",
     "steer",
     "tensor_pid",
-    "validate_pid",
 ]
 
-DEFAULT_TOL = 1e-8
 # the index sets a transformation's source and target both carry
 _WINGS = ("din", "dout", "programs", "outcomes")
 
@@ -91,12 +89,12 @@ def _hermitian_stack(obj, name: str, ndim: int, message: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Pid:
+class Pid(Validated):
     """Family of CP-map Choi blocks indexed ``(program, outcome)``.
 
     ``blocks`` has shape ``(n_programs, n_outcomes, din*dout, din*dout)``.
-    Construction only checks shapes and Hermiticity; use :func:`validate_pid`
-    for the CP / non-signaling / marginal-TP diagnostics.
+    Construction only checks shapes and Hermiticity; :meth:`defects` measures
+    the CP / non-signaling / marginal-TP conditions.
     """
 
     din: int
@@ -136,9 +134,23 @@ class Pid:
         """Choi matrix of the coarse-grained channel for program ``x0``."""
         return self.blocks[x0].sum(axis=0)
 
+    def defects(self) -> dict[str, float]:
+        """CP per block, non-signaling across programs, TP of the average marginal.
+
+        The non-signaling defect is the largest trace-norm distance between the
+        coarse-grained channels of two programs.
+        """
+        margs = [self.marginal(x0) for x0 in range(self.n_programs)]
+        pairs = itertools.combinations(margs, 2)
+        return {
+            "cp_defect": psd_defect(self.blocks),
+            "nonsignaling_defect": max((trace_norm(a - b) for a, b in pairs), default=0.0),
+            "tp_defect": tp_defect(sum(margs) / len(margs), self.din, self.dout),
+        }
+
 
 @dataclass(frozen=True)
-class Pmd:
+class Pmd(Validated):
     """Family of POVM effects indexed ``(program, outcome)`` on one system."""
 
     effects: np.ndarray = field(repr=False)
@@ -158,21 +170,16 @@ class Pmd:
     def dim(self) -> int:
         return self.effects.shape[2]
 
-    def cp_defect(self) -> float:
-        return max(0.0, -min_eig(self.effects))
-
-    def completeness_defect(self) -> float:
+    def defects(self) -> dict[str, float]:
         eye = np.eye(self.dim)
-        return max(
-            max_abs(self.effects[x0].sum(axis=0) - eye) for x0 in range(self.n_programs)
-        )
-
-    def is_valid(self, tol: float = 1e-9) -> bool:
-        return self.cp_defect() <= tol and self.completeness_defect() <= tol
+        return {
+            "cp_defect": psd_defect(self.effects),
+            "completeness_defect": max(max_abs(e.sum(axis=0) - eye) for e in self.effects),
+        }
 
 
 @dataclass(frozen=True)
-class Povm:
+class Povm(Validated):
     """Measurement effects on one system; ``factor_dims`` declares a tensor split."""
 
     effects: np.ndarray = field(repr=False)
@@ -192,18 +199,15 @@ class Povm:
     def dim(self) -> int:
         return self.effects.shape[1]
 
-    def cp_defect(self) -> float:
-        return max(0.0, -min_eig(self.effects))
-
-    def completeness_defect(self) -> float:
-        return max_abs(self.effects.sum(axis=0) - np.eye(self.dim))
-
-    def is_valid(self, tol: float = 1e-9) -> bool:
-        return self.cp_defect() <= tol and self.completeness_defect() <= tol
+    def defects(self) -> dict[str, float]:
+        return {
+            "cp_defect": psd_defect(self.effects),
+            "completeness_defect": max_abs(self.effects.sum(axis=0) - np.eye(self.dim)),
+        }
 
 
 @dataclass(frozen=True)
-class Instrument:
+class Instrument(Validated):
     """CP branches with a trace-preserving sum."""
 
     branches: tuple[ChoiMatrix, ...]
@@ -228,18 +232,11 @@ class Instrument:
     def n_branches(self) -> int:
         return len(self.branches)
 
-    def total(self) -> np.ndarray:
-        return sum(b.mat for b in self.branches)
-
-    def cp_defect(self) -> float:
-        return max(0.0, -min_eig(np.stack([b.mat for b in self.branches])))
-
-    def tp_defect(self) -> float:
-        marg = partial_trace(self.total(), (self.din, self.dout), keep=(0,))
-        return max_abs(marg - np.eye(self.din))
-
-    def is_valid(self, tol: float = 1e-9) -> bool:
-        return self.cp_defect() <= tol and self.tp_defect() <= tol
+    def defects(self) -> dict[str, float]:
+        return {
+            "cp_defect": psd_defect(np.stack([b.mat for b in self.branches])),
+            "tp_defect": tp_defect(sum(b.mat for b in self.branches), self.din, self.dout),
+        }
 
 
 @dataclass(frozen=True)
@@ -333,7 +330,7 @@ class SimulationShape:
 
 
 @dataclass(frozen=True)
-class FreeSimulation:
+class FreeSimulation(Validated):
     """Pre/post/side processing connected only through classical memory.
 
     ``pre`` maps the target input to (source input (x) side system), ``post``
@@ -371,49 +368,12 @@ class FreeSimulation:
         s = self.shape
         return self.q_cc.table.reshape(s.target_outcomes, s.source_outcomes, s.n_flags)
 
-    def is_valid(self, tol: float = 1e-9) -> bool:
-        return (
-            self.pre.is_cp(tol)
-            and self.pre.is_tp(tol)
-            and self.post.cp_defect() <= tol
-            and self.post.tp_defect() <= tol
-        )
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PidValidationReport:
-    cp_defect: float
-    nonsignaling_defect: float
-    tp_defect: float
-
-    def max_defect(self) -> float:
-        return max(self.cp_defect, self.nonsignaling_defect, self.tp_defect)
-
-    def ok(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.max_defect() <= tol
-
-
-def validate_pid(p: Pid) -> PidValidationReport:
-    """Diagnostic defects: CP per block, non-signaling across programs, TP marginal.
-
-    The non-signaling defect is the largest trace-norm distance between the
-    coarse-grained channels of two programs; the other defects are the most
-    negative block eigenvalue and the deviation of the marginal from identity.
-    """
-    cp = max(0.0, -min_eig(p.blocks))
-    margs = [p.marginal(x0) for x0 in range(p.n_programs)]
-    ns = 0.0
-    for a in range(len(margs)):
-        for b in range(a + 1, len(margs)):
-            ns = max(ns, trace_norm(margs[a] - margs[b]))
-    avg = sum(margs) / len(margs)
-    tp = max_abs(partial_trace(avg, (p.din, p.dout), keep=(0,)) - np.eye(p.din))
-    return PidValidationReport(cp_defect=cp, nonsignaling_defect=ns, tp_defect=tp)
+    def defects(self) -> dict[str, float]:
+        """The defects of ``pre`` as a channel and of ``post``, prefixed ``pre_`` and ``post_``."""
+        return {
+            **{f"pre_{k}": v for k, v in self.pre.defects().items()},
+            **{f"post_{k}": v for k, v in self.post.defects().items()},
+        }
 
 
 # ---------------------------------------------------------------------------

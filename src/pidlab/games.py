@@ -30,7 +30,7 @@ from .compatibility import (
     scatter_responses,
 )
 from .devices import Pid, Povm, _hermitian_stack, pad_pid_outcomes
-from .linalg import hermitize, max_abs, min_eig
+from .linalg import Validated, hermitize, max_abs, psd_defect
 from .sdp import SolveOptions, best_instrument, best_instruments, hermitian_basis
 
 __all__ = [
@@ -56,7 +56,7 @@ _MERGE_TOL = 1e-12  # largest entry difference of two effect columns merged as o
 
 
 @dataclass(frozen=True)
-class GameSpec:
+class GameSpec(Validated):
     """Bipartite POVM indexed ``(m, n)`` over referee factor ``d_ref`` and ``dout``."""
 
     effects: np.ndarray = field(repr=False)  # (n_m, n_n, D, D) with D = d_ref*dout
@@ -77,15 +77,12 @@ class GameSpec:
     def n_n(self) -> int:
         return self.effects.shape[1]
 
-    def completeness_defect(self) -> float:
+    def defects(self) -> dict[str, float]:
         d = self.d_ref * self.dout
-        return max_abs(self.effects.sum(axis=(0, 1)) - np.eye(d))
-
-    def cp_defect(self) -> float:
-        return max(0.0, -min_eig(self.effects))
-
-    def is_valid(self, tol: float = 1e-9) -> bool:
-        return self.cp_defect() <= tol and self.completeness_defect() <= tol
+        return {
+            "cp_defect": psd_defect(self.effects),
+            "completeness_defect": max_abs(self.effects.sum(axis=(0, 1)) - np.eye(d)),
+        }
 
 
 def _score_value(score: np.ndarray, norm: int, din: int, dout: int, strategy: Pid) -> float:
@@ -306,7 +303,7 @@ def verify_robustness_bound(
 
 
 @dataclass(frozen=True)
-class PiGameSpec:
+class PiGameSpec(Validated):
     """State ensemble indexed ``(m, n, l)`` plus the referee's fixed POVM."""
 
     ensemble: np.ndarray = field(repr=False)  # (n_m, n_n, n_l, d0, d0)
@@ -338,14 +335,14 @@ class PiGameSpec:
     def dout(self) -> int:
         return self.povm_l.dim
 
-    def total_probability(self) -> float:
-        return float(np.real(np.einsum("mnlpp->", self.ensemble)))
-
-    def cp_defect(self) -> float:
-        return max(0.0, -min_eig(self.ensemble))
-
-    def is_valid(self, tol: float = 1e-9) -> bool:
-        return self.cp_defect() <= tol and abs(self.total_probability() - 1.0) <= tol
+    def defects(self) -> dict[str, float]:
+        """The ensemble's defects and the referee POVM's, the latter prefixed ``povm_l_``."""
+        total = float(np.real(np.einsum("mnlpp->", self.ensemble)))
+        return {
+            "cp_defect": psd_defect(self.ensemble),
+            "normalization_defect": abs(total - 1.0),
+            **{f"povm_l_{k}": v for k, v in self.povm_l.defects().items()},
+        }
 
 
 def _pi_score(g: PiGameSpec) -> np.ndarray:

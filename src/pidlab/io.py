@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from typing import Any
 
 import numpy as np
@@ -178,7 +179,12 @@ def from_document(data: dict, kinds: tuple[str, ...] = KINDS):
             )
         kwargs["factor_dims"] = tuple(fd) if fd else None
     elif kind == "pigame":
-        kwargs["povm_l"] = from_document(_require(data, "povm_l", kind), ("povm",))
+        povm_l = _require(data, "povm_l", kind)
+        try:
+            kwargs["povm_l"] = from_document(povm_l, ("povm",))
+        except DeviceFileError as exc:  # name the field from the outer document
+            sep = "." if re.match(r"\w+(\[\d+\])*: ", str(exc)) else ": "
+            raise DeviceFileError(f"povm_l{sep}{exc}") from exc
     return cls(**kwargs, **{field: stack})
 
 

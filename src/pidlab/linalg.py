@@ -8,7 +8,10 @@ Conventions used throughout the package:
   unnormalized maximally entangled operator ``phi_plus``.
 * A map is completely positive iff its Choi matrix is positive semidefinite
   and trace preserving iff the partial trace of the Choi matrix over the
-  output factor is the identity on the input factor.
+  output factor is the identity on the input factor.  :func:`psd_defect` and
+  :func:`tp_defect` measure how far a matrix is from each, and every kind
+  checked by its named defects (:class:`Validated`) is valid when none exceeds
+  ``VALID_TOL`` or the tolerance a caller gives.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 HERMITIZE_TOL = 1e-12
+VALID_TOL = 1e-8  # the largest defect of a valid object, unless a caller gives a tolerance
 DEFAULT_RANK_TOL = 1e-8
 _MAG_TOL = 1e-8  # entries at most this large carry no phase in eig_hermitian's tie-breaks
 
 __all__ = [
     "ChoiMatrix",
+    "Validated",
     "apply_choi",
     "check_hermitian",
     "choi_from_kraus",
@@ -38,6 +43,8 @@ __all__ = [
     "min_eig",
     "partial_trace",
     "phi_plus",
+    "psd_defect",
+    "tp_defect",
     "trace_norm",
 ]
 
@@ -113,6 +120,29 @@ def min_eig(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((h + h.conj().swapaxes(-1, -2)) / 2)[..., 0].min())
 
 
+def psd_defect(h: np.ndarray) -> float:
+    """Distance of a Hermitian matrix, or the worst of a stack, from PSD: ``-min_eig`` or 0."""
+    lowest = min_eig(h)
+    return max(0.0, -lowest)
+
+
+def tp_defect(mat: np.ndarray, din: int, dout: int, trace: float = 1.0) -> float:
+    """Largest entry magnitude of ``Tr_out mat - trace * 1_in``, ``mat`` on ``din (x) dout``."""
+    return max_abs(partial_trace(mat, (din, dout), keep=(0,)) - trace * np.eye(din))
+
+
+class Validated:
+    """Base of the kinds checked by named defects, each a distance from one defining condition."""
+
+    def defects(self) -> dict[str, float]:
+        """Each defect by name; all are 0 for an exactly valid object."""
+        raise NotImplementedError
+
+    def is_valid(self, tol: float = VALID_TOL) -> bool:
+        """No defect exceeds ``tol``."""
+        return all(v <= tol for v in self.defects().values())
+
+
 def _canonical_phase(vecs: np.ndarray) -> np.ndarray:
     """Fix each column's global phase so its first sizable entry is real positive."""
     out = vecs.copy()
@@ -170,8 +200,8 @@ def phi_plus(d: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ChoiMatrix:
-    """Choi matrix of a CP map ``in -> out`` in the input-major basis."""
+class ChoiMatrix(Validated):
+    """Choi matrix of a CP map ``in -> out`` in the input-major basis; valid as a channel."""
 
     din: int
     dout: int
@@ -191,18 +221,11 @@ class ChoiMatrix:
     def dim(self) -> int:
         return self.din * self.dout
 
-    def cp_defect(self) -> float:
-        return max(0.0, -min_eig(self.mat))
-
-    def tp_defect(self) -> float:
-        marg = partial_trace(self.mat, (self.din, self.dout), keep=(0,))
-        return max_abs(marg - np.eye(self.din))
-
-    def is_cp(self, tol: float = 1e-9) -> bool:
-        return min_eig(self.mat) >= -tol
-
-    def is_tp(self, tol: float = 1e-9) -> bool:
-        return self.tp_defect() <= tol
+    def defects(self) -> dict[str, float]:
+        return {
+            "cp_defect": psd_defect(self.mat),
+            "tp_defect": tp_defect(self.mat, self.din, self.dout),
+        }
 
     def as_tensor(self) -> np.ndarray:
         """Leg layout ``T[i, j, a, b] = J[(i, a), (j, b)]`` (in-row, in-col, out-row, out-col)."""

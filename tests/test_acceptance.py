@@ -40,7 +40,6 @@ from pidlab.devices import (
     random_pid,
     random_simple_pid,
     tensor_pid,
-    validate_pid,
 )
 from pidlab.games import verify_robustness_bound
 from pidlab.linalg import max_abs
@@ -190,7 +189,7 @@ def test_criterion_4_transformation_suite():
         )
         f = random_free_simulation(shape, seed=9500 + i)
         out = apply_free_simulation(f, p)
-        if not validate_pid(out).ok(1e-8):
+        if not out.is_valid(1e-8):
             invalid += 1
     simple_broken = 0
     for i in range(60):

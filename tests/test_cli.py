@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -43,6 +44,21 @@ FIRST_ENTRY = {
     "game": ("game", ("effects", 0, 0, 0, 1)),
     "pigame": ("pigame", ("ensemble", 0, 0, 0, 0, 0)),  # its states are 1 x 1: entry (0, 0)
     "simulation": ("sim", ("pre", 0, 1)),
+}
+# per device-file kind, the defects ``validate`` prints, and one matrix of the kind's ``files``
+# fixture whose doubling breaks the named defect
+DEFECTS = {
+    "pid": (("cp_defect", "nonsignaling_defect", "tp_defect"),
+            ("blocks", 0, 0), "nonsignaling_defect"),
+    "pmd": (("cp_defect", "completeness_defect"), ("effects", 0, 0), "completeness_defect"),
+    "povm": (("cp_defect", "completeness_defect"), ("effects", 0), "completeness_defect"),
+    "instrument": (("cp_defect", "tp_defect"), ("branches", 0), "tp_defect"),
+    "game": (("cp_defect", "completeness_defect"), ("effects", 0, 0), "completeness_defect"),
+    "pigame": (("cp_defect", "normalization_defect", "povm_l_cp_defect",
+                "povm_l_completeness_defect"),
+               ("povm_l", "effects", 0), "povm_l_completeness_defect"),
+    "simulation": (("pre_cp_defect", "pre_tp_defect", "post_cp_defect", "post_tp_defect"),
+                   ("post", 0), "post_tp_defect"),
 }
 
 
@@ -256,8 +272,56 @@ class TestRoundTrip:
                 err = capsys.readouterr().err
                 assert str(p) in err and target[0] in err and "Traceback" not in err, (value, target)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda povm: povm["effects"][0][0][0].__setitem__(0, math.nan),
+             "povm_l.effects[0]: every number must be finite"),
+            (lambda povm: povm.__setitem__("effects", povm["effects"][:1]),
+             "povm_l.effects: expected a list of 4 entries, got 1 entries"),
+        ],
+        ids=["nan", "cut"],
+    )
+    def test_embedded_povm_field_named(self, files, edit, message, tmp_path, capsys):
+        data = json.load(open(files["pigame"], encoding="utf-8"))
+        edit(data["povm_l"])
+        p = tmp_path / "pigame.json"
+        p.write_text(json.dumps(data))
+        with pytest.raises(io.DeviceFileError, match=re.escape(message)):
+            io.read_device(str(p))
+        assert main(["validate", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"{p}: {message}" in err and "Traceback" not in err
+
 
 class TestCommands:
+    @pytest.mark.parametrize("kind", io.KINDS)
+    def test_validate_names_each_defect(self, files, kind, tmp_path, capsys):
+        names, matrix, broken = DEFECTS[kind]
+        name, _ = FIRST_ENTRY[kind]
+
+        def validate(path, *flags):
+            code = main(["validate", path, *flags])
+            return code, [line.split(": ", 1) for line in capsys.readouterr().out.splitlines()]
+
+        code, lines = validate(files[name])
+        assert code == 0 and [k for k, _ in lines] == ["kind", *names, "valid"]
+        assert dict(lines)["kind"] == kind and lines[-1] == ["valid", "True"]
+        # double one matrix: the named defect breaks, so validate exits 1 and names it
+        data = json.load(open(files[name], encoding="utf-8"))
+        stack = data
+        for key in matrix[:-1]:
+            stack = stack[key]
+        stack[matrix[-1]] = (2 * np.asarray(stack[matrix[-1]])).tolist()
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(data))
+        code, lines = validate(str(p))
+        assert code == 1 and [k for k, _ in lines] == ["kind", *names, "valid"]
+        assert float(dict(lines)[broken]) > 0.1 and lines[-1] == ["valid", "False"]
+        # a tolerance above every defect accepts it
+        tol = str(2 * max(float(v) for _, v in lines[1:-1]))
+        assert validate(str(p), "--tol", tol) == (0, [*lines[:-1], ["valid", "True"]])
+
     def test_validate_good_and_bad(self, files, capsys):
         assert main(["validate", files["simple"]]) == 0
         out = capsys.readouterr().out

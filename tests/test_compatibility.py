@@ -34,7 +34,6 @@ from pidlab.devices import (
     random_simple_pid,
     rng_from_seed,
     steer,
-    validate_pid,
 )
 from pidlab.linalg import ChoiMatrix, choi_from_kraus, kron, max_abs, min_eig
 from pidlab.presets import (
@@ -199,7 +198,7 @@ class TestSimplicity:
 
     def test_negated_blocks_rejected_upstream(self):
         p = random_pid(2, 2, 2, 2, seed=23)
-        assert validate_pid(p).ok()
+        assert p.is_valid()
 
 
 class TestRoi:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from pidlab.compatibility import is_simple_pid, roi_dual, roi_primal
-from pidlab.devices import random_pid, random_simple_pid, validate_pid
+from pidlab.devices import random_pid, random_simple_pid
 from pidlab.games import GameSpec, game_value, pguess_simple
 from pidlab.linalg import max_abs
 from pidlab.sem import canonical_dilation, reconstruct_pid, sem
@@ -11,7 +11,7 @@ from pidlab.sem import canonical_dilation, reconstruct_pid, sem
 
 def test_rectangular_device_roi_and_round_trip():
     p = random_pid(2, 3, 2, 3, seed=42)
-    assert validate_pid(p).ok(1e-9)
+    assert p.is_valid(1e-9)
     prim = roi_primal(p)
     dual = roi_dual(p)
     assert abs(prim.r - dual.r) <= 1e-6

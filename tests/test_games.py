@@ -319,8 +319,9 @@ class TestDualFrame:
         t = (t + t.conj().transpose(0, 1, 3, 2)) / 2
         frame = solver.solve(t)
         g = witness_ensemble(frame)
-        assert g.cp_defect() <= 1e-10
-        assert abs(g.total_probability() - 1.0) <= 1e-9
+        defects = g.defects()
+        assert defects["cp_defect"] <= 1e-10
+        assert defects["normalization_defect"] <= 1e-9
 
     def test_separation_end_to_end(self):
         # a non-simple device is separated from simple ones in the induced game

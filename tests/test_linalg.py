@@ -231,7 +231,7 @@ class TestChoiFromKraus:
     def test_measure_and_prepare(self):
         e = np.eye(2)
         j = choi_from_kraus([np.outer(e[0], e[0]), np.outer(e[0], e[1])])
-        assert j.is_tp()
+        assert j.is_valid(1e-9)
         for i in range(2):
             out = apply_choi(j, np.outer(e[i], e[i]))
             assert np.allclose(out, np.outer(e[0], e[0]), atol=1e-12)
@@ -239,7 +239,7 @@ class TestChoiFromKraus:
     def test_unitary_z(self):
         z = np.diag([1.0, -1.0]).astype(complex)
         j = choi_from_kraus([z])
-        assert j.is_cp() and j.is_tp()
+        assert j.is_valid(1e-9)
         rng = np.random.default_rng(np.random.Philox(23))
         rho = rand_hermitian(rng, 2)
         assert np.allclose(apply_choi(j, rho), z @ rho @ z, atol=1e-12)

@@ -61,7 +61,7 @@ class TestSem:
             for x0 in range(p.n_programs):
                 total = res.pmd.effects[x0].sum(axis=0)
                 assert max_abs(total - eye) <= 1e-8
-            assert res.pmd.cp_defect() <= 1e-8
+            assert res.pmd.defects()["cp_defect"] <= 1e-8
 
     def test_deterministic_output(self):
         p = random_pid(2, 2, 2, 2, seed=210)

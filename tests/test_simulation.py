@@ -20,7 +20,6 @@ from pidlab.devices import (
     random_stochastic,
     rng_from_seed,
     tensor_pid,
-    validate_pid,
 )
 from pidlab.games import GameSpec, game_value, pguess_simple, witness_game
 from pidlab.linalg import ChoiMatrix, choi_identity, choi_tensor, kron, max_abs
@@ -60,7 +59,7 @@ class TestApply:
             p_cc=f0.p_cc, q_cc=f0.q_cc,
         )
         out = apply_free_simulation(f, p)
-        assert validate_pid(out).ok(1e-9)
+        assert out.is_valid(1e-9)
         assert is_simple_pid(out).simple
 
     def test_outputs_always_valid(self):
@@ -69,8 +68,7 @@ class TestApply:
             p = random_pid(2, 2, 2, 2, seed=500 + seed)
             f = random_free_simulation(shape, seed=600 + seed)
             out = apply_free_simulation(f, p)
-            rep = validate_pid(out)
-            assert rep.ok(1e-9), f"seed {seed}: {rep}"
+            assert out.is_valid(1e-9), f"seed {seed}: {out.defects()}"
 
     def test_simple_maps_to_simple(self):
         shape = rand_sim_shape()
@@ -266,7 +264,7 @@ class TestMix:
         fs = [random_free_simulation(rand_sim_shape(), seed=480 + i) for i in range(3)]
         m = mix(fs, [0.2, 0.5, 0.3])
         assert m.is_valid(1e-9)
-        assert validate_pid(apply_free_simulation(m, p)).ok(1e-9)
+        assert apply_free_simulation(m, p).is_valid(1e-9)
 
 
 class TestReachability:
