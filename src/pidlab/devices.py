@@ -239,6 +239,27 @@ class Instrument(Validated):
         }
 
 
+PROB_TOL = 1e-12  # the largest negative entry and column-sum error of a probability table
+
+
+def _distribution(table, what: str) -> np.ndarray:
+    """``table`` as a read-only probability table over its axis 0, small negatives clipped.
+
+    Raises ``ValueError`` naming ``what`` unless every entry is finite and at
+    least ``-PROB_TOL`` and every sum along axis 0 is within ``PROB_TOL`` of one.
+    """
+    t = np.asarray(table, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError(f"{what}: every number must be finite")
+    if (t < -PROB_TOL).any():
+        raise ValueError(f"{what}: negative probability")
+    if (abs(t.sum(axis=0) - 1.0) > PROB_TOL).any():
+        raise ValueError(f"{what}: does not sum to one over its first index")
+    t = np.clip(t, 0.0, None)
+    t.setflags(write=False)
+    return t
+
+
 @dataclass(frozen=True)
 class ClassicalChannel:
     """Conditional probability table ``table[out, in]``; columns sum to one."""
@@ -246,17 +267,9 @@ class ClassicalChannel:
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        if t.ndim != 2:
+        if np.ndim(self.table) != 2:
             raise ValueError("table must be 2-d (out, in)")
-        if t.size and t.min() < -1e-12:
-            raise ValueError("negative conditional probability")
-        colsums = t.sum(axis=0)
-        if t.size and max_abs(colsums - 1.0) > 1e-12:
-            raise ValueError("columns must sum to one")
-        t = np.clip(t, 0.0, None)
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
+        object.__setattr__(self, "table", _distribution(self.table, "probability table"))
 
     @property
     def n_out(self) -> int:
@@ -267,11 +280,12 @@ class ClassicalChannel:
         return self.table.shape[1]
 
     @staticmethod
-    def deterministic(mapping: list[int] | tuple[int, ...], n_out: int) -> "ClassicalChannel":
-        t = np.zeros((n_out, len(mapping)))
-        for i, o in enumerate(mapping):
-            t[o, i] = 1.0
-        return ClassicalChannel(t)
+    def deterministic(mapping: list[int] | np.ndarray, n_out: int) -> "ClassicalChannel":
+        """One-hot table sending each input ``i`` to the outcome ``mapping[i] < n_out``."""
+        mapping = np.asarray(mapping, dtype=int)
+        if mapping.ndim != 1 or ((mapping < 0) | (mapping >= n_out)).any():
+            raise ValueError(f"mapping must list one outcome in range({n_out}) per input")
+        return ClassicalChannel((np.arange(n_out)[:, None] == mapping).astype(float))
 
 
 @dataclass(frozen=True)
@@ -438,12 +452,10 @@ def pad_pid_outcomes(p: Pid, n_outcomes: int) -> Pid:
 
 def simple_pid_from_mixture(mother: Instrument, table: np.ndarray) -> Pid:
     """Build ``sum_g table[x1, x0, g] * branch_g`` from a mother instrument."""
-    table = np.asarray(table, dtype=float)
+    table = _distribution(table, "mixture table")
     n_x1, n_x0, n_g = table.shape
     if n_g != mother.n_branches:
         raise ValueError("table branch axis does not match the instrument")
-    if max_abs(table.sum(axis=0) - 1.0) > 1e-12 or table.min() < -1e-12:
-        raise ValueError("table must be a conditional distribution over outcomes")
     branch_mats = np.stack([b.mat for b in mother.branches])
     blocks = np.einsum("yxg,gpq->xypq", table, branch_mats)
     return Pid(mother.din, mother.dout, blocks)
@@ -457,7 +469,7 @@ def product_strategy_weights(table: np.ndarray) -> np.ndarray:
     row-major over programs) and satisfies
     ``sum_{f : f(x0) = x1} w[f] = table[x1, x0]`` via the product measure.
     """
-    table = np.asarray(table, dtype=float)
+    table = _distribution(table, "strategy table")
     n_x1, n_x0 = table.shape
     w = np.ones(1)
     for x0 in range(n_x0):

@@ -239,7 +239,12 @@ def witness_game(cert: RoiCertificate, n_dummy: int = 64) -> GameSpec:
 def dummy_count_for_gap(
     c: float, d_ref: int, n_programs: int, n_outcomes: int, eps: float
 ) -> int:
-    """Dummy-outcome count sufficient to bring the benchmark within ``eps``."""
+    """Dummy-outcome count sufficient to bring the benchmark within ``eps``.
+
+    Raises ``ValueError`` unless ``eps`` is positive.
+    """
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     return int(math.ceil(2.0 * c * d_ref * n_programs * n_outcomes / eps))
 
 

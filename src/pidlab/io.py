@@ -208,10 +208,7 @@ def _simulation(data: dict) -> FreeSimulation:
     for key in ("p_table", "q_table"):
         raw = _require(data, key, kind)
         try:
-            table = np.asarray(raw, dtype=float)
-            if not np.isfinite(table).all():
-                raise ValueError("every number must be finite")
-            tables.append(ClassicalChannel(table))
+            tables.append(ClassicalChannel(raw))
         except (TypeError, ValueError) as exc:
             raise DeviceFileError(f"{kind} field {key!r}: {exc}") from exc
     return FreeSimulation(shape=shape, pre=pre, post=post, p_cc=tables[0], q_cc=tables[1])

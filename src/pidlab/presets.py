@@ -12,6 +12,7 @@ __all__ = [
     "PAULI_Y",
     "PAULI_Z",
     "maximally_entangled_assemblage",
+    "mub_pair_pmd",
     "pauli_tetrahedron_povm",
     "projective_pmd",
     "xz_pmd",
@@ -38,6 +39,18 @@ def xz_pmd() -> Pmd:
 
 def xyz_pmd() -> Pmd:
     return projective_pmd([PAULI_X, PAULI_Y, PAULI_Z])
+
+
+def mub_pair_pmd(d: int) -> Pmd:
+    """Rank-one measurements in the computational basis and the Fourier basis of dimension ``d``.
+
+    The two bases are mutually unbiased; the assemblage
+    ``maximally_entangled_assemblage(mub_pair_pmd(d))`` has robustness
+    ``(sqrt(d) - 1) / (sqrt(d) + 1)``.
+    """
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
+    bases = (np.eye(d, dtype=complex), fourier)
+    return Pmd(np.array([[np.outer(b[:, k], b[:, k].conj()) for k in range(d)] for b in bases]))
 
 
 def maximally_entangled_assemblage(m: Pmd) -> Pid:

@@ -14,7 +14,9 @@ tensor removed yields the score gradient used by the see-saw heuristic.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .devices import (
     Pid,
     Pmd,
     SimulationShape,
+    _distribution,
     rng_from_seed,
     random_free_simulation,
 )
@@ -53,63 +56,63 @@ __all__ = [
 ]
 
 
-def _pre_tensor(f: FreeSimulation) -> np.ndarray:
-    """Pre-processing Choi with legs [b, c, i, m, j, n] (target in, source in, side)."""
+# Every factor of a transformation's action and the legs it carries, one letter
+# per index; :func:`_contract` sums factors over the letters they share.
+_LEGS = {
+    "score": "wgbcuv",  # game score: target program w, outcome g, input b, c, output u, v
+    "q": "gyl",  # outcome routing q[y1, x1, flag]
+    "p": "xlwk",  # program routing p[x0, flag, y0, branch]
+    "routing": "wgxyk",  # their product W[y0, y1, x0, x1, branch]
+    "pre": "bcimjn",  # pre-processing: target input b, c to source input i, j and side m, n
+    "source": "xyijpq",  # source device: program x, outcome y, input i, j, output p, q
+    "post": "kpmqnuv",  # branch k: source output p, q and side m, n to target output u, v
+    "measured": "xyvu",  # effects on the output of post, transposed (apply_pmd_simulation)
+    "effects": "wgqp",  # effects on the input of post, with no side system, transposed
+}
+
+
+@lru_cache(maxsize=256)
+def _path(spec: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
+    """The greedy pairwise contraction order for ``spec`` on operands of ``shapes``.
+
+    Intermediates may be of any size: numpy's default cap, the largest operand,
+    can leave three or more factors to one loop without BLAS, which made one
+    composed transformation's action about a thousand times slower.
+    """
+    ops = (np.broadcast_to(0.0, s) for s in shapes)
+    return tuple(np.einsum_path(spec, *ops, optimize=("greedy", sys.maxsize))[0])
+
+
+def _contract(factors: dict[str, np.ndarray], out: str) -> np.ndarray:
+    """``factors``, named as in :data:`_LEGS`, summed over every leg but those of ``out``."""
+    spec = ",".join(_LEGS[name] for name in factors) + "->" + _LEGS[out]
+    ops = tuple(factors.values())
+    return np.einsum(spec, *ops, optimize=_path(spec, tuple(t.shape for t in ops)))
+
+
+def _factors(f: FreeSimulation, p: Pid) -> dict[str, np.ndarray]:
+    """Every factor of the action of ``f`` on ``p``, with the legs of :data:`_LEGS`."""
     s = f.shape
-    t = f.pre.as_tensor()  # [b, c, out_row, out_col]
-    return t.reshape(
-        s.target_din, s.target_din, s.source_din, s.side_dim, s.source_din, s.side_dim
-    )
-
-
-def _post_tensor(f: FreeSimulation) -> np.ndarray:
-    """Instrument Chois stacked with legs [k, p, m, q, n, u, v]."""
-    s = f.shape
-    mats = [b.as_tensor() for b in f.post.branches]
-    return np.stack(mats).reshape(
-        s.n_branches,
-        s.source_dout,
-        s.side_dim,
-        s.source_dout,
-        s.side_dim,
-        s.target_dout,
-        s.target_dout,
-    )
-
-
-def _source_tensor(p: Pid) -> np.ndarray:
-    """Device blocks with legs [x, y, i, j, p, q] (program, outcome, in, in, out, out)."""
-    t = p.blocks.reshape(
-        p.n_programs, p.n_outcomes, p.din, p.dout, p.din, p.dout
-    )
-    return t.transpose(0, 1, 2, 4, 3, 5)
-
-
-def _routing_tensor(f: FreeSimulation) -> np.ndarray:
-    """Combined classical weight W[y0, y1, x0, x1, k] = sum_l q[y1,x1,l] p[x0,l,y0,k]."""
-    return np.einsum("gyl,xlwk->wgxyk", f.q_table(), f.p_table(), optimize=True)
-
-
-def _check_source(f: FreeSimulation, p: Pid) -> None:
-    if p.sizes != f.shape.wing("source"):
-        raise ValueError("device does not match the transformation's source shape")
+    a0, d, a1 = s.source_din, s.side_dim, s.source_dout
+    source = p.blocks.reshape(p.n_programs, p.n_outcomes, p.din, p.dout, p.din, p.dout)
+    post = np.stack([b.as_tensor() for b in f.post.branches])
+    return {
+        "q": f.q_table(),
+        "p": f.p_table(),
+        "pre": f.pre.as_tensor().reshape(s.target_din, s.target_din, a0, d, a0, d),
+        "source": source.transpose(0, 1, 2, 4, 3, 5),
+        "post": post.reshape(s.n_branches, a1, d, a1, d, s.target_dout, s.target_dout),
+    }
 
 
 def apply_free_simulation(f: FreeSimulation, p: Pid) -> Pid:
     """Transform a device; the output is always a valid device of the target shape."""
-    _check_source(f, p)
     s = f.shape
-    mid = np.einsum(
-        "bcimjn,xyijpq->xybcpmqn", _pre_tensor(f), _source_tensor(p), optimize=True
-    )
-    comp = np.einsum("xybcpmqn,kpmqnuv->xykbcuv", mid, _post_tensor(f), optimize=True)
-    gamma = np.einsum("wgxyk,xykbcuv->wgbcuv", _routing_tensor(f), comp, optimize=True)
-    blocks = gamma.transpose(0, 1, 2, 4, 3, 5).reshape(
-        s.target_programs,
-        s.target_outcomes,
-        s.target_din * s.target_dout,
-        s.target_din * s.target_dout,
-    )
+    if p.sizes != s.wing("source"):
+        raise ValueError("device does not match the transformation's source shape")
+    gamma = _contract(_factors(f, p), "score")  # J[(b, u), (c, v)] of each target block
+    d = s.target_din * s.target_dout
+    blocks = gamma.transpose(0, 1, 2, 4, 3, 5).reshape(s.target_programs, s.target_outcomes, d, d)
     return Pid(s.target_din, s.target_dout, blocks)
 
 
@@ -136,14 +139,15 @@ def apply_pmd_simulation(
     n_y1 = q_cc.n_out
     if q_cc.n_in != n_x1 * n_l:
         raise ValueError("outcome routing table does not match the index sets")
-    p_t = p_cc.table.reshape(n_x0, n_l, n_y0, n_k)
-    q_t = q_cc.table.reshape(n_y1, n_x1, n_l)
-    kt = np.stack([b.as_tensor() for b in post.branches])  # [k, i, j, u, v]
-    # adjoint on effects: K^adj[M][a, b] = sum M[u, w] T[b, a, w, u]
-    adj = np.einsum("xyuw,kbawu->kxyab", m.effects, kt, optimize=True)
-    weights = np.einsum("gyl,xlwk->wgxyk", q_t, p_t, optimize=True)
-    eff = np.einsum("wgxyk,kxyab->wgab", weights, adj, optimize=True)
-    return Pmd(eff)
+    # K^adj[M][a, b] = sum M[v, u] J[(b, u), (a, v)]: the instrument is post with no side system
+    kt = np.stack([b.as_tensor() for b in post.branches])
+    factors = {
+        "q": q_cc.table.reshape(n_y1, n_x1, n_l),
+        "p": p_cc.table.reshape(n_x0, n_l, n_y0, n_k),
+        "measured": m.effects,
+        "post": kt.reshape(n_k, post.din, 1, post.din, 1, m.dim, m.dim),
+    }
+    return Pmd(_contract(factors, "effects"))
 
 
 def _realized(
@@ -235,11 +239,9 @@ def mix(simulations: list[FreeSimulation], weights) -> FreeSimulation:
     copies it into the classical routing, so the action equals the convex
     combination of the individual actions.
     """
-    weights = np.asarray(weights, dtype=float)
+    weights = _distribution(weights, "mixing weights")
     if len(simulations) != len(weights):
         raise ValueError("one weight per transformation required")
-    if abs(weights.sum() - 1.0) > 1e-12 or weights.min() < 0:
-        raise ValueError("weights must form a probability distribution")
     s0 = simulations[0].shape
     if any(f.shape != s0 for f in simulations):
         raise ValueError("all transformations must share one shape")
@@ -286,7 +288,7 @@ def reaching_simulation(
     mother instrument on the side system; the routing plays program 0 and
     relays the branch outcome through the flag.
     """
-    table = np.asarray(table, dtype=float)
+    table = _distribution(table, "reaching table")
     n_y1, n_y0, n_g = table.shape
     if n_g != mother.n_branches:
         raise ValueError("table branch axis does not match the mother instrument")
@@ -326,22 +328,10 @@ def _score_tensor(g: GameSpec) -> np.ndarray:
 
 
 def _seesaw_grad(p: Pid, g: GameSpec, f: FreeSimulation, wrt: str) -> np.ndarray:
-    """Score S6[w,g,b,c,u,v] contracted with every factor but ``wrt`` (routing, pre or post)."""
-    s6, lt = _score_tensor(g), _source_tensor(p)
-    if wrt == "routing":
-        return np.einsum(
-            "wgbcuv,bcimjn,xyijpq,kpmqnuv->wgxyk",
-            s6, _pre_tensor(f), lt, _post_tensor(f), optimize=True,
-        )
-    if wrt == "pre":
-        return np.einsum(
-            "wgbcuv,wgxyk,xyijpq,kpmqnuv->bcimjn",
-            s6, _routing_tensor(f), lt, _post_tensor(f), optimize=True,
-        )
-    return np.einsum(
-        "wgbcuv,wgxyk,bcimjn,xyijpq->kpmqnuv",
-        s6, _routing_tensor(f), _pre_tensor(f), lt, optimize=True,
-    )
+    """Score contracted with every factor but ``wrt`` ("routing", "pre" or "post"), on its legs."""
+    factors = {"score": _score_tensor(g), **_factors(f, p)}
+    drop = ("q", "p") if wrt == "routing" else (wrt,)
+    return _contract({k: v for k, v in factors.items() if k not in drop}, wrt)
 
 
 def seesaw_pguess(
@@ -411,16 +401,15 @@ def seesaw_pguess(
 def _best_routing(p: Pid, game: GameSpec, f: FreeSimulation) -> FreeSimulation:
     """Both routing tables of ``f`` set to their per-column argmax on the affine score."""
     grad_w = _seesaw_grad(p, game, f, "routing")
-    coef_q = np.einsum("wgxyk,xlwk->gyl", grad_w, f.p_table(), optimize=True)
+    coef_q = _contract({"routing": grad_w, "p": f.p_table()}, "q")
     f = replace(f, q_cc=_argmax_table(coef_q, f.q_cc.n_out))
-    coef_p = np.einsum("wgxyk,gyl->xlwk", grad_w, f.q_table(), optimize=True)
+    coef_p = _contract({"routing": grad_w, "q": f.q_table()}, "p")
     return replace(f, p_cc=_argmax_table(coef_p, f.p_cc.n_out))
 
 
 def _argmax_table(coef: np.ndarray, n_out: int) -> ClassicalChannel:
     """One-hot table ``[out, in]`` picking each column's largest coefficient."""
-    arg = coef.reshape(n_out, -1).argmax(axis=0)
-    return ClassicalChannel((np.arange(n_out)[:, None] == arg).astype(float))
+    return ClassicalChannel.deterministic(coef.reshape(n_out, -1).argmax(axis=0), n_out)
 
 
 def _score_matrices(grad: np.ndarray, dims: tuple[int, int]) -> np.ndarray:

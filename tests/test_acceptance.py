@@ -43,7 +43,7 @@ from pidlab.devices import (
 )
 from pidlab.games import verify_robustness_bound
 from pidlab.linalg import max_abs
-from pidlab.presets import maximally_entangled_assemblage, xz_pmd
+from pidlab.presets import maximally_entangled_assemblage, mub_pair_pmd, xz_pmd
 from pidlab.sdp import SdpProblem, SdpStatus, SolveOptions, solve
 from pidlab.sem import canonical_dilation, reconstruct_pid, sem, sem_monotone_value
 from pidlab.simulation import (
@@ -172,6 +172,16 @@ def test_criterion_3_oracle_crosscheck(benchmark_routes):
         f"agrees with the certified value 3-2*sqrt(2) to {dev:.2e}"
     )
     assert dev <= 2e-4
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_mub_pair_closed_form(d):
+    # two mutually unbiased bases: robustness (sqrt(d) - 1)/(sqrt(d) + 1)
+    # (Designolle, Farkas and Kaniewski, NJP 21, 113053, 2019) on every route
+    p = maximally_entangled_assemblage(mub_pair_pmd(d))
+    exact = (np.sqrt(d) - 1.0) / (np.sqrt(d) + 1.0)
+    got = {name: route(p) for name, route in ROI_ROUTES.items()}
+    assert max(abs(v - exact) for v in got.values()) <= 1e-8, got
 
 
 def test_criterion_4_transformation_suite():

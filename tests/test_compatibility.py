@@ -40,6 +40,7 @@ from pidlab.presets import (
     PAULI_X,
     PAULI_Z,
     maximally_entangled_assemblage,
+    mub_pair_pmd,
     projective_pmd,
     xyz_pmd,
     xz_pmd,
@@ -48,15 +49,6 @@ from pidlab.presets import (
 # Exact robustness of the X/Z pair (and of the assemblage it steers from the
 # maximally entangled state), certified analytically in TestXZOracle below.
 XZ_ROI_EXACT = 3.0 - 2.0 * np.sqrt(2.0)
-
-
-def _mub_qutrit_assemblage():
-    w = np.exp(2j * np.pi / 3)
-    fourier = np.array([[w ** (j * k) for k in range(3)] for j in range(3)]) / np.sqrt(3)
-    proj = np.array(
-        [[np.outer(b[:, k], b[:, k].conj()) for k in range(3)] for b in (np.eye(3), fourier)]
-    )
-    return Pid(1, 3, proj.transpose(0, 1, 3, 2) / 3)
 
 
 def _oracle_devices():
@@ -69,7 +61,7 @@ def _oracle_devices():
     for dims in ((2, 2, 2, 2), (2, 2, 3, 3), (3, 3, 2, 2), (2, 3, 4, 2)):
         out[f"random_pid{dims}"] = random_pid(*dims, seed=1)
     out["random_simple_pid"] = random_simple_pid(2, 2, 2, 2, seed=1).pid
-    out["mub_qutrit"] = _mub_qutrit_assemblage()
+    out["mub_qutrit"] = maximally_entangled_assemblage(mub_pair_pmd(3))
     out["near_boundary"] = random_pid(2, 2, 2, 2, seed=384001152)
     return out
 

@@ -117,6 +117,14 @@ class TestSamplers:
         rebuilt = simple_pid_from_mixture(s.mother, s.table)
         assert max_abs(rebuilt.blocks - s.pid.blocks) < 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0])
+    def test_mixture_table_rejected_unless_a_distribution(self, bad):
+        s = random_simple_pid(2, 2, 2, 3, seed=9)
+        table = s.table.copy()
+        table[0, 0, 0] = bad
+        with pytest.raises(ValueError, match="mixture table"):
+            simple_pid_from_mixture(s.mother, table)
+
     def test_deterministic_table_relabels_branches(self):
         rng = rng_from_seed(10)
         mother = random_instrument(rng, 2, 2, 2)
@@ -188,6 +196,29 @@ class TestClassicalPieces:
             ClassicalChannel(np.array([[0.5, 0.2], [0.4, 0.8]]))
         c = ClassicalChannel.deterministic([1, 0], n_out=2)
         assert np.allclose(c.table, [[0.0, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_classical_channel_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ClassicalChannel(np.array([[bad, 0.5], [0.5, 0.5]]))
+
+    def test_classical_channel_clips_small_negatives_read_only(self):
+        c = ClassicalChannel(np.array([[-1e-13, 0.5], [1.0 + 1e-13, 0.5]]))
+        assert c.table.min() == 0.0 and not c.table.flags.writeable
+        with pytest.raises(ValueError, match="negative"):
+            ClassicalChannel(np.array([[-1e-11, 0.5], [1.0 + 1e-11, 0.5]]))
+
+    @pytest.mark.parametrize("mapping", [[-1, 0], [0, 2]])
+    def test_deterministic_rejects_outcomes_out_of_range(self, mapping):
+        with pytest.raises(ValueError, match="range"):
+            ClassicalChannel.deterministic(mapping, 2)
+
+    @pytest.mark.parametrize(
+        "table", [[[0.5, np.nan], [0.5, 1.0]], [[0.5, 0.2], [0.5, 0.7]], [[1.5, 1.0], [-0.5, 0.0]]]
+    )
+    def test_product_strategy_weights_rejects_non_distributions(self, table):
+        with pytest.raises(ValueError, match="strategy table"):
+            product_strategy_weights(np.array(table))
 
     def test_product_strategy_weights(self):
         table = random_stochastic(rng_from_seed(19), 3, 2)  # table[x1, x0]

@@ -178,6 +178,11 @@ class TestWitnessGame:
     def test_dummy_count_helper(self):
         assert dummy_count_for_gap(2.0, 2, 2, 2, 0.1) == 320
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    def test_dummy_count_rejects_non_positive_gap(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            dummy_count_for_gap(2.0, 2, 2, 2, eps)
+
 
 class TestVerifyBound:
     def test_simple_device_ratios_are_one(self):

@@ -24,6 +24,7 @@ from pidlab.devices import (
 from pidlab.games import GameSpec, game_value, pguess_simple, witness_game
 from pidlab.linalg import ChoiMatrix, choi_identity, choi_tensor, kron, max_abs
 from pidlab.presets import maximally_entangled_assemblage, xz_pmd
+from pidlab import simulation
 from pidlab.simulation import (
     apply_free_simulation,
     apply_pmd_simulation,
@@ -267,6 +268,13 @@ class TestMix:
         assert apply_free_simulation(m, p).is_valid(1e-9)
 
 
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 0.0], [0.7, 0.2], [1.5, -0.5]])
+    def test_weights_rejected_unless_a_distribution(self, weights):
+        fs = [random_free_simulation(rand_sim_shape(), seed=480 + i) for i in range(2)]
+        with pytest.raises(ValueError, match="mixing weights"):
+            mix(fs, weights)
+
+
 class TestReachability:
     def test_any_device_reaches_any_simple_target(self):
         for seed in range(5):
@@ -275,6 +283,14 @@ class TestReachability:
             f = reaching_simulation(p, target.mother, target.table)
             out = apply_free_simulation(f, p)
             assert max_abs(out.blocks - target.pid.blocks) <= 1e-9, f"seed {seed}"
+
+    @pytest.mark.parametrize("bad", [np.nan, 2.0])
+    def test_table_rejected_unless_a_distribution(self, bad):
+        target = random_simple_pid(2, 2, 2, 3, seed=495)
+        table = target.table.copy()
+        table[0, 0, 0] = bad
+        with pytest.raises(ValueError, match="reaching table"):
+            reaching_simulation(random_pid(2, 2, 2, 2, seed=490), target.mother, table)
 
 
 class TestSeesaw:
@@ -332,3 +348,49 @@ def test_seesaw_rejects_empty_search(kwargs):
     game = witness_game(roi_primal(p), n_dummy=2)
     with pytest.raises(ValueError, match="restarts >= 1 and iters >= 1"):
         seesaw_pguess(p, game, **kwargs)
+
+
+GRADIENT_SHAPES = [
+    SimulationShape.from_wings((2, 2, 2, 2), (2, 2, 2, 3), side_dim=2, n_branches=2, n_flags=2),
+    SimulationShape.from_wings((1, 2, 3, 2), (2, 1, 2, 2), side_dim=1, n_branches=2, n_flags=1),
+    SimulationShape.from_wings((2, 3, 2, 2), (3, 2, 2, 2), side_dim=2, n_branches=1, n_flags=3),
+]
+
+
+def _random_game(shape: SimulationShape, seed: int) -> GameSpec:
+    """Hermitian (not necessarily positive) score effects on the target shape of ``shape``."""
+    d = shape.target_din * shape.target_dout
+    rng = rng_from_seed(seed)
+    z = rng.standard_normal((shape.target_programs, shape.target_outcomes, d, d, 2)) @ [1, 1j]
+    return GameSpec(z + z.conj().swapaxes(-1, -2), d_ref=shape.target_din, dout=shape.target_dout)
+
+
+@pytest.mark.parametrize("shape", GRADIENT_SHAPES, ids=["general", "no-side", "one-branch"])
+def test_seesaw_gradients_pair_to_the_game_value(shape):
+    # the value is linear in each factor the see-saw optimizes, so pairing that
+    # factor with its gradient gives the value of the transformed device back
+    for seed in range(3):
+        p = random_pid(*shape.wing("source"), seed=530 + seed)
+        f = random_free_simulation(shape, seed=540 + seed)
+        g = _random_game(shape, seed=550 + seed)
+        value = game_value(g, apply_free_simulation(f, p))
+        factors = simulation._factors(f, p)
+        factors["routing"] = simulation._contract({"q": factors["q"], "p": factors["p"]}, "routing")
+        for wrt in ("routing", "pre", "post"):
+            grad = simulation._seesaw_grad(p, g, f, wrt)
+            paired = np.sum(grad * factors[wrt]).real
+            assert abs(paired - value) <= 1e-12, (wrt, seed, paired, value)
+
+
+def test_seesaw_plans_each_contraction_once(monkeypatch):
+    calls = []
+    plan = np.einsum_path
+    monkeypatch.setattr(np, "einsum_path", lambda *a, **k: calls.append(a[0]) or plan(*a, **k))
+    simulation._path.cache_clear()
+    p = random_pid(2, 2, 2, 2, seed=560)
+    g = TestSeesaw().bell_game()
+    seesaw_pguess(p, g, restarts=2, iters=2, seed=0, side_dim=2, n_branches=1)
+    assert calls
+    calls.clear()
+    seesaw_pguess(p, g, restarts=2, iters=2, seed=1, side_dim=2, n_branches=1)
+    assert calls == []
