@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 negative analysis verdict (invalid device,
 non-simple/incompatible classification), 2 usage error, 3 numerical failure.
 With ``--json`` all results and errors are emitted as JSON objects (errors on
 stderr).
+
+A command writes its files first and prints its result only when every write
+has succeeded: each returns both to :func:`main`, the one place that does either.
 """
 
 from __future__ import annotations
@@ -64,16 +67,23 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message, USAGE_ERROR, self)
 
 
-def _emit(payload: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True, default=float))
+# a command's result (a payload, or a document's text), exit code and files as path -> text
+_Result = tuple[dict | str, int, dict[str, str]]
+
+
+def _emit(result: dict | str, as_json: bool) -> None:
+    if isinstance(result, str):
+        print(result, end="")
+    elif as_json:
+        print(json.dumps(result, indent=2, sort_keys=True, default=float))
     else:
-        for key, value in payload.items():
+        for key, value in result.items():
             print(f"{key}: {value}")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _out(path: str | None, obj, description: str) -> dict[str, str]:
+    """The ``--out`` file holding ``obj`` as ``{path: text}``; none without ``--out``."""
+    return {path: io.dumps(obj, metadata={"description": description})} if path else {}
 
 
 # a device-file argument as parsed: its path and the kinds it accepts; main reads it
@@ -113,14 +123,13 @@ def _load(path: str, kinds: tuple[str, ...]):
         raise _CliError(f"{path}: {exc}", USAGE_ERROR)
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> _Result:
     obj = args.file
     payload = {"kind": io.kind_of(obj), **obj.defects(), "valid": obj.is_valid(args.tol)}
-    _emit(payload, args.json)
-    return 0 if payload["valid"] else 1
+    return payload, 0 if payload["valid"] else 1, {}
 
 
-def _cmd_simplicity(args) -> int:
+def _cmd_simplicity(args) -> _Result:
     pid = args.file
     verdict = is_simple_pid(pid, opts=args.opts)
     payload = {"simple": verdict.simple, "roi": verdict.r}
@@ -128,33 +137,28 @@ def _cmd_simplicity(args) -> int:
         res = simplicity_residuals(pid, verdict.certificate)
         payload["certificate_matching_defect"] = res["simple_matching"]
         payload["certificate_tp_defect"] = res["simple_tp"]
-    _emit(payload, args.json)
-    return 0 if verdict.simple else 1
+    return payload, 0 if verdict.simple else 1, {}
 
 
-def _cmd_roi(args) -> int:
+def _cmd_roi(args) -> _Result:
     pid = args.file
-    if args.dual:
-        cert = roi_dual(pid, args.opts)
-    else:
-        cert = roi_primal(pid, args.opts)
+    cert = (roi_dual if args.dual else roi_primal)(pid, args.opts)
     payload = {"roi": cert.r, "gap": cert.gap}
     if cert.dual_r is not None:
         payload["dual_value"] = cert.dual_r
     residuals = verify_roi_certificate(pid, cert)
     payload["certificate_residual"] = max(residuals.values()) if residuals else 0.0
-    _emit(payload, args.json)
+    files = {}
     if args.certificate:
         doc = {"roi": cert.r}
         for key in ("alpha", "beta"):
             value = getattr(cert, key)
             doc[key] = None if value is None else io._encode(value)
-        with open(args.certificate, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return 0
+        files[args.certificate] = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return payload, 0, files
 
 
-def _cmd_sem(args) -> int:
+def _cmd_sem(args) -> _Result:
     pid = args.file
     res = sem(pid)
     payload = {
@@ -163,72 +167,55 @@ def _cmd_sem(args) -> int:
         "near_cutoff": res.near_cutoff,
         "monotone_value": sem_monotone_value(pid, args.opts),
     }
-    _emit(payload, args.json)
-    if args.out:
-        io.write_device(args.out, res.pmd, metadata={"description": "compressed family"})
-    return 0
+    return payload, 0, _out(args.out, res.pmd, "compressed family")
 
 
-def _cmd_steer(args) -> int:
+def _cmd_steer(args) -> _Result:
     if args.channel.n_branches != 1:
         raise _CliError("steering needs a single-branch broadcast channel", USAGE_ERROR)
     pid = steer(args.channel.branches[0], args.pmd)
-    _emit(
-        {
-            "din": pid.din,
-            "dout": pid.dout,
-            "nonsignaling_defect": pid.defects()["nonsignaling_defect"],
-        },
-        args.json,
-    )
-    if args.out:
-        io.write_device(args.out, pid, metadata={"description": "steered device"})
-    return 0
+    payload = {
+        "din": pid.din,
+        "dout": pid.dout,
+        "nonsignaling_defect": pid.defects()["nonsignaling_defect"],
+    }
+    return payload, 0, _out(args.out, pid, "steered device")
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> _Result:
     out = apply_free_simulation(args.simulation, args.pid)
     valid = out.is_valid(args.tol)
-    _emit({"valid": valid, "max_defect": max(out.defects().values())}, args.json)
-    if args.out:
-        io.write_device(args.out, out, metadata={"description": "transformed device"})
-    return 0 if valid else 1
+    payload = {"valid": valid, "max_defect": max(out.defects().values())}
+    return payload, 0 if valid else 1, _out(args.out, out, "transformed device")
 
 
-def _cmd_game_value(args) -> int:
+def _cmd_game_value(args) -> _Result:
     game = args.game
-    _emit({"value": game_value(game, pad_pid_outcomes(args.pid, game.n_n))}, args.json)
-    return 0
+    return {"value": game_value(game, pad_pid_outcomes(args.pid, game.n_n))}, 0, {}
 
 
-def _cmd_pguess_simple(args) -> int:
+def _cmd_pguess_simple(args) -> _Result:
     res = pguess_simple(args.game, args.opts)
-    _emit({"value": res.value, "gap": res.gap}, args.json)
-    return 0
+    return {"value": res.value, "gap": res.gap}, 0, {}
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> _Result:
     pid = args.file
     cert = roi(pid, args.opts)
     game = witness_game(cert, n_dummy=args.dummy)
     num = game_value(game, pad_pid_outcomes(pid, game.n_n))
     den = pguess_simple(game, args.opts).value
-    _emit(
-        {
-            "roi": cert.r,
-            "n_outcomes": game.n_n,
-            "device_score": num,
-            "simple_benchmark": den,
-            "ratio": max(num, den) / den,
-        },
-        args.json,
-    )
-    if args.out:
-        io.write_device(args.out, game, metadata={"description": "witness game"})
-    return 0
+    payload = {
+        "roi": cert.r,
+        "n_outcomes": game.n_n,
+        "device_score": num,
+        "simple_benchmark": den,
+        "ratio": max(num, den) / den,
+    }
+    return payload, 0, _out(args.out, game, "witness game")
 
 
-def _cmd_verify_bound(args) -> int:
+def _cmd_verify_bound(args) -> _Result:
     report = verify_robustness_bound(args.file, schedule=args.schedule, opts=args.opts)
     payload = {
         "roi": report.roi,
@@ -237,21 +224,16 @@ def _cmd_verify_bound(args) -> int:
         "cap_violations": report.cap_violations,
         "final_gap": report.final_gap(),
     }
-    _emit(payload, args.json)
+    files = {}
     if args.csv:
-        lines = ["n_dummy,ratio,lower_bound,benchmark,roi"]
-        for nd, ratio, lo, be in zip(
-            report.schedule, report.ratios, report.lower_bounds, report.benchmarks
-        ):
-            lines.append(
-                ",".join([str(nd), _fmt(ratio), _fmt(lo), _fmt(be), _fmt(report.roi)])
-            )
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    return 0 if report.cap_violations == 0 else 1
+        rows = zip(report.schedule, report.ratios, report.lower_bounds, report.benchmarks)
+        files[args.csv] = "n_dummy,ratio,lower_bound,benchmark,roi\n" + "".join(
+            f"{nd},{r:.17g},{lo:.17g},{be:.17g},{report.roi:.17g}\n" for nd, r, lo, be in rows
+        )
+    return payload, 0 if report.cap_violations == 0 else 1, files
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> _Result:
     wing = (args.din, args.dout, args.programs, args.outcomes)
     if args.what == "pid":
         obj = random_pid(*wing, seed=args.seed)
@@ -262,20 +244,15 @@ def _cmd_sample(args) -> int:
         obj = random_free_simulation(shape, seed=args.seed)
     text = io.dumps(obj, metadata={"seed": args.seed, "description": f"sampled {args.what}"})
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _emit({"written": args.out}, args.json)
-    else:
-        print(text, end="")
-    return 0
+        return {"written": args.out}, 0, {args.out: text}
+    return text, 0, {}
 
 
-def _cmd_pi_value(args) -> int:
-    _emit({"value": pi_game_value(args.pigame, args.pid)}, args.json)
-    return 0
+def _cmd_pi_value(args) -> _Result:
+    return {"value": pi_game_value(args.pigame, args.pid)}, 0, {}
 
 
-def _cmd_pi_witness(args) -> int:
+def _cmd_pi_witness(args) -> _Result:
     povm = args.ic_povm
     pid = pid_from_pmd(args.file) if isinstance(args.file, Pmd) else args.file
     if povm.dim != pid.dout:
@@ -288,10 +265,8 @@ def _cmd_pi_witness(args) -> int:
     cert = roi(pid, args.opts)
     frame = ic_dual_frame(povm).solve(cert.alpha)
     game = witness_ensemble(frame)
-    _emit({"roi": cert.r, "frame_residual": frame.residual}, args.json)
-    if args.out:
-        io.write_device(args.out, game, metadata={"description": "witness ensemble"})
-    return 0
+    payload = {"roi": cert.r, "frame_residual": frame.residual}
+    return payload, 0, _out(args.out, game, "witness ensemble")
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
@@ -400,7 +375,12 @@ def main(argv: list[str] | None = None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, _DeviceFile):
                 setattr(args, name, _load(*value))
-        return args.func(args)
+        result, code, files = args.func(args)
+        for path, text in files.items():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        _emit(result, as_json)
+        return code
     except SystemExit as exc:  # --help
         return exc.code or 0
     except _CliError as exc:

@@ -62,6 +62,21 @@ def _encode(a) -> list:
     return np.stack((a.real, a.imag), -1).tolist()
 
 
+# a JSON value that is not a number, as an error message names it
+_NOT_NUMBERS = {str: "a string", bool: "a boolean", type(None): "null", dict: "an object"}
+
+
+def _check_numbers(data: Any, what: str) -> None:
+    """Raise naming ``what`` unless every leaf of the nested lists ``data`` is a JSON number."""
+    stack = [data]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif type(v) not in (int, float):  # a bool is an int to Python, not a number to JSON
+            raise DeviceFileError(f"{what}: expected numbers, found {_NOT_NUMBERS[type(v)]}")
+
+
 def _decode_matrices(data: Any, counts: tuple[int, ...], dim: int, what: str) -> np.ndarray:
     """A ``(*counts, dim, dim)`` stack of matrices nested in lists of the lengths ``counts``."""
     if counts:
@@ -71,9 +86,10 @@ def _decode_matrices(data: Any, counts: tuple[int, ...], dim: int, what: str) ->
         return np.stack(
             [_decode_matrices(v, counts[1:], dim, f"{what}[{k}]") for k, v in enumerate(data)]
         )
+    _check_numbers(data, what)
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DeviceFileError(f"{what}: not a numeric matrix") from exc
     if arr.shape != (dim, dim, 2):
         raise DeviceFileError(
@@ -207,9 +223,10 @@ def _simulation(data: dict) -> FreeSimulation:
     tables = []
     for key in ("p_table", "q_table"):
         raw = _require(data, key, kind)
+        _check_numbers(raw, f"{kind} field {key!r}")
         try:
             tables.append(ClassicalChannel(raw))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise DeviceFileError(f"{kind} field {key!r}: {exc}") from exc
     return FreeSimulation(shape=shape, pre=pre, post=post, p_cc=tables[0], q_cc=tables[1])
 

@@ -254,11 +254,18 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("kind", io.KINDS)
     def test_non_finite_number_rejected(self, files, kind, tmp_path, capsys):
-        # NaN and Infinity are JSON to Python's json module, never numbers of a device
+        # NaN and Infinity are JSON to Python's json module, and numpy reads "0.5" as 0.5 and
+        # true as 1.0: none of them is a number of a device, nor is null
         name, entry = FIRST_ENTRY[kind]
         targets = [(*entry, 0)] + ([("p_table", 0, 0)] if kind == "simulation" else [])
         p = tmp_path / f"{name}.json"
-        for value in (math.nan, math.inf):
+        for value, message in (
+            (math.nan, "every number must be finite"),
+            (math.inf, "every number must be finite"),
+            ("0.5", "expected numbers, found a string"),
+            (True, "expected numbers, found a boolean"),
+            (None, "expected numbers, found null"),
+        ):
             for target in targets:
                 data = json.load(open(files[name], encoding="utf-8"))
                 cell = data
@@ -266,21 +273,24 @@ class TestRoundTrip:
                     cell = cell[key]
                 cell[target[-1]] = value
                 p.write_text(json.dumps(data))
-                with pytest.raises(io.DeviceFileError, match="finite"):
+                with pytest.raises(io.DeviceFileError, match=message):
                     io.read_device(str(p))
                 assert main(["validate", str(p)]) == 2, (value, target)
                 err = capsys.readouterr().err
-                assert str(p) in err and target[0] in err and "Traceback" not in err, (value, target)
+                assert str(p) in err and target[0] in err and message in err, (value, target)
+                assert "Traceback" not in err, (value, target)
 
     @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda povm: povm["effects"][0][0][0].__setitem__(0, math.nan),
              "povm_l.effects[0]: every number must be finite"),
+            (lambda povm: povm["effects"][0][0][0].__setitem__(0, "0.5"),
+             "povm_l.effects[0]: expected numbers, found a string"),
             (lambda povm: povm.__setitem__("effects", povm["effects"][:1]),
              "povm_l.effects: expected a list of 4 entries, got 1 entries"),
         ],
-        ids=["nan", "cut"],
+        ids=["nan", "string", "cut"],
     )
     def test_embedded_povm_field_named(self, files, edit, message, tmp_path, capsys):
         data = json.load(open(files["pigame"], encoding="utf-8"))
@@ -435,17 +445,26 @@ class TestCommands:
         assert files["root"] in err and "Traceback" not in err
         assert main(["no-such-command"]) == 2
         capsys.readouterr()
-        # an output path that is a directory cannot be written
+        # an output path that is a directory cannot be written, and then nothing is printed
         out_dir = str(tmp_path)
-        steered = os.path.join(os.path.dirname(__file__), "fixtures", "steered_device.json")
+        fixture = lambda name: os.path.join(os.path.dirname(__file__), "fixtures", f"{name}.json")
         for argv in (
-            ["sem", steered, "--out", out_dir],
+            ["sem", fixture("steered_device"), "--out", out_dir],
+            ["steer", fixture("product_broadcast"), fixture("xz_pair"), "--out", out_dir],
+            ["simulate", fixture("random_transformation"), fixture("steered_device"),
+             "--out", out_dir],
+            ["witness", XZ_ASSEMBLAGE, "--dummy", "8", "--out", out_dir],
+            ["pi-witness", XZ_ASSEMBLAGE, "--ic-povm", fixture("tetrahedron_povm"),
+             "--out", out_dir],
             ["roi", files["generic"], "--certificate", out_dir],
             ["verify-bound", files["generic"], "--schedule", "8", "--csv", out_dir],
             ["sample", "pid", "--out", out_dir],
         ):
-            assert main(argv) == 2, argv
-            assert f"cannot write {out_dir}" in capsys.readouterr().err, argv
+            for flags in ([], ["--json"]):
+                assert main(flags + argv) == 2, flags + argv
+                captured = capsys.readouterr()
+                assert f"cannot write {out_dir}" in captured.err, flags + argv
+                assert captured.out == "", flags + argv
         # 100 bytes that are not UTF-8, headed like an executable
         binary = tmp_path / "binary.json"
         binary.write_bytes(b"\x7fELF\x02\x01\x01" + bytes(range(128, 221)))
