@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .devices import Instrument, Pid, Pmd, Povm, pid_from_pmd
+from .devices import Instrument, Pid, Pmd, Povm, _pairing, pid_from_pmd
 from .linalg import ChoiMatrix, max_abs, partial_trace, psd_defect, tp_defect
 from .sdp import ComplexSdpBuilder, SolveOptions, hermitian_basis, kron_stack, traceless_basis
 
@@ -282,8 +282,7 @@ def is_simple_pid(p: Pid, opts: SolveOptions = SolveOptions()) -> SimplicityVerd
 
 def witness_value(alpha: np.ndarray, p: Pid) -> float:
     """Evaluate a dual functional on a device: positive values refute simplicity."""
-    scale = p.din * p.n_programs
-    return float(np.real(np.einsum("xypq,xyqp->", alpha, p.blocks)) / scale - 1.0)
+    return _pairing(alpha, p.din, p) / (p.din * p.n_programs) - 1.0
 
 
 def verify_roi_certificate(p: Pid, cert: RoiCertificate) -> dict[str, float]:

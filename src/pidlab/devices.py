@@ -3,9 +3,13 @@
 A programmable instrument device (Pid) is a classically indexed family of CP
 maps, non-signaling from the classical program to the quantum output: the
 blocks of every program sum to one and the same channel.  Programmable
-measurement devices (Pmd), instruments, POVMs, classical channels, and the
-structured pre/post/side-processing tuples used to transform devices are
-defined here together with seeded random samplers for property tests.
+measurement devices (Pmd), instruments, POVMs, classical channels, the
+structured pre/post/side-processing tuples used to transform devices and the
+two kinds of guessing game are defined here together with seeded random
+samplers for property tests.
+
+A game is its score operators ``S[m, n]`` on ``din (x) dout``: a device
+``J`` of that shape scores ``sum Re Tr[S[m, n] J_{n|m}]`` on it.
 
 All samplers use the counter-based Philox generator, so a seed pins the
 output bit-for-bit.
@@ -34,8 +38,10 @@ from .linalg import (
 __all__ = [
     "ClassicalChannel",
     "FreeSimulation",
+    "GameSpec",
     "Instrument",
     "Pid",
+    "PiGameSpec",
     "Pmd",
     "Povm",
     "SimplePidSample",
@@ -71,6 +77,23 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # Device types
 # ---------------------------------------------------------------------------
+
+
+def _measurement_defects(effects: np.ndarray, outcome_axes) -> dict[str, float]:
+    """CP defect of ``effects``, and the largest entry of their sums over ``outcome_axes`` minus 1."""
+    eye = np.eye(effects.shape[-1])
+    return {
+        "cp_defect": psd_defect(effects),
+        "completeness_defect": max_abs(effects.sum(axis=outcome_axes) - eye),
+    }
+
+
+def _pairing(ops: np.ndarray, din: int, p: Pid) -> float:
+    """``sum Re Tr[ops[m, n] J_{n|m}]`` of ``p``; ``ValueError`` unless ``p`` fits ``ops`` and ``din``."""
+    sizes = (din, ops.shape[2] // din, *ops.shape[:2])
+    if p.sizes != sizes:
+        raise ValueError(f"strategy sizes {p.sizes} do not match the game's {sizes}")
+    return float(np.real(np.einsum("mnpq,mnqp->", ops, p.blocks)))
 
 
 def _hermitian_stack(obj, name: str, ndim: int, message: str) -> np.ndarray:
@@ -171,11 +194,7 @@ class Pmd(Validated):
         return self.effects.shape[2]
 
     def defects(self) -> dict[str, float]:
-        eye = np.eye(self.dim)
-        return {
-            "cp_defect": psd_defect(self.effects),
-            "completeness_defect": max(max_abs(e.sum(axis=0) - eye) for e in self.effects),
-        }
+        return _measurement_defects(self.effects, 1)
 
 
 @dataclass(frozen=True)
@@ -200,10 +219,7 @@ class Povm(Validated):
         return self.effects.shape[1]
 
     def defects(self) -> dict[str, float]:
-        return {
-            "cp_defect": psd_defect(self.effects),
-            "completeness_defect": max_abs(self.effects.sum(axis=0) - np.eye(self.dim)),
-        }
+        return _measurement_defects(self.effects, 0)
 
 
 @dataclass(frozen=True)
@@ -236,6 +252,93 @@ class Instrument(Validated):
         return {
             "cp_defect": psd_defect(np.stack([b.mat for b in self.branches])),
             "tp_defect": tp_defect(sum(b.mat for b in self.branches), self.din, self.dout),
+        }
+
+
+@dataclass(frozen=True)
+class GameSpec(Validated):
+    """Bipartite POVM indexed ``(m, n)`` over referee factor ``d_ref`` and ``dout``."""
+
+    effects: np.ndarray = field(repr=False)  # (n_m, n_n, D, D) with D = d_ref*dout
+    d_ref: int
+    dout: int
+
+    def __post_init__(self):
+        message = "effects must have shape (n_m, n_n, d_ref*dout, d_ref*dout)"
+        eff = _hermitian_stack(self, "effects", 4, message)
+        if eff.shape[2] != self.d_ref * self.dout:
+            raise ValueError(message)
+
+    @property
+    def n_m(self) -> int:
+        return self.effects.shape[0]
+
+    @property
+    def n_n(self) -> int:
+        return self.effects.shape[1]
+
+    @property
+    def din(self) -> int:
+        return self.d_ref
+
+    @property
+    def score(self) -> np.ndarray:
+        """The effects over ``d_ref``: the referee holds half a maximally entangled pair."""
+        return self.effects / self.d_ref
+
+    def defects(self) -> dict[str, float]:
+        return _measurement_defects(self.effects, (0, 1))
+
+
+@dataclass(frozen=True)
+class PiGameSpec(Validated):
+    """State ensemble indexed ``(m, n, l)`` plus the referee's fixed POVM."""
+
+    ensemble: np.ndarray = field(repr=False)  # (n_m, n_n, n_l, d0, d0)
+    povm_l: Povm
+
+    def __post_init__(self):
+        message = "ensemble must have shape (n_m, n_n, n_l, d0, d0)"
+        ens = _hermitian_stack(self, "ensemble", 5, message)
+        if ens.shape[2] != self.povm_l.n_outcomes:
+            raise ValueError("ensemble l-axis must match the POVM outcome count")
+
+    @property
+    def n_m(self) -> int:
+        return self.ensemble.shape[0]
+
+    @property
+    def n_n(self) -> int:
+        return self.ensemble.shape[1]
+
+    @property
+    def n_l(self) -> int:
+        return self.ensemble.shape[2]
+
+    @property
+    def din(self) -> int:
+        return self.ensemble.shape[3]
+
+    @property
+    def dout(self) -> int:
+        return self.povm_l.dim
+
+    @property
+    def score(self) -> np.ndarray:
+        """The Hermitian score operators ``sum_l sigma^T_{m,n,l} (x) L_l``, indexed ``(m, n)``."""
+        d = self.din * self.dout
+        score = np.einsum(
+            "mnlji,luv->mniujv", self.ensemble, self.povm_l.effects, optimize=True
+        ).reshape(self.n_m, self.n_n, d, d)
+        return (score + score.conj().transpose(0, 1, 3, 2)) / 2
+
+    def defects(self) -> dict[str, float]:
+        """The ensemble's defects and the referee POVM's, the latter prefixed ``povm_l_``."""
+        total = float(np.real(np.einsum("mnlpp->", self.ensemble)))
+        return {
+            "cp_defect": psd_defect(self.ensemble),
+            "normalization_defect": abs(total - 1.0),
+            **{f"povm_l_{k}": v for k, v in self.povm_l.defects().items()},
         }
 
 

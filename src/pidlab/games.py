@@ -1,17 +1,21 @@
-"""Guessing games: strategy scores, simple-device benchmarks, and witnesses.
+"""Guessing-game programs: device scores, simple-device benchmarks, and witnesses.
 
-Two game families are provided.  In the entangled-referee game the referee
-keeps one half of a maximally entangled pair, receives a system back, and
-measures both with a bipartite POVM indexed ``(m, n)``; the player, holding a
-non-signaling device, later learns ``m`` and guesses ``n``.  In the
-post-information game the referee instead sends a state drawn from an
+Two game kinds are provided, both defined in :mod:`pidlab.devices`.  In the
+entangled-referee game (:class:`GameSpec`) the referee keeps one half of a
+maximally entangled pair, receives a system back, and measures both with a
+bipartite POVM indexed ``(m, n)``; the player, holding a non-signaling
+device, later learns ``m`` and guesses ``n``.  In the post-information game
+(:class:`PiGameSpec`) the referee instead sends a state drawn from an
 ensemble indexed ``(m, n, l)`` and measures the returned system with a fixed
 POVM, and the player must guess ``n`` without disturbing ``l``.
 
-The strongest simple-device score in either family is a semidefinite program
-over deterministic-response instrument blocks.  Witness games built from
-robustness dual certificates give players with a non-simple device a scoring
-ratio approaching ``1 + robustness`` as dummy outcomes are appended.
+Every program here reads a game only through its score operators
+``score[m, n]``: :func:`game_value` pairs them with a device, and the
+strongest simple-device score of either kind is one semidefinite program over
+deterministic-response instrument blocks, with identical score columns
+merged.  Witness games built from robustness dual certificates give players
+with a non-simple device a scoring ratio approaching ``1 + robustness`` as
+dummy outcomes are appended.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from .compatibility import (
     roi,
     scatter_responses,
 )
-from .devices import Pid, Povm, _hermitian_stack, pad_pid_outcomes
-from .linalg import Validated, hermitize, max_abs, psd_defect
+from .devices import GameSpec, PiGameSpec, Pid, Povm, _pairing, pad_pid_outcomes
+from .linalg import hermitize
 from .sdp import SolveOptions, best_instrument, best_instruments, hermitian_basis
 
 __all__ = [
@@ -52,60 +56,25 @@ __all__ = [
     "witness_game",
 ]
 
-_MERGE_TOL = 1e-12  # largest entry difference of two effect columns merged as one label
+_MERGE_TOL = 1e-12  # largest entry difference of two score columns merged as one label
 
 
-@dataclass(frozen=True)
-class GameSpec(Validated):
-    """Bipartite POVM indexed ``(m, n)`` over referee factor ``d_ref`` and ``dout``."""
-
-    effects: np.ndarray = field(repr=False)  # (n_m, n_n, D, D) with D = d_ref*dout
-    d_ref: int
-    dout: int
-
-    def __post_init__(self):
-        message = "effects must have shape (n_m, n_n, d_ref*dout, d_ref*dout)"
-        eff = _hermitian_stack(self, "effects", 4, message)
-        if eff.shape[2] != self.d_ref * self.dout:
-            raise ValueError(message)
-
-    @property
-    def n_m(self) -> int:
-        return self.effects.shape[0]
-
-    @property
-    def n_n(self) -> int:
-        return self.effects.shape[1]
-
-    def defects(self) -> dict[str, float]:
-        d = self.d_ref * self.dout
-        return {
-            "cp_defect": psd_defect(self.effects),
-            "completeness_defect": max_abs(self.effects.sum(axis=(0, 1)) - np.eye(d)),
-        }
+def game_value(g: GameSpec | PiGameSpec, strategy: Pid) -> float:
+    """Score ``sum Re Tr[S_{m,n} J_{n|m}]`` of a fixed device on the game's score operators."""
+    return _pairing(g.score, g.din, strategy)
 
 
-def _score_value(score: np.ndarray, norm: int, din: int, dout: int, strategy: Pid) -> float:
-    """Value ``sum Tr[score[x0, x1] J_{x1|x0}] / norm`` of a fixed ``din`` -> ``dout`` device."""
-    sizes = (din, dout, *score.shape[:2])
-    if strategy.sizes != sizes:
-        raise ValueError(f"strategy sizes {strategy.sizes} do not match the game's {sizes}")
-    return float(np.real(np.einsum("mnpq,mnqp->", score, strategy.blocks)) / norm)
+pi_game_value = game_value
 
 
-def game_value(g: GameSpec, strategy: Pid) -> float:
-    """Winning probability of a fixed device: ``(1/d_ref) sum Tr[M_{m,n} J_{n|m}]``."""
-    return _score_value(g.effects, g.d_ref, g.d_ref, g.dout, strategy)
-
-
-def _merge_groups(effects: np.ndarray) -> list[list[int]]:
-    """Group outcome labels whose effect columns agree across every program.
+def _merge_groups(score: np.ndarray) -> list[list[int]]:
+    """Group outcome labels whose score columns agree across every program.
 
     A column joins the first group, in creation order, whose first column it
     matches to ``_MERGE_TOL``; each new group claims all its later matches at once.
     """
-    n_n = effects.shape[1]
-    cols = np.moveaxis(effects, 1, 0).reshape(n_n, -1)
+    n_n = score.shape[1]
+    cols = np.moveaxis(score, 1, 0).reshape(n_n, -1)
     unclaimed = np.ones(n_n, dtype=bool)
     groups: list[list[int]] = []
     for n in range(n_n):
@@ -138,77 +107,56 @@ class PguessSimpleResult:
     gap: float
 
 
-def _simple_scores(scores: list[np.ndarray], norm: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The response maps of ``scores[0]``'s shape and each score's instrument program.
-
-    The branch for response ``f`` scores ``sum_x0 score[x0, f(x0)] / norm``; the
-    program's optimum is the best simple device's value ``sum Tr[score[x0, x1]
-    J_{x1|x0}] / norm``.
-    """
-    maps = response_maps(enumerate_strategies(*scores[0].shape[:2]))
-    return maps, [gather_responses(maps, score) / norm for score in scores]
+def _simple_program(g: GameSpec | PiGameSpec) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The representative label of each merged group of ``g``'s outcomes, their response
+    maps, and the instrument program whose branch ``f`` scores ``sum_x0 S[x0, f(x0)]``."""
+    score = g.score
+    reps = [grp[0] for grp in _merge_groups(score)]
+    maps = response_maps(enumerate_strategies(g.n_m, len(reps)))
+    return reps, maps, gather_responses(maps, score[:, reps])
 
 
-def _best_simple(
-    score: np.ndarray, norm: int, din: int, dout: int, opts: SolveOptions, what: str
-) -> tuple[float, np.ndarray, float]:
-    """Best simple device for the value ``sum Tr[score[x0, x1] J_{x1|x0}] / norm``.
-
-    Returns the optimum, the device blocks ``(n_programs, n_outcomes, d, d)`` and
-    the relative gap.
-    """
-    maps, (zs,) = _simple_scores([score], norm)
-    value, js, gap = best_instrument(zs, din, dout, opts, what)
-    return value, scatter_responses(maps, js, score.shape[1]), gap
-
-
-def _merged_score(g: GameSpec) -> tuple[list[int], np.ndarray]:
-    """Representative labels of the merged outcome groups, and their effect columns."""
-    reps = [grp[0] for grp in _merge_groups(g.effects)]
-    return reps, g.effects[:, reps]
-
-
-def _unmerged(g: GameSpec, reps: list[int], value, merged, gap) -> PguessSimpleResult:
-    """The result for ``g`` of its merged program's solution, with zero blocks off ``reps``."""
-    d = g.d_ref * g.dout
+def _simple_result(g, program, solution) -> PguessSimpleResult:
+    """``g``'s result from its ``program``'s ``(value, branches, gap)``, zero off the merged labels."""
+    (reps, maps, _), (value, js, gap) = program, solution
+    d = g.din * g.dout
     blocks = np.zeros((g.n_m, g.n_n, d, d), dtype=complex)
-    blocks[:, reps] = merged
-    return PguessSimpleResult(value=value, strategy=Pid(g.d_ref, g.dout, blocks), gap=gap)
+    blocks[:, reps] = scatter_responses(maps, js, len(reps))
+    return PguessSimpleResult(value=value, strategy=Pid(g.din, g.dout, blocks), gap=gap)
 
 
-def pguess_simple(
-    g: GameSpec, opts: SolveOptions = SolveOptions()
-) -> PguessSimpleResult:
+def _simple_benchmark(g: GameSpec | PiGameSpec, opts: SolveOptions, what: str):
+    """Best score of ``g`` over simple devices: one program, solved by :func:`best_instrument`."""
+    program = _simple_program(g)
+    return _simple_result(g, program, best_instrument(program[2], g.din, g.dout, opts, what))
+
+
+def pguess_simple(g: GameSpec, opts: SolveOptions = SolveOptions()) -> PguessSimpleResult:
     """Best winning probability over simple devices, with an attaining strategy.
 
-    Outcome labels with identical effect columns are merged before the
+    Outcome labels with identical score columns are merged before the
     response-function enumeration (a simple device gains nothing from
     distinguishing them), which keeps witness games with many dummy outcomes
     tractable.
     """
-    reps, score = _merged_score(g)
-    value, merged, gap = _best_simple(
-        score, g.d_ref, g.d_ref, g.dout, opts, "simple-device benchmark"
-    )
-    return _unmerged(g, reps, value, merged, gap)
+    return _simple_benchmark(g, opts, "simple-device benchmark")
 
 
 def _pguess_simple_batch(
     games: list[GameSpec], opts: SolveOptions = SolveOptions()
 ) -> list[PguessSimpleResult]:
     """:func:`pguess_simple` of games of one shape, those with one merged label count solved in lockstep."""
-    merged = [_merged_score(g) for g in games]
+    programs = [_simple_program(g) for g in games]
     by_count: dict[int, list[int]] = {}
-    for i, (reps, _) in enumerate(merged):
+    for i, (reps, _, _) in enumerate(programs):
         by_count.setdefault(len(reps), []).append(i)
     out: list[PguessSimpleResult] = [None] * len(games)
     for idx in by_count.values():
         g = games[idx[0]]
-        maps, batch = _simple_scores([merged[i][1] for i in idx], g.d_ref)
-        sols = best_instruments(batch, g.d_ref, g.dout, opts, "simple-device benchmark")
-        for i, (value, js, gap) in zip(idx, sols):
-            reps = merged[i][0]
-            out[i] = _unmerged(games[i], reps, value, scatter_responses(maps, js, len(reps)), gap)
+        batch = [programs[i][2] for i in idx]
+        sols = best_instruments(batch, g.din, g.dout, opts, "simple-device benchmark")
+        for i, sol in zip(idx, sols):
+            out[i] = _simple_result(games[i], programs[i], sol)
     return out
 
 
@@ -307,68 +255,9 @@ def verify_robustness_bound(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiGameSpec(Validated):
-    """State ensemble indexed ``(m, n, l)`` plus the referee's fixed POVM."""
-
-    ensemble: np.ndarray = field(repr=False)  # (n_m, n_n, n_l, d0, d0)
-    povm_l: Povm
-
-    def __post_init__(self):
-        message = "ensemble must have shape (n_m, n_n, n_l, d0, d0)"
-        ens = _hermitian_stack(self, "ensemble", 5, message)
-        if ens.shape[2] != self.povm_l.n_outcomes:
-            raise ValueError("ensemble l-axis must match the POVM outcome count")
-
-    @property
-    def n_m(self) -> int:
-        return self.ensemble.shape[0]
-
-    @property
-    def n_n(self) -> int:
-        return self.ensemble.shape[1]
-
-    @property
-    def n_l(self) -> int:
-        return self.ensemble.shape[2]
-
-    @property
-    def din(self) -> int:
-        return self.ensemble.shape[3]
-
-    @property
-    def dout(self) -> int:
-        return self.povm_l.dim
-
-    def defects(self) -> dict[str, float]:
-        """The ensemble's defects and the referee POVM's, the latter prefixed ``povm_l_``."""
-        total = float(np.real(np.einsum("mnlpp->", self.ensemble)))
-        return {
-            "cp_defect": psd_defect(self.ensemble),
-            "normalization_defect": abs(total - 1.0),
-            **{f"povm_l_{k}": v for k, v in self.povm_l.defects().items()},
-        }
-
-
-def _pi_score(g: PiGameSpec) -> np.ndarray:
-    """The Hermitian score stack ``sum_l sigma^T_{m,n,l} (x) L_l`` indexed ``(m, n)``."""
-    d = g.din * g.dout
-    score = np.einsum(
-        "mnlji,luv->mniujv", g.ensemble, g.povm_l.effects, optimize=True
-    ).reshape(g.n_m, g.n_n, d, d)
-    return (score + score.conj().transpose(0, 1, 3, 2)) / 2
-
-
-def pi_game_value(g: PiGameSpec, strategy: Pid) -> float:
-    """Score ``sum Tr[(sigma^T_{m,n,l} (x) L_l) J_{n|m}]`` of a fixed device."""
-    return _score_value(_pi_score(g), 1, g.din, g.dout, strategy)
-
-
 def pi_pguess_simple(g: PiGameSpec, opts: SolveOptions = SolveOptions()) -> PguessSimpleResult:
-    """Best post-information score over simple devices."""
-    score = _pi_score(g)
-    value, blocks, gap = _best_simple(score, 1, g.din, g.dout, opts, "post-information benchmark")
-    return PguessSimpleResult(value=value, strategy=Pid(g.din, g.dout, blocks), gap=gap)
+    """Best post-information score over simple devices, identical score columns merged."""
+    return _simple_benchmark(g, opts, "post-information benchmark")
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,14 @@ import numpy as np
 from .devices import (
     ClassicalChannel,
     FreeSimulation,
+    GameSpec,
     Instrument,
+    PiGameSpec,
     Pid,
     Pmd,
     Povm,
     SimulationShape,
 )
-from .games import GameSpec, PiGameSpec
 from .linalg import ChoiMatrix
 
 __all__ = [

@@ -728,6 +728,8 @@ def _take(tree, keep: np.ndarray):
     """The problems ``keep`` selects, from every array of a nested list, tuple or NamedTuple."""
     if isinstance(tree, np.ndarray):
         return tree[keep]
+    if isinstance(tree, _NtScaling):  # l_inv holds X's and S's factors ahead of the problem axis
+        return _NtScaling(*_take(tree[:-1], keep), tree.l_inv[:, keep])
     if isinstance(tree, tuple) and hasattr(tree, "_fields"):
         return type(tree)(*(_take(t, keep) for t in tree))
     return type(tree)(_take(t, keep) for t in tree)

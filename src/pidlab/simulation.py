@@ -23,6 +23,7 @@ import numpy as np
 from .devices import (
     ClassicalChannel,
     FreeSimulation,
+    GameSpec,
     Instrument,
     Pid,
     Pmd,
@@ -31,7 +32,7 @@ from .devices import (
     rng_from_seed,
     random_free_simulation,
 )
-from .games import GameSpec, game_value
+from .games import game_value
 from .linalg import (
     ChoiMatrix,
     choi_identity,
@@ -321,10 +322,10 @@ class SeesawResult:
 
 def _score_tensor(g: GameSpec) -> np.ndarray:
     """S6 with value = sum_{w,g,...} S6 * Gamma6 over matching legs."""
-    t = g.effects.reshape(g.n_m, g.n_n, g.d_ref, g.dout, g.d_ref, g.dout)
-    # value = (1/d) sum_{w,g} Tr[M J] with Gamma6[w,g,b,c,u,v] = J[(b,u),(c,v)],
-    # so the elementwise pairing tensor is S6[w,g,b,c,u,v] = M[(c,v),(b,u)] / d
-    return t.transpose(0, 1, 4, 2, 5, 3) / g.d_ref
+    t = g.score.reshape(g.n_m, g.n_n, g.din, g.dout, g.din, g.dout)
+    # value = sum_{w,g} Tr[S J] with Gamma6[w,g,b,c,u,v] = J[(b,u),(c,v)],
+    # so the elementwise pairing tensor is S6[w,g,b,c,u,v] = S[(c,v),(b,u)]
+    return t.transpose(0, 1, 4, 2, 5, 3)
 
 
 def _seesaw_grad(p: Pid, g: GameSpec, f: FreeSimulation, wrt: str) -> np.ndarray:
@@ -360,7 +361,7 @@ def seesaw_pguess(
         raise ValueError("seesaw_pguess needs restarts >= 1 and iters >= 1")
     side = side_dim if side_dim is not None else p.din * p.dout
     shape = SimulationShape.from_wings(
-        p.sizes, (game.d_ref, game.dout, game.n_m, game.n_n), side, n_branches, game.n_n
+        p.sizes, (game.din, game.dout, game.n_m, game.n_n), side, n_branches, game.n_n
     )
     rng = rng_from_seed(seed)
     # every restart's seed is drawn first, in restart order; the restarts then

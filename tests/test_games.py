@@ -1,3 +1,6 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,7 @@ from pidlab.games import (
     witness_ensemble,
     witness_game,
 )
+from pidlab.io import read_device
 from pidlab.linalg import max_abs, phi_plus
 from pidlab.presets import (
     maximally_entangled_assemblage,
@@ -35,6 +39,8 @@ from pidlab.presets import (
 )
 from pidlab.simulation import apply_free_simulation
 from pidlab.devices import SimulationShape, random_free_simulation
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 def blind_game(n_m=2, n_n=3, d=2):
@@ -202,6 +208,21 @@ class TestVerifyBound:
         )
         assert report.final_gap() <= 0.01
         assert abs(report.roi - (3.0 - 2.0 * np.sqrt(2.0))) <= 2e-4
+
+    def test_ratio_above_the_cap_is_a_violation(self, monkeypatch, capsys):
+        # the X/Z device's own certificate, claiming r = 0: every ratio then breaks the cap
+        from pidlab import games
+        from pidlab.cli import main
+
+        xz = os.path.join(FIXTURES, "entangled_xz_assemblage.json")
+        p = read_device(xz)
+        cert = replace(roi(p), r=0.0)
+        monkeypatch.setattr(games, "roi", lambda p, opts=None: cert)
+        report = verify_robustness_bound(p)
+        assert report.cap_violations == 3
+        assert all(ratio > 1.0 + 1e-5 for ratio in report.ratios)
+        assert main(["verify-bound", xz, "--schedule", "8"]) == 1
+        assert "cap_violations: 1" in capsys.readouterr().out
 
 
 class TestPiGames:

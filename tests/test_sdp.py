@@ -1136,6 +1136,41 @@ def _roi_primal_problems(devices):
     return [problem for problem, _ in calls], calls[0][1]
 
 
+def _cholesky_failing_at(mp, position: int, rungs: int):
+    """Make the first Schur complement at batch ``position`` fail its first ``rungs`` ridges.
+
+    The first stack factored is the first iteration's Schur stack, with every
+    problem of the batch; failing it sends the ladder through the problems one
+    by one, in batch order, each factoring at its first ridge.
+    """
+    real = np.linalg.cholesky
+    state = {"calls": None, "fails": 0}
+
+    def cholesky(a):
+        if np.ndim(a) == 3 and state["calls"] is None:
+            state["calls"] = 0
+            raise np.linalg.LinAlgError("failing stack")
+        if np.ndim(a) == 2 and state["calls"] is not None:
+            state["calls"] += 1
+            if position < state["calls"] <= position + rungs:
+                state["fails"] += 1
+                raise np.linalg.LinAlgError("failing ridge")
+        return real(a)
+
+    mp.setattr(np.linalg, "cholesky", cholesky)
+    return state
+
+
+def _assert_same_iterates(one, other):
+    """Two solutions with equal status, iteration count and bit-identical iterates."""
+    assert one.status is other.status
+    assert one.iterations == other.iterations
+    assert one.primal_value == other.primal_value and one.dual_value == other.dual_value
+    assert np.array_equal(one.dual_multipliers, other.dual_multipliers)
+    for x, z in zip(one.primal_blocks + one.dual_slacks, other.primal_blocks + other.dual_slacks):
+        assert np.array_equal(x, z)
+
+
 class TestSolveBatch:
     def test_seesaw_steps(self):
         from pidlab.compatibility import roi
@@ -1189,6 +1224,43 @@ class TestSolveBatch:
             SdpStatus.OPTIMAL, SdpStatus.NUMERICAL_FAILURE, SdpStatus.OPTIMAL, SdpStatus.OPTIMAL
         ]
         assert batch[1].iterations == 1
+
+    def test_schur_complement_failing_every_ridge(self):
+        # one problem's Schur complement fits no ridge of the ladder: it alone stops
+        problems, opts = _roi_primal_problems(_mixed_devices())
+        alone = [solve(p, opts) for p in problems]
+        with pytest.MonkeyPatch.context() as mp:
+            state = _cholesky_failing_at(mp, 1, rungs=4)
+            batch = sdp.solve_batch(problems, opts)
+        assert state["fails"] == 4
+        assert batch[1].status is SdpStatus.NUMERICAL_FAILURE and batch[1].iterations == 1
+        for k in (0, 2, 3):
+            assert batch[k].status is SdpStatus.OPTIMAL
+            _assert_same_iterates(batch[k], alone[k])
+
+    def test_schur_complement_failing_the_first_ridge(self):
+        problems, opts = _roi_primal_problems(_mixed_devices())
+        alone = [solve(p, opts) for p in problems]
+        with pytest.MonkeyPatch.context() as mp:
+            state = _cholesky_failing_at(mp, 1, rungs=1)
+            batch = sdp.solve_batch(problems, opts)
+        assert state["fails"] == 1
+        assert all(sol.status is SdpStatus.OPTIMAL for sol in batch)
+        for k in (0, 2, 3):
+            _assert_same_iterates(batch[k], alone[k])
+
+    def test_unbounded_problem_leaves_the_others(self):
+        # minimize -X_11 subject to X_00 = 1 and X_01 = 0.1: X_11 grows without bound
+        rows = [np.diag([1.0, 0.0]), np.array([[0.0, 0.5], [0.5, 0.0]])]
+        unbounded = _single_block_problem(np.diag([0.0, -1.0]), rows, [1.0, 0.1])
+        bounded = _single_block_problem(np.diag([0.0, 1.0]), rows, [1.0, 0.1])
+        alone = solve(unbounded)
+        assert alone.status is SdpStatus.UNBOUNDED
+        batch = sdp.solve_batch([unbounded, bounded])
+        _assert_same_iterates(batch[0], alone)
+        assert batch[1].status is SdpStatus.OPTIMAL
+        assert abs(batch[1].primal_value - 0.01) <= 1e-7
+        _assert_same_iterates(batch[1], solve(bounded))
 
     def test_near_boundary_device_in_a_batch(self):
         # the Haar rotation of the edge device random_pid(2, 2, 2, 2, seed=1192)
