@@ -1,44 +1,40 @@
 """Dense semidefinite programming with primal-dual certificates.
 
-Solves standard-form problems over real symmetric PSD blocks,
+Solves standard-form problems over Hermitian PSD blocks,
 
     minimize    sum_b <C_b, X_b>
     subject to  sum_b <A_{i,b}, X_b> = b_i   (i = 1..m),   X_b >= 0,
 
-with a Mehrotra-style predictor-corrector path-following method using
-Nesterov-Todd scaling.  A block of even size may be given in complex form,
-as Hermitian matrices ``H = P + iQ`` of half its size that stand for their
-real embeddings ``E(H) = [[P, -Q], [Q, P]]``.
+with ``<A, X> = Re tr(A X)``, by a Mehrotra-style predictor-corrector
+path-following method using Nesterov-Todd scaling.  A block of size ``d``
+is a ``d x d`` Hermitian matrix; a real symmetric block is the
+zero-imaginary case.
 
 Constraints are stated by block column, the one form :class:`SdpProblem`
 takes: a block keeps the rows it appears in (its support), its distinct
 matrices, and per row an index into them, so a matrix equality stated once
 over a Hermitian basis shares that basis with every block it covers.
-The solver holds every block's iterates ``X`` and
-``S`` as complex Hermitian ``(n, c, c)`` stacks, ``c`` the complex size; a
-real block is the zero-imaginary case, and its imaginary parts stay exactly
-zero.  ``E`` maps products to products, so the iteration is the one on the
-embedded blocks, whose iterates then stay exactly in the embedded subspace
-(the symmetry reduction of Gatermann and Parrilo, J. Pure Appl. Algebra 192,
-2004).  Work is split by where it is cheaper:
+The solver holds every block's iterates ``X`` and ``S`` as complex
+Hermitian ``(n, d, d)`` stacks; a real block's imaginary parts stay
+exactly zero.  Work is split by where it is cheaper:
 
-* factorizations run in complex arithmetic at size ``c``, once per stack of
-  blocks of one size and form: the Nesterov-Todd scaling (one Cholesky call
-  and one inverse call for ``X`` and ``S`` stacked together, one SVD) and
-  the two step-length eigenvalue calls of each iteration, each for ``X``
-  and ``S`` together;
+* factorizations run once per stack of blocks of one size: the
+  Nesterov-Todd scaling (one Cholesky call and one inverse call for ``X``
+  and ``S`` stacked together, one SVD) and the two step-length eigenvalue
+  calls of each iteration, each for ``X`` and ``S`` together;
 * the Schur complement ``H[i, j] = sum_b <A_{i,b}, W_b A_{j,b} W_b>`` runs in
-  the real embedding at half width: ``E(W U W)`` is fixed by its first block
-  column ``E(W) E(U) E(W)[:, :c]``, and ``<E(V), E(Z)>`` is twice the inner
-  product of first block columns.  It is built per block from its ``u``
-  distinct matrices, a ``u x u`` block added onto ``H`` run by run, a run
-  being a stretch of consecutive rows that carry consecutive matrices (the
-  sparsity argument of Fujisawa, Kojima and Nakata, Math. Prog. 79, 1997).
-  A stack of matrices that every block of a group carries is held once for
-  the group.  ``A X`` and ``A^T y`` read the same half-width form as
-  ``(re, im)`` pairs;
+  the real embedding ``E(V) = [[Re V, -Im V], [Im V, Re V]]`` at half
+  width: ``E(W U W)`` is fixed by its first block column
+  ``E(W) E(U) E(W)[:, :d]``, and ``Re tr(V Z)`` is the inner product of
+  the first block columns of ``E(V)`` and ``E(Z)``.  It is built per block
+  from its ``u`` distinct matrices, a ``u x u`` block added onto ``H`` run
+  by run, a run being a stretch of consecutive rows that carry consecutive
+  matrices (the sparsity argument of Fujisawa, Kojima and Nakata, Math.
+  Prog. 79, 1997).  A stack of matrices that every block of a group
+  carries is held once for the group.  ``A X`` and ``A^T y`` read the
+  matrices as ``(re, im)`` pairs;
 * a group whose shared stack is ``Q_i (x) 1_o`` for a divisor ``o > 1`` of
-  ``c`` takes the structure instead of the embedding.  With ``W`` indexed by
+  ``d`` takes the structure instead of the embedding.  With ``W`` indexed by
   pairs ``(a, o)``, ``Re tr(A_t W A_s W) = Re(q_t Phi q_s^T)`` for the
   flattened ``Q``'s and the partial-trace contraction ``Phi[(a, b), (c, d)]
   = sum_{o, o'} W[(b, o), (c, o')] W[(d, o'), (a, o)]``, one ``(a^2, o^2) @
@@ -50,7 +46,7 @@ embedded blocks, whose iterates then stay exactly in the embedded subspace
   selects it, and a stack one ulp off stays on the embedded path.  The
   trace-preserving rows ``H_i (x) 1`` of :func:`best_instrument` are such a
   stack;
-* the remaining matrix products, a few dozen per iteration on ``c x c``
+* the remaining matrix products, a few dozen per iteration on ``d x d``
   stacks, stay complex, since building an embedded copy of an operand costs
   more than the complex product at these sizes.
 
@@ -81,9 +77,9 @@ one.
 
 Complex Hermitian problems are stated through :class:`ComplexSdpBuilder`,
 over blocks of one size named by integer handles.  It passes its Hermitian
-matrices to :func:`solve` in complex form, undoes the doubling of traces
-when reporting values, and returns the same :class:`SdpSolution` with its
-blocks as exactly Hermitian stacks indexed by handle.  Bases for matrix
+matrices to :func:`solve` as they are and returns the same
+:class:`SdpSolution` with its blocks as exactly Hermitian stacks indexed by
+handle.  Bases for matrix
 constraints come from :func:`hermitian_basis`, :func:`traceless_basis` and
 their Kronecker products, :func:`kron_stack`.  :func:`best_instrument` is
 the one instrument program built on it: maximize ``sum_k Tr[Z_k J_k]`` over
@@ -141,12 +137,18 @@ class SolveOptions:
     gap_tol: float = 1e-9
     max_iter: int = 200
 
+    def __post_init__(self):
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be at least 1, not {self.max_iter!r}")
+        if not 0.0 < self.gap_tol < np.inf:
+            raise ValueError(f"gap_tol must be finite and positive, not {self.gap_tol!r}")
+
 
 class BlockColumn(NamedTuple):
     """One block's constraint data: row ``rows[j]`` carries ``mats[index[j]]``.
 
-    ``mats`` ``(u, d, d)`` holds the block's distinct matrices (``d/2`` for a
-    block in complex form); rows the block does not appear in are absent.
+    ``mats`` ``(u, d, d)`` holds the block's distinct matrices; rows the
+    block does not appear in are absent.
     """
 
     rows: np.ndarray
@@ -157,15 +159,11 @@ class BlockColumn(NamedTuple):
 class SdpProblem:
     """Block SDP data, held one block column at a time.
 
-    ``columns[k]`` is block ``k``'s :class:`BlockColumn` and ``rhs`` the
-    ``m`` right-hand sides.  Shapes and symmetry are checked once per
-    distinct stack object, however many blocks carry it; rows and indices
-    once per block.
-
-    A block of size ``d`` is real symmetric.  It may instead be given in
-    complex form, when its objective or its matrices are complex arrays:
-    Hermitian ``d/2 x d/2`` matrices ``H`` that stand for their embeddings
-    ``[[Re H, -Im H], [Im H, Re H]]``, so ``<A, X>`` reads ``2 Re tr(A X)``.
+    ``blocks[k]`` is ``(name, d)`` for a ``d x d`` Hermitian block, whose
+    objective and matrices are real or complex arrays; ``columns[k]`` is its
+    :class:`BlockColumn` and ``rhs`` the ``m`` right-hand sides.  Shapes,
+    symmetry and finiteness are checked once per distinct stack object,
+    however many blocks carry it; rows and indices once per block.
     """
 
     def __init__(self, blocks, objective, *, columns, rhs):
@@ -175,6 +173,8 @@ class SdpProblem:
         if len(self.objective) != len(dims):
             raise ValueError("objective must provide one matrix per block")
         self.rhs = np.asarray(rhs, dtype=float).reshape(-1)
+        if not np.isfinite(self.rhs).all():
+            raise ValueError("rhs has a NaN or infinite entry")
         self.columns = tuple(
             BlockColumn(np.asarray(r, np.intp), np.asarray(i, np.intp), _as_mats(a))
             for r, i, a in columns
@@ -182,11 +182,7 @@ class SdpProblem:
         if len(self.columns) != len(dims):
             raise ValueError("columns must provide one entry per block")
         checked = set()  # (id, size) of the stacks checked; self.columns keeps the ids alive
-        for k, (d, c, (rows, index, mats)) in enumerate(zip(dims, self.objective, self.columns)):
-            if _complex_form(self, k):
-                if d % 2:
-                    raise ValueError(f"a block of odd size {d} cannot be given in complex form")
-                d //= 2
+        for d, c, (rows, index, mats) in zip(dims, self.objective, self.columns):
             _check_mats(c[None], d, "objective")
             if (id(mats), d) not in checked:
                 _check_mats(mats, d, "constraint")
@@ -208,9 +204,11 @@ def _as_mats(a) -> np.ndarray:
 
 
 def _check_mats(stack: np.ndarray, dim: int, what: str) -> None:
-    """Check a ``(u, dim, dim)`` stack: shape, then Hermiticity of each matrix."""
+    """Check a ``(u, dim, dim)`` stack: shape, finiteness, then Hermiticity of each matrix."""
     if stack.ndim != 3 or stack.shape[1:] != (dim, dim):
         raise ValueError(f"{what} matrix shape {stack.shape[1:]} does not match block dim {dim}")
+    if not np.isfinite(stack).all():
+        raise ValueError(f"{what} matrix has a NaN or infinite entry")
     check_hermitian(stack, f"{what} matrix")
 
 
@@ -218,10 +216,10 @@ def _check_mats(stack: np.ndarray, dim: int, what: str) -> None:
 class SdpSolution:
     """Primal-dual result of a solve.
 
-    From :func:`solve`, ``primal_blocks`` and ``dual_slacks`` are lists with
-    one matrix per block, real or, for blocks given in complex form, complex
-    Hermitian; from :meth:`ComplexSdpBuilder.solve` they are complex
-    ``(n, cdim, cdim)`` stacks indexed by block handle.
+    ``primal_blocks`` and ``dual_slacks`` hold complex Hermitian matrices,
+    with zero imaginary parts for real blocks: from :func:`solve` a list
+    with one per block, from :meth:`ComplexSdpBuilder.solve` an
+    ``(n, cdim, cdim)`` stack indexed by block handle.
     """
 
     status: SdpStatus
@@ -308,23 +306,21 @@ def _pairs(a: np.ndarray) -> np.ndarray:
 
 
 class _BlockGroup:
-    """Blocks of one size ``d`` and form with ``r`` support rows and ``u`` distinct matrices.
+    """Blocks of one size ``d`` with ``r`` support rows and ``u`` distinct matrices.
 
-    Matrices and iterates are complex Hermitian ``(c, c)`` stacks: ``c = d/2``
-    for blocks given in complex form, ``c = d`` with zero imaginary part for
-    real ones.  ``weight = d / c`` turns ``Re tr(A X)`` into the inner product
-    of the ``d x d`` blocks.  ``rows`` ``(n, r)`` holds each block's support
-    rows and ``members`` the blocks' positions in the problem.  ``mats`` holds
-    the distinct matrices, ``(1, u, c, c)`` when every member carries the same
-    stack object and ``(n, u, c, c)`` otherwise; every product broadcasts over
-    that leading axis, as over the embeddings derived from it.  ``mat_pos``
-    maps each support row to its entry of the ``(n, u)`` products of ``A X``
-    and ``A^T y``; the tiles of :func:`_schur_tiles` place the blocks'
-    ``u x u`` Schur blocks in H.  ``kron`` is ``((cols, vals), a, o)`` when
-    the shared stack is ``Q_i (x) 1_o`` (:func:`_kron_factor`), and then no
-    embedding is built.
+    Matrices and iterates are complex Hermitian ``(d, d)`` stacks, with zero
+    imaginary parts for real blocks.  ``rows`` ``(n, r)`` holds each block's
+    support rows and ``members`` the blocks' positions in the problem.
+    ``mats`` holds the distinct matrices, ``(1, u, d, d)`` when every member
+    carries the same stack object and ``(n, u, d, d)`` otherwise; every
+    product broadcasts over that leading axis, as over the embeddings
+    derived from it.  ``mat_pos`` maps each support row to its entry of the
+    ``(n, u)`` products of ``A X`` and ``A^T y``; the tiles of
+    :func:`_schur_tiles` place the blocks' ``u x u`` Schur blocks in H.
+    ``kron`` is ``((cols, vals), a, o)`` when the shared stack is ``Q_i (x)
+    1_o`` (:func:`_kron_factor`), and then no embedding is built.
 
-    The methods take a batch of problems, ``(B, n, c, c)`` iterates against
+    The methods take a batch of problems, ``(B, n, d, d)`` iterates against
     ``(B, m)`` vectors and ``(B, m, m)`` Schur complements, or one problem's
     arrays without the batch axis.
     """
@@ -332,14 +328,12 @@ class _BlockGroup:
     def __init__(self, problem: SdpProblem, members: list[int]):
         cols = [problem.columns[k] for k in members]
         self.members = members
-        self.dim = d = problem.blocks[members[0]][1]
+        self.dim = problem.blocks[members[0]][1]
         self.rows = np.stack([col.rows for col in cols])
-        self.complex_form = _complex_form(problem, members[0])
         shared = all(col.mats is cols[0].mats for col in cols)
         mats = cols[0].mats[None] if shared else np.stack([col.mats for col in cols])
         self.mats = mats = np.ascontiguousarray(mats, dtype=complex)
         nm, u, c = mats.shape[:3]
-        self.cdim, self.weight = c, d // c
         # Re tr(A X) = A pairs . X pairs, for apply_a and apply_at
         self.mats_pairs = mats.view(float).reshape(nm, u, 2 * c * c)
         index = np.stack([col.index for col in cols])
@@ -386,9 +380,9 @@ class _BlockGroup:
 
         The bins of each problem follow its rows in the order one problem alone takes.
         """
-        xp = _pairs(x).reshape(-1, len(self.members), 2 * self.cdim**2, 1)
+        xp = _pairs(x).reshape(-1, len(self.members), 2 * self.dim**2, 1)
         rows, pos = self._batch_index(len(xp), m)
-        per_mat = self.weight * (self.mats_pairs @ xp).ravel()
+        per_mat = (self.mats_pairs @ xp).ravel()
         return np.bincount(rows, per_mat[pos], minlength=len(xp) * m).reshape(*x.shape[:-3], m)
 
     def apply_at(self, y: np.ndarray) -> np.ndarray:
@@ -420,7 +414,7 @@ class _BlockGroup:
         nb = len(ew)
         ue = (self.mats_tall @ ew[..., :c]).reshape(nb, n, u, 2 * c, c)
         wuw = (ew[:, :, None] @ ue).reshape(nb, n, u, 2 * c * c)
-        per_block = self.weight * (self.mats_col @ wuw.swapaxes(2, 3))
+        per_block = self.mats_col @ wuw.swapaxes(2, 3)
         for place, terms, summed in self.batch_tiles:
             part = per_block[terms]
             tile = h[place]
@@ -449,7 +443,7 @@ class _BlockGroup:
             for at_k, coef_k in zip(at[1:], coef[1:]):
                 tile_h += coef_k * part.take(at_k, axis=1)
             tile = h[place]
-            np.add(tile, self.weight * tile_h.real, out=tile)
+            np.add(tile, tile_h.real, out=tile)
 
 
 def _kron_terms(cols: np.ndarray, vals: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
@@ -553,7 +547,7 @@ def _schur_tiles(rows: np.ndarray, index: np.ndarray) -> list[tuple[tuple, tuple
 
 
 class _SizeClass:
-    """Groups whose blocks share size and form; the iterates of all their blocks form one stack.
+    """Groups whose blocks share a size; the iterates of all their blocks form one stack.
 
     Factorizations and matrix products run once per class; ``A``, ``A^T``
     and the Schur complement go group by group, over consecutive slices of
@@ -563,7 +557,7 @@ class _SizeClass:
     def __init__(self, groups: list[_BlockGroup]):
         self.groups = groups
         first = groups[0]
-        self.cdim, self.weight, self.complex_form = first.cdim, first.weight, first.complex_form
+        self.dim = first.dim
         ends = np.cumsum([len(grp.members) for grp in groups])
         self.slices = [slice(e - len(grp.members), e) for grp, e in zip(groups, ends)]
         self.members = [k for grp in groups for k in grp.members]
@@ -580,10 +574,6 @@ class _SizeClass:
         ew = _embed(w) if self.embeds else None
         for grp, sl in zip(self.groups, self.slices):
             grp.add_schur(w[:, sl], h, None if ew is None else ew[:, sl])
-
-    def blocks(self, x: np.ndarray) -> list[np.ndarray]:
-        """One matrix per member; real for blocks given in real form, whose imaginary parts are zero."""
-        return list(x if self.complex_form else x.real)
 
 
 class _NtScaling(NamedTuple):
@@ -695,11 +685,11 @@ class _CholeskySolver:
 
 
 def _initial_point(classes, c, b, m):
-    """Each problem's starting iterate; ``c`` holds each class's ``(B, n, cdim, cdim)`` objectives."""
+    """Each problem's starting iterate; ``c`` holds each class's ``(B, n, d, d)`` objectives."""
     # primal blocks: identity scaled by xi, the largest ratio of a right-hand side to the
     # identity's row value, clipped to [1, 1e4]; a floor of 1e-4 saves iterations on the
     # robustness programs but fails acceptance criterion 6 (a monotone witness-ratio schedule)
-    eye = [np.broadcast_to(np.eye(cls.cdim, dtype=complex), cc.shape[1:]) for cls, cc in zip(classes, c)]
+    eye = [np.broadcast_to(np.eye(cls.dim, dtype=complex), cc.shape[1:]) for cls, cc in zip(classes, c)]
     tr = sum(cls.apply_a(e[None], m)[0] for cls, e in zip(classes, eye))
     big = np.abs(tr) > 1e-9
     xi, eta = [], []
@@ -788,38 +778,32 @@ def _schur_factors(h: np.ndarray) -> tuple[_CholeskySolver | None, list[int]]:
     return (_CholeskySolver(np.stack(factors)) if factors else None), failed
 
 
-def _complex_form(problem: SdpProblem, k: int) -> bool:
-    return np.iscomplexobj(problem.objective[k]) or np.iscomplexobj(problem.columns[k].mats)
-
-
 def _group_blocks(problem: SdpProblem) -> list[list[int]]:
-    """Block positions grouped by (size, form, support size, distinct-matrix count), in order."""
-    groups: dict[tuple[int, bool, int, int], list[int]] = {}
+    """Block positions grouped by (size, support size, distinct-matrix count), in order."""
+    groups: dict[tuple[int, int, int], list[int]] = {}
     for k, ((_, d), col) in enumerate(zip(problem.blocks, problem.columns)):
-        key = (d, _complex_form(problem, k), len(col.rows), len(col.mats))
-        groups.setdefault(key, []).append(k)
+        groups.setdefault((d, len(col.rows), len(col.mats)), []).append(k)
     return list(groups.values())
 
 
 def _size_classes(problem: SdpProblem) -> list[_SizeClass]:
-    """The problem's block groups, gathered by (size, form) in order."""
-    classes: dict[tuple[int, bool], list[_BlockGroup]] = {}
+    """The problem's block groups, gathered by size in order."""
+    classes: dict[int, list[_BlockGroup]] = {}
     for members in _group_blocks(problem):
         grp = _BlockGroup(problem, members)
-        classes.setdefault((grp.dim, grp.complex_form), []).append(grp)
+        classes.setdefault(grp.dim, []).append(grp)
     return [_SizeClass(groups) for groups in classes.values()]
 
 
 def _same_structure(p: SdpProblem, q: SdpProblem) -> bool:
-    """Whether two problems have the same blocks (sizes and forms) and the same columns."""
+    """Whether two problems have the same block sizes and the same columns."""
     if p.n_constraints != q.n_constraints or [d for _, d in p.blocks] != [d for _, d in q.blocks]:
         return False
     return all(
-        _complex_form(p, k) == _complex_form(q, k)
-        and np.array_equal(a.rows, b.rows)
+        np.array_equal(a.rows, b.rows)
         and np.array_equal(a.index, b.index)
         and (a.mats is b.mats or np.array_equal(a.mats, b.mats))
-        for k, (a, b) in enumerate(zip(p.columns, q.columns))
+        for a, b in zip(p.columns, q.columns)
     )
 
 
@@ -831,11 +815,11 @@ def solve(problem: SdpProblem, opts: SolveOptions = SolveOptions()) -> SdpSoluti
 def solve_batch(problems, opts: SolveOptions = SolveOptions()) -> list[SdpSolution]:
     """Solve problems of one structure in lockstep; one :class:`SdpSolution` per problem.
 
-    The problems share block sizes and forms and their columns, and differ in
-    objective and right-hand side.  Each follows the iteration it would follow
-    alone, with its own mu, sigma, step lengths, termination and status; a
-    problem that stops leaves the batch with the iterate it stopped at, and
-    the others go on.
+    The problems share block sizes and columns, and differ in objective and
+    right-hand side.  Each follows the iteration it would follow alone, with
+    its own mu, sigma, step lengths, termination and status; a problem that
+    stops leaves the batch with the iterate it stopped at, and the others go
+    on.
     """
     problems = list(problems)
     if not problems:
@@ -856,11 +840,7 @@ def solve_batch(problems, opts: SolveOptions = SolveOptions()) -> list[SdpSoluti
     def inner(us, vs):
         """``sum_b <U_b, V_b>`` of each problem."""
         return [
-            sum(
-                cls.weight * float(np.vdot(_pairs(u[k]), _pairs(v[k])))
-                for cls, u, v in zip(classes, us, vs)
-            )
-            for k in range(len(us[0]))
+            sum(float(np.vdot(_pairs(u[k]), _pairs(v[k]))) for u, v in zip(us, vs)) for k in range(len(us[0]))
         ]
 
     def residuals(x, s, y, c, b, b_scale, c_scale):
@@ -961,7 +941,7 @@ def solve_batch(problems, opts: SolveOptions = SolveOptions()) -> list[SdpSoluti
         grcg = []
         for cls, sc, dxc, dsc in zip(classes, nt, dx_a, ds_a):
             d = sc.d
-            eye = np.eye(cls.cdim)
+            eye = np.eye(cls.dim)
             dxh = sc.ginv @ dxc @ _ct(sc.ginv)
             dsh = sc.gh @ dsc @ sc.g
             rhs_mat = _col(sigma_mu) * eye - (d * d)[..., None, :] * eye
@@ -999,7 +979,7 @@ def solve_batch(problems, opts: SolveOptions = SolveOptions()) -> list[SdpSoluti
         primal_blocks: list[np.ndarray] = [None] * len(problem.blocks)
         slacks: list[np.ndarray] = [None] * len(problem.blocks)
         for cls, xc, zc in zip(classes, x, z):
-            for i, xb, zb in zip(cls.members, cls.blocks(xc[k]), cls.blocks(zc[k])):
+            for i, xb, zb in zip(cls.members, xc[k], zc[k]):
                 primal_blocks[i] = xb
                 slacks[i] = zb
         out.append(
@@ -1028,12 +1008,9 @@ class ComplexSdpBuilder:
     """Assemble an SDP over complex Hermitian PSD blocks of one size ``cdim``.
 
     :meth:`add_blocks` returns integer handles, and objectives and
-    constraints are dicts keyed by handle.  Blocks go to :func:`solve` in
-    complex form, each standing for its real embedding of size ``2 cdim``;
-    right-hand sides and the reported optimum are rescaled so values refer to
-    the complex problem.  ``minimize`` is the default sense; pass
-    ``sense="max"`` to flip.  The objective has no constant term: a caller
-    whose value carries one adds it to the result.
+    constraints are dicts keyed by handle.  ``minimize`` is the default
+    sense; pass ``sense="max"`` to flip.  The objective has no constant
+    term: a caller whose value carries one adds it to the result.
 
     A constraint statement states ``k`` rows at once: each block's
     coefficient is a ``(k, cdim, cdim)`` stack, row ``i`` reading
@@ -1074,15 +1051,21 @@ class ComplexSdpBuilder:
 
     def add_constraint(self, coeffs: dict[int, np.ndarray], rhs) -> None:
         """State one row per entry of ``rhs``; a ``(cdim, cdim)`` coefficient takes a scalar."""
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim > 1:
+            raise ValueError(f"rhs must be a scalar or a vector, not an array of shape {rhs.shape}")
+        rhs = np.atleast_1d(rhs)
         k, d = len(rhs), self.cdim
+        terms = []  # recorded once every coefficient has passed
         for handle, a in coeffs.items():
             block = self._block(handle)
             if id(a) not in self._mats:
                 self._mats[id(a)] = (a, hermitize(np.reshape(a, (-1, *np.shape(a)[-2:]))))
             if self._mats[id(a)][1].shape != (k, d, d):
                 raise ValueError(f"block {block} needs a ({k}, {d}, {d}) coefficient")
-            self._terms[block].append((self._m, id(a)))
+            terms.append((block, id(a)))
+        for block, key in terms:
+            self._terms[block].append((self._m, key))
         self._rhs.append(rhs)
         self._m += k
 
@@ -1116,28 +1099,27 @@ class ComplexSdpBuilder:
         """One problem per objective, all over this builder's blocks, columns and rows."""
         n, d = len(self._terms), self.cdim
         zero = np.zeros((d, d), dtype=complex)
-        blocks = [(k, 2 * d) for k in range(n)]
+        blocks = [(k, d) for k in range(n)]
         columns = self._columns()
-        # each block stands for its embedding, which doubles traces and inner products
-        rhs = 2.0 * np.concatenate([np.zeros(0), *self._rhs])
+        rhs = np.concatenate([np.zeros(0), *self._rhs])
         return [
             SdpProblem(blocks, [self._sense * obj.get(k, zero) for k in range(n)], columns=columns, rhs=rhs)
             for obj in objectives
         ]
 
     def _result(self, sol: SdpSolution) -> SdpSolution:
-        """A solver result with values and multipliers of the complex problem, blocks stacked."""
+        """A solver result with values and multipliers in this builder's sense, blocks stacked."""
         return replace(
             sol,
-            primal_value=self._sense * sol.primal_value / 2.0,
-            dual_value=self._sense * sol.dual_value / 2.0,
+            primal_value=self._sense * sol.primal_value,
+            dual_value=self._sense * sol.dual_value,
             primal_blocks=np.stack(sol.primal_blocks),
             dual_multipliers=self._sense * sol.dual_multipliers,
             dual_slacks=self._sense * np.stack(sol.dual_slacks),
         )
 
     def solve(self, opts: SolveOptions = SolveOptions()) -> SdpSolution:
-        """Solve; values and multipliers refer to the complex problem, blocks stack by handle."""
+        """Solve; values and multipliers follow the objective's sense, blocks stack by handle."""
         (problem,) = self._problems([self._obj])
         return self._result(solve(problem, opts))
 

@@ -123,11 +123,34 @@ class TestSolveBasics:
             SdpProblem((("x", 2),), (eye,), columns=[([0], [0], [np.eye(3)])], rhs=[1.0])
 
     def test_rejects_complex_form_of_odd_size(self):
+        # a complex block holds matrices of its own size, not of half of it
         h = np.eye(1, dtype=complex)
-        with pytest.raises(ValueError, match="odd size"):
+        with pytest.raises(ValueError, match="block dim"):
             SdpProblem((("x", 3),), (h,), columns=[([0], [0], [h])], rhs=[1.0])
-        with pytest.raises(ValueError, match="block dim"):  # a complex block of size 4 holds 2 x 2 matrices
-            SdpProblem((("x", 4),), (np.eye(4, dtype=complex),), columns=[([0], [0], [h])], rhs=[1.0])
+        with pytest.raises(ValueError, match="block dim"):
+            SdpProblem((("x", 4),), (np.eye(4, dtype=complex),), columns=[([0], [0], [np.eye(2)])], rhs=[1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["objective", "constraint", "rhs"])
+    def test_rejects_non_finite_data(self, part, bad):
+        # stated directly, and through the builder on one 2 x 2 block
+        c, a, rhs = np.eye(2), np.eye(2), np.array([1.0])
+        {"objective": c, "constraint": a, "rhs": rhs}[part].flat[0] = bad
+        with pytest.raises(ValueError, match=f"^{part}.*NaN or infinite"):
+            SdpProblem((("x", 2),), (c,), columns=[([0], [0], [a])], rhs=rhs)
+        b = ComplexSdpBuilder(2)
+        (x,) = b.add_blocks(1)
+        b.set_objective({x: c})
+        b.add_constraint({x: a}, rhs)
+        with pytest.raises(ValueError, match=f"^{part}.*NaN or infinite"):
+            b.solve()
+
+    def test_solve_options_checked(self):
+        for bad in ({"max_iter": 0}, {"max_iter": -1}, {"gap_tol": 0.0}, {"gap_tol": -1e-9},
+                    {"gap_tol": np.nan}, {"gap_tol": np.inf}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                SolveOptions(**bad)
+        assert SolveOptions(gap_tol=1e-300, max_iter=1).max_iter == 1
 
     def test_block_in_no_constraint(self):
         # an empty block column: no row constrains the block, and min <1, X> puts it at zero
@@ -285,7 +308,7 @@ def _kkt_residuals(p, sol):
     y = sol.dual_multipliers
     slacks = [c - np.einsum("i,ipq->pq", y, a) for c, a in zip(p.objective, cols)]
     c_scale = 1.0 + max(float(np.max(np.abs(c))) for c in p.objective)
-    pobj = sum(float(np.sum(c * x)) for c, x in zip(p.objective, sol.primal_blocks))
+    pobj = sum(float(np.sum(c * x).real) for c, x in zip(p.objective, sol.primal_blocks))
     return {
         "primal": float(np.max(np.abs(b - ax))) / (1.0 + float(np.max(np.abs(b)))),
         "slack_match": max(float(np.max(np.abs(z - zs))) for z, zs in zip(slacks, sol.dual_slacks)),
@@ -346,45 +369,43 @@ class TestGroupedLayout:
 
     def test_complex_form_assembly_matches_embedded_reference(self):
         rng = np.random.default_rng(np.random.Philox(48))
-        p = _complex_form_problem(rng)
+        p = _complex_blocks_problem(rng)
         assert sdp._group_blocks(p) == [[0, 1], [2], [3]]
         _check_assembly(p, rng)
 
     def test_complex_form_matches_embedded_problem(self):
-        # the same program with every complex-form block passed as its embedding;
+        # the same program with every block passed as its real embedding, which
+        # doubles inner products, so right-hand sides and values double too;
         # identity blocks are strictly feasible, and so are the slacks at y
         rng = np.random.default_rng(np.random.Philox(49))
-        p = _complex_form_problem(rng)
+        p = _complex_blocks_problem(rng)
         y = rng.standard_normal(p.n_constraints)
         cols = [_dense_column(p, k) for k in range(len(p.blocks))]
         p = SdpProblem(
             p.blocks,
             [np.einsum("i,ipq->pq", y, a) + np.eye(a.shape[1]) for a in cols],
             columns=p.columns,
-            rhs=sum(np.einsum("ipp->i", a).real * (2 if np.iscomplexobj(a) else 1) for a in cols),
+            rhs=sum(np.einsum("ipp->i", a).real for a in cols),
         )
         emb = SdpProblem(
-            p.blocks,
-            [embed_complex(c) if np.iscomplexobj(c) else c for c in p.objective],
-            columns=[
-                (col.rows, col.index, embed_complex(col.mats) if np.iscomplexobj(col.mats) else col.mats)
-                for col in p.columns
-            ],
-            rhs=p.rhs,
+            [(name, 2 * d) for name, d in p.blocks],
+            [embed_complex(c) for c in p.objective],
+            columns=[(col.rows, col.index, embed_complex(col.mats)) for col in p.columns],
+            rhs=2 * p.rhs,
         )
         sol, ref = solve(p), solve(emb)
         assert sol.status is ref.status is SdpStatus.OPTIMAL
-        assert abs(sol.primal_value - ref.primal_value) <= 1e-7
+        assert abs(sol.primal_value - ref.primal_value / 2) <= 1e-7
         assert abs(sol.iterations - ref.iterations) <= 1
         for k in range(3):
-            assert sol.primal_blocks[k].shape == (p.blocks[k][1] // 2,) * 2
+            assert sol.primal_blocks[k].shape == (p.blocks[k][1],) * 2
             assert np.allclose(embed_complex(sol.primal_blocks[k]), ref.primal_blocks[k], atol=1e-6)
 
 
-def _complex_form_problem(rng):
-    """Column-form problem mixing blocks in complex form (sizes 4, 4, 6) with a real one.
+def _complex_blocks_problem(rng):
+    """Column-form problem mixing complex Hermitian blocks (sizes 2, 2, 3) with a real one.
 
-    The two 4 x 4 blocks share ``U0`` and ``U1`` with different supports and
+    The two 2 x 2 complex blocks share ``U0`` and ``U1`` with different supports and
     signs; the real 2 x 2 block appears on every row.
     """
     u0, u1 = _rand_herm(rng, 2), _rand_herm(rng, 2)
@@ -396,7 +417,7 @@ def _complex_form_problem(rng):
     ]
     objective = (_rand_herm(rng, 2), _rand_herm(rng, 2), _rand_herm(rng, 3), rand_sym(rng, 2))
     return SdpProblem(
-        blocks=(("a", 4), ("b", 4), ("c", 6), ("r", 2)),
+        blocks=(("a", 2), ("b", 2), ("c", 3), ("r", 2)),
         objective=objective,
         columns=columns,
         rhs=rng.standard_normal(5),
@@ -428,13 +449,13 @@ def _shared_matrix_problem(rng):
 def _check_assembly(p, rng):
     """Grouped H, A and A^T against the per-block loop over dense (m, d, d) stacks.
 
-    Blocks given in complex form are drawn as Hermitian matrices and compared
-    through their embeddings.
+    Blocks with complex data are drawn as Hermitian matrices and compared
+    through their real embeddings, whose inner products are twice theirs.
     """
     m = p.n_constraints
-    cplx = [sdp._complex_form(p, k) for k in range(len(p.blocks))]
-    ws = [_rand_hpd(rng, d // 2) if c else rand_spd(rng, d) for (_, d), c in zip(p.blocks, cplx)]
-    xs = [_rand_herm(rng, d // 2) if c else rand_sym(rng, d) for (_, d), c in zip(p.blocks, cplx)]
+    cplx = [np.iscomplexobj(c) or np.iscomplexobj(col.mats) for c, col in zip(p.objective, p.columns)]
+    ws = [_rand_hpd(rng, d) if c else rand_spd(rng, d) for (_, d), c in zip(p.blocks, cplx)]
+    xs = [_rand_herm(rng, d) if c else rand_sym(rng, d) for (_, d), c in zip(p.blocks, cplx)]
     y = rng.standard_normal(m)
 
     def real(k, a):
@@ -444,9 +465,9 @@ def _check_assembly(p, rng):
     ax_ref = np.zeros(m)
     aty_ref = []
     for k, w in enumerate(ws):
-        a, w = real(k, _dense_column(p, k)), real(k, w)
-        h_ref += np.einsum("ipq,jpq->ij", a, np.einsum("pq,iqr,rs->ips", w, a, w))
-        ax_ref += np.einsum("ipq,pq->i", a, real(k, xs[k]))
+        a, w, weight = real(k, _dense_column(p, k)), real(k, w), 2 if cplx[k] else 1
+        h_ref += np.einsum("ipq,jpq->ij", a, np.einsum("pq,iqr,rs->ips", w, a, w)) / weight
+        ax_ref += np.einsum("ipq,pq->i", a, real(k, xs[k])) / weight
         aty_ref.append(np.einsum("ipq,i->pq", a, y))
     h = np.zeros((m, m))
     ax = np.zeros(m)
@@ -505,15 +526,13 @@ def _statement_problems(draw):
             joined[keys] = np.concatenate([empty] + [stacks[j] for j in keys])
         shared.append((rows, index, joined[keys]))
         private.append((rows, index, joined[keys].copy()))
-    d = 2 * c if cplx else c
-    blocks = tuple((f"b{k}", d) for k in range(n))
+    blocks = tuple((f"b{k}", c) for k in range(n))
     layout = SdpProblem(blocks, [np.eye(c)] * n, columns=shared, rhs=np.zeros(m))
     dense = [_dense_column(layout, k) for k in range(n)]
-    weight = 2 if cplx else 1
     x0 = [_rand_hpd(rng, c) if cplx else rand_spd(rng, c) for _ in range(n)]
     s0 = [_rand_hpd(rng, c) if cplx else rand_spd(rng, c) for _ in range(n)]
     y0 = rng.standard_normal(m)
-    rhs = sum(weight * np.einsum("ipq,qp->i", a, x).real for a, x in zip(dense, x0))
+    rhs = sum(np.einsum("ipq,qp->i", a, x).real for a, x in zip(dense, x0))
     obj = [np.einsum("i,ipq->pq", y0, a) + s for a, s in zip(dense, s0)]
     return (
         SdpProblem(blocks, obj, columns=shared, rhs=rhs),
@@ -585,7 +604,7 @@ class TestStackChecks:
         other = h.copy()
         columns = [([0, 1], [0, 1], h)] * 4 + [([2, 3], [0, 1], other)]
         obj = [np.eye(2, dtype=complex)] * 5
-        SdpProblem([(k, 4) for k in range(5)], obj, columns=columns, rhs=np.ones(4))
+        SdpProblem([(k, 2) for k in range(5)], obj, columns=columns, rhs=np.ones(4))
         assert [w for w, _ in calls].count("objective") == 5
         assert [i for w, i in calls if w == "constraint"] == [id(h), id(other)]
 
@@ -593,11 +612,11 @@ class TestStackChecks:
         bad = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
         obj = [np.eye(2, dtype=complex)] * 2
         with pytest.raises(ValueError, match="antisymmetric"):
-            SdpProblem([(0, 4), (1, 4)], obj, columns=[([0], [0], bad)] * 2, rhs=[1.0])
+            SdpProblem([(0, 2), (1, 2)], obj, columns=[([0], [0], bad)] * 2, rhs=[1.0])
         eye = np.eye(2, dtype=complex)[None]
         with pytest.raises(ValueError, match="in-range"):  # rows and indices stay per block
             SdpProblem(
-                [(0, 4), (1, 4)], [eye[0]] * 2, columns=[([0], [0], eye), ([0], [1], eye)], rhs=[1.0]
+                [(0, 2), (1, 2)], [eye[0]] * 2, columns=[([0], [0], eye), ([0], [1], eye)], rhs=[1.0]
             )
 
 
@@ -819,6 +838,29 @@ class TestComplexBuilder:
         with pytest.raises(ValueError, match="block 0"):
             b.add_constraint({x: np.eye(3)}, 1.0)
 
+    def test_rejected_statement_leaves_no_rows(self):
+        # block 1's coefficient is rejected after block 0's has passed
+        b = ComplexSdpBuilder(2)
+        x, y = b.add_blocks(2)
+        b.set_objective({x: np.diag([1.0, 2.0]), y: np.eye(2)})
+        with pytest.raises(ValueError, match="block 1"):
+            b.add_constraint({x: np.eye(2), y: np.eye(3)}, 1.0)
+        b.add_constraint({x: np.eye(2)}, 1.0)
+        b.add_constraint({y: np.eye(2)}, 1.0)
+        res = b.solve()
+        assert res.status is SdpStatus.OPTIMAL and abs(res.primal_value - 2.0) <= 1e-7
+
+    def test_rhs_must_be_one_dimensional(self):
+        b = ComplexSdpBuilder(2)
+        (x,) = b.add_blocks(1)
+        with pytest.raises(ValueError, match=r"rhs .* shape \(1, 1\)"):
+            b.add_constraint({x: np.eye(2)}, [[1.0]])
+        # the rejected statement left nothing behind
+        b.set_objective({x: np.diag([1.0, 2.0])})
+        b.add_constraint({x: np.eye(2)}, [1.0])
+        res = b.solve()
+        assert res.status is SdpStatus.OPTIMAL and abs(res.primal_value - 1.0) <= 1e-7
+
     def test_min_eigenvalue_complex(self):
         y = np.array([[0, -1j], [1j, 0]])
         b = ComplexSdpBuilder(2)
@@ -904,7 +946,7 @@ def _exactly_hermitian(stack):
 
 
 class TestExactIterates:
-    """Complex blocks come back exactly Hermitian; real blocks stay real."""
+    """Complex blocks come back exactly Hermitian; real blocks keep zero imaginary parts."""
 
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
     @given(
@@ -941,21 +983,11 @@ class TestExactIterates:
     def test_real_problems_return_real_blocks(self, seed):
         rng = np.random.default_rng(seed)
         p = _sparse_feasible_problem(rng, GROUPED_DIMS, GROUPED_SUPPORTS, 6)
-        imag = []
-        blocks = sdp._SizeClass.blocks
-
-        def recording(cls, x):
-            imag.append(float(np.abs(x.imag).max()))
-            return blocks(cls, x)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sdp._SizeClass, "blocks", recording)
-            sol = solve(p)
+        sol = solve(p)
         assert sol.status is SdpStatus.OPTIMAL
         # held as complex blocks whose imaginary parts stay exactly zero
-        assert imag and max(imag) == 0.0
         for xb, d in zip(sol.primal_blocks + sol.dual_slacks, GROUPED_DIMS * 2):
-            assert np.isrealobj(xb) and xb.shape == (d, d)
+            assert xb.shape == (d, d) and not xb.imag.any()
 
 
 # ---------------------------------------------------------------------------
@@ -989,7 +1021,7 @@ def _kron_problems(draw):
         ]
     c = a * o
     problem = SdpProblem(
-        [(k, 2 * c) for k in range(n)],
+        [(k, c) for k in range(n)],
         [_rand_herm(rng, c) for _ in range(n)],
         columns=columns,
         rhs=rng.standard_normal(m),
@@ -1213,12 +1245,13 @@ class TestSolveBatch:
             assert sol.iterations == min(count, short.max_iter)
 
     def test_numerical_failure_leaves_the_others(self):
-        # a NaN in one objective breaks that problem's first scaling only
+        # a NaN in one objective breaks that problem's first scaling only; it is
+        # written after the problem's checks, which reject it
         problems, opts = _roi_primal_problems(_mixed_devices())
         bad = problems[1]
         objective = [c.copy() for c in bad.objective]
-        objective[0][0, 0] = np.nan
         problems[1] = SdpProblem(bad.blocks, objective, columns=bad.columns, rhs=bad.rhs)
+        problems[1].objective[0][0, 0] = np.nan
         batch = _assert_batch_matches_solves(problems, opts)
         assert [sol.status for sol in batch] == [
             SdpStatus.OPTIMAL, SdpStatus.NUMERICAL_FAILURE, SdpStatus.OPTIMAL, SdpStatus.OPTIMAL

@@ -77,8 +77,8 @@ def test_spans_resolve_and_count_solves():
     assert out["unwrapped"] == []
     n_programs, n_outcomes, d = out["shape"]
     # roi() is one robustness primal: a block per response function and per
-    # (program, outcome) slack, each embedded at twice the complex size
-    real_dim = (n_outcomes**n_programs + n_programs * n_outcomes) * 2 * d
+    # (program, outcome) slack
+    real_dim = (n_outcomes**n_programs + n_programs * n_outcomes) * d
     assert out["solved"] == [{"iters": out["solved"][0]["iters"], "real_dim": real_dim}]
     assert out["solves"] == [dict(out["solved"][0], parent="sdp.embed")]
     assert out["solved"][0]["iters"] > 0
